@@ -297,7 +297,7 @@ def cmd_levy(args) -> int:
     model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
                                  cut=args.eps_cut)
     if args.u is not None:
-        b = levy.u_beta(model, args.u)
+        b = levy.potential_bundle(model, args.u)
         _emit(args, {"z": b.z, "u_plus": b.u_plus, "u_minus": b.u_minus,
                      "r_part": b.r_part, "h_part": b.h_part, "u_zero": b.u_zero,
                      "quad_err": b.abserr})

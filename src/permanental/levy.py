@@ -2,30 +2,39 @@
 
 The jump measure has density x^{-2} g(1/|x|) (p 1_{x>0} + q 1_{x<0}) with a
 positive quasi-monotonic slowly varying profile g.  The exponent psi is
-evaluated by quadrature of the jump integral; the spectral functions
+evaluated exactly for whole arrays of lam at once, in fixed-size blocks,
+from a fixed composite rule on the jump integral: Gauss-Legendre panels in
+w = log x on the sub-oscillatory head (lam x <= 1), and Filon-type panels
+(Legendre coefficients of the jump density times the moments
+2 i^k j_k(lam h)) on geometric x panels over the oscillatory part, so the
+cost grows only like log lam.  Each panel's error is estimated from its
+trailing Legendre coefficients.  The spectral functions
 R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) then yield the
 killed potential density u(z) = R_part(z) + H_part(z) and the increment
-metric sigma^2(z) by half-period lobe summation with Euler acceleration.
+metric sigma^2(z) by half-period lobe summation with Euler acceleration;
+every lobe, head and panel integral is a vectorized Gauss-Kronrod-21 rule
+over one psi batch, bisecting only the panels that miss tolerance.
 
 Because R decays only like 1/(lam log^c lam), every integral over
 (0, infinity) is split at a finite boundary: exact evaluation below it and
 an asymptotic surrogate above it, with the surrogate corrected by a fitted
 1/log-lambda drift measured against the exact values.  Reported error
-estimates include the fit residual.
+estimates include the fit residual, the quadrature estimates of every
+panel (converged or not) and the psi error carried through R and I.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from .bounds import PointConfig
-from .errors import NotIntegrable, OutOfRange, QuadratureFailure
-from .oscillatory import euler_accelerate, gl16, lobe_boundaries, quad_careful
+from .errors import NotIntegrable, OutOfRange
+from .oscillatory import euler_accelerate, gk21_nodes, gk21_sums, lobe_boundaries, quad_careful
 
 DEFAULT_CUT = math.e**2
 _X_LO = 1e-12
@@ -33,6 +42,22 @@ _LAM_EXACT_MAX = 2e8
 _N_EXACT_LOBES = 48
 _N_FAR_LOBES = 512
 _W_TABLE_MAX = 42.0
+
+# psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds the
+# node arrays at about _PSI_BLOCK * 40 panels * _N_LEG nodes), the upper
+# log-y limit of the truncation bound, and the length in w of the plain
+# tail of full-support profiles beyond x_cut
+_N_LEG = 20
+_PSI_BLOCK = 64
+_OMEGA_RECUR = 20.0  # Filon moments by recurrence above this lam * half width
+_W_HI_TAIL = 80.0
+_W_PLAIN_TAIL = 50.0
+
+# acceptance of a Gauss-Kronrod panel, and the bisection depth after which
+# a panel's estimate is kept and reported as its error
+_PANEL_EPSREL = 1e-9
+_PANEL_EPSABS = 1e-15
+_MAX_BISECT = 3
 
 
 @dataclass(frozen=True)
@@ -58,14 +83,16 @@ class LogPowerProfile:
             val *= math.log(ly) ** self.delta
         return val
 
-    def of_log(self, w: float) -> float:
-        """g(e^w); the w-space form used by tail integrands."""
-        if w <= math.log(self.cut):
-            return 0.0
-        val = w**self.gamma
+    def of_log(self, w):
+        """g(e^w), elementwise; the w-space form used by tail integrands."""
+        w = np.asarray(w, dtype=float)
+        live = w > math.log(self.cut)
+        safe = np.where(live, w, math.e)
+        val = safe**self.gamma
         if self.delta != 0.0:
-            val *= math.log(w) ** self.delta
-        return val
+            val = val * np.log(safe) ** self.delta
+        out = np.where(live, val, 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -99,10 +126,13 @@ class LevyModel:
     def symmetric(self) -> bool:
         return self.p == self.q
 
-    def g_of_log(self, w: float) -> float:
+    def g_of_log(self, w):
+        """g(e^w), elementwise; a general profile is called once per point."""
         if isinstance(self.g, LogPowerProfile):
             return self.g.of_log(w)
-        return self.g(math.exp(w)) if w < 700 else self.g(math.inf)
+        if np.ndim(w) == 0:
+            return self.g(math.exp(w)) if w < 700 else self.g(math.inf)
+        return np.array([self.g_of_log(v) for v in np.ravel(w)]).reshape(np.shape(w))
 
 
 def log_power_model(
@@ -116,112 +146,227 @@ def tabulated_model(beta: float, p: float, q: float, g, support_min: float = 0.0
     return LevyModel(beta=beta, p=p, q=q, g=g, support_min=support_min)
 
 
-def _sin_minus_lin(u: float) -> float:
-    # sin(u) - u without cancellation for small u
-    if u > 1e-3:
-        return math.sin(u) - u
+# ---------------------------------------------------------------- psi
+
+
+def _sin_minus_lin(u: np.ndarray) -> np.ndarray:
+    # sin(u) - u, by its Taylor series below 0.5 to avoid cancellation
     u2 = u * u
-    return -(u**3) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
+    series = -(u * u2) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0 * (
+        1.0 - u2 / 72.0 * (1.0 - u2 / 110.0 * (1.0 - u2 / 156.0)))))
+    return np.where(u < 0.5, series, np.sin(u) - u)
 
 
-def psi(model: LevyModel, lam: float) -> complex:
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1] and the matrix taking values at them
+    to Legendre coefficients (exact below degree _N_LEG)."""
+    t, w = np.polynomial.legendre.leggauss(_N_LEG)
+    vander = np.polynomial.legendre.legvander(t, _N_LEG - 1)
+    return t, vander * w[:, None] * ((2.0 * np.arange(_N_LEG) + 1.0) / 2.0)
+
+
+def _legendre_panels(lo: np.ndarray, hi: np.ndarray):
+    """Mid points, half widths and Gauss-Legendre nodes (P, _N_LEG) of panels."""
+    t, _ = _legendre_rule()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid, half, mid[:, None] + half[:, None] * t
+
+
+def _legendre_integral(values: np.ndarray, half: np.ndarray):
+    """Panel integrals of values (..., P, _N_LEG) at the Legendre nodes, with
+    the two trailing Legendre coefficients as the error estimate."""
+    coef = values @ _legendre_rule()[1]
+    return 2.0 * half * coef[..., 0], 2.0 * half * (
+        np.abs(coef[..., -1]) + np.abs(coef[..., -2]))
+
+
+def _panels(edges: np.ndarray):
+    """Owner row, lower and upper end of the non-empty panels between
+    consecutive entries of each row of edges."""
+    lo = np.minimum(edges[:, :-1], edges[:, 1:])
+    hi = np.maximum(edges[:, :-1], edges[:, 1:])
+    keep = hi > lo
+    owner = np.broadcast_to(np.arange(edges.shape[0])[:, None], lo.shape)
+    return owner[keep], lo[keep], hi[keep]
+
+
+def _graded_edges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Edges from start towards stop with steps 1, 1, 2, 4, 4, 4, ...
+    (clipped at stop), fine where the integrand is largest or least smooth."""
+    span = float(np.max(np.abs(stop - start)))
+    offsets = np.concatenate([[0.0, 1.0, 2.0], np.arange(4.0, span + 4.0, 4.0)])
+    step = np.sign(stop - start)[:, None] * offsets
+    return np.clip(start[:, None] + step, np.minimum(start, stop)[:, None],
+                   np.maximum(start, stop)[:, None])
+
+
+def _w_integrals(owner, lo, hi, integrand, n: int):
+    """Per-row sums of Gauss-Legendre panel integrals in w of integrand(rows,
+    w) (values of shape (m, P, _N_LEG)), with their error estimates."""
+    _, half, w = _legendre_panels(lo, hi)
+    val, err = _legendre_integral(integrand(owner, w), half)
+    return (np.array([np.bincount(owner, v, minlength=n) for v in val]),
+            np.bincount(owner, err.sum(axis=0), minlength=n))
+
+
+@functools.cache
+def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
+    """A 48-point Gauss-Legendre rule and the weighted P_k (k < _N_LEG) at
+    its nodes: exact for the moments below _OMEGA_RECUR to double precision."""
+    tau, w = np.polynomial.legendre.leggauss(48)
+    return tau, np.polynomial.legendre.legvander(tau, _N_LEG - 1) * w[:, None]
+
+
+def _filon_moments(omega: np.ndarray) -> np.ndarray:
+    """mu_k(omega) = integral over [-1, 1] of P_k(t) e^{i omega t} dt
+    = 2 i^k j_k(omega) for k < _N_LEG, shape (P, _N_LEG).
+
+    Upward recurrence of the spherical Bessel functions is stable for
+    omega > k; below _OMEGA_RECUR the moments come from a fixed rule."""
+    mu = np.empty((omega.size, _N_LEG), dtype=complex)
+    low = omega < _OMEGA_RECUR
+    tau, weighted = _moment_rule()
+    phase = omega[low, None] * tau
+    mu[low] = np.cos(phase) @ weighted + 1j * (np.sin(phase) @ weighted)
+    om = omega[~low]
+    j = np.empty((om.size, _N_LEG))
+    s, c = np.sin(om), np.cos(om)
+    j[:, 0] = s / om
+    j[:, 1] = (s / om - c) / om
+    for k in range(1, _N_LEG - 1):
+        j[:, k + 1] = (2 * k + 1) / om * j[:, k] - j[:, k - 1]
+    mu[~low] = 2.0 * j * (1j ** np.arange(_N_LEG))
+    return mu
+
+
+def _psi_block(model: LevyModel, lam: np.ndarray, hi_tail: float):
+    """Re psi, the integral J of (sin(lam x) - lam x 1_{x<1}) against the
+    jump density (Im psi = -(p - q) J), and the error bound, at lam > 0.
+
+    The jump integral runs over [X_LO, x_cut] in three parts: the head
+    x <= x1 = min(1/lam, x_cut) on graded log-x panels, the oscillatory
+    part [x1, x_cut] on geometric x panels (split at x = 1 where the
+    compensator stops) with Filon-type weights, and for full-support
+    profiles the plain remainder beyond x_cut.  The cut below X_LO is
+    bounded by (lam x)^2 / 2 against the jump density, i.e. by
+    lam^2 / 2 times ``hi_tail``.
+    """
+    n = lam.size
+    g_inv = model.g_of_log
+    full = model.support_min <= 0
+    x_cut = np.maximum(1e3, 3e3 / lam) if full else np.full(n, 1.0 / model.support_min)
+    w_cut = np.log(x_cut)
+    w1 = np.minimum(-np.log(lam), w_cut)
+    re = np.zeros(n)
+    im = np.zeros(n)
+    err = 0.5 * lam * lam * hi_tail
+
+    def head(rows, w):
+        x = np.exp(w)
+        u = lam[rows][:, None] * x
+        gx = g_inv(-w) / x
+        return np.stack([2.0 * np.sin(0.5 * u) ** 2 * gx, _sin_minus_lin(u) * gx])
+
+    (head_re, head_im), e = _w_integrals(
+        *_panels(_graded_edges(w1, np.full(n, math.log(_X_LO)))), head, n)
+    re += head_re
+    im += head_im
+    err += e
+
+    # geometric x panels (ratio <= 2) over [x1, x_cut], with x = 1 as an edge
+    steps = np.arange(int(np.ceil(np.max(w_cut - w1) / math.log(2.0))) + 1) * math.log(2.0)
+    split = np.where((w1 < 0.0) & (w_cut > 0.0), 0.0, w_cut)
+    edges = np.sort(np.column_stack([np.minimum(w1[:, None] + steps, w_cut[:, None]),
+                                     w_cut, split]), axis=1)
+    rows, lo, hi = _panels(edges)
+    if rows.size:
+        mid, half, x = _legendre_panels(np.exp(lo), np.exp(hi))
+        gx = g_inv(-np.log(x)) / x
+        lam_p = lam[rows]
+        coef = np.stack([gx / x, gx]) @ _legendre_rule()[1]
+        tail = 2.0 * half * (np.abs(coef[..., -1]) + np.abs(coef[..., -2]))
+        plain = 2.0 * half * coef[0, :, 0]
+        # integral of f e^{i lam x} over the panel
+        osc = half * np.exp(1j * lam_p * mid) * np.sum(
+            coef[0] * _filon_moments(lam_p * half), axis=1)
+        cos_part, sin_part = osc.real, osc.imag
+        # the compensator lam x 1_{x < 1} of the imaginary part
+        below_one = hi <= 0.0
+        comp = np.where(below_one, 2.0 * half * coef[1, :, 0], 0.0)
+        re += np.bincount(rows, plain - cos_part, minlength=n)
+        im += np.bincount(rows, sin_part - lam_p * comp, minlength=n)
+        # the plain, cos and sin parts each carry the truncated expansion
+        err += np.bincount(rows, 3.0 * tail[0] + np.where(below_one, lam_p * tail[1], 0.0),
+                           minlength=n)
+    if full:
+        # exact non-oscillatory remainder beyond x_cut; the trig remainders
+        # are bounded by 2 f(x_cut) / lam each (integration by parts)
+        (plain_tail,), e = _w_integrals(
+            *_panels(_graded_edges(w_cut, w_cut + _W_PLAIN_TAIL)),
+            lambda rows, w: (g_inv(-w) * np.exp(-w))[None], n)
+        re += plain_tail
+        err += e + 4.0 * g_inv(-w_cut) / (x_cut * x_cut * lam)
+    return re, im, err
+
+
+def psi(model: LevyModel, lam):
     """Characteristic exponent at lam; psi(-lam) = conj(psi(lam)), psi(0) = 0."""
     value, _ = psi_with_error(model, lam)
     return value
 
 
-def psi_with_error(model: LevyModel, lam: float) -> tuple[complex, float]:
-    if lam == 0.0:
-        return 0.0j, 0.0
-    if lam < 0.0:
-        value, err = psi_with_error(model, -lam)
-        return value.conjugate(), err
-    g = model.g
-    x_max = 1.0 / model.support_min if model.support_min > 0 else None
-    x_cut = x_max if x_max is not None else max(1e3, 3e3 / lam)
-    x1 = min(1.0 / lam, x_cut)
-    err = 0.0
+def psi_with_error(model: LevyModel, lam):
+    """psi at lam (a number or an array) and a computed error bound.
 
-    def f(x: float) -> float:
-        return g(1.0 / x) / (x * x)
+    Arrays are evaluated in blocks of _PSI_BLOCK values, so memory does not
+    grow with the batch; a number is a batch of one.
+    """
+    lam = np.asarray(lam, dtype=float)
+    flat = lam.ravel()
+    value = np.zeros(flat.size, dtype=complex)
+    err = np.zeros(flat.size)
+    live = np.flatnonzero(flat != 0.0)
+    if live.size:
+        w_lo = -math.log(_X_LO)
+        # integral of g(1/x) over (0, X_LO), for the bound on the cut there
+        (hi_tail,), hi_err = _w_integrals(
+            *_panels(_graded_edges(np.array([w_lo]), np.array([_W_HI_TAIL]))),
+            lambda rows, w: (model.g_of_log(w) * np.exp(-w))[None], 1)
+        hi_tail = abs(hi_tail[0]) + hi_err[0]
+        for start in range(0, live.size, _PSI_BLOCK):
+            idx = live[start:start + _PSI_BLOCK]
+            re, im_j, e = _psi_block(model, np.abs(flat[idx]), hi_tail)
+            value.real[idx] = re
+            value.imag[idx] = -(model.p - model.q) * im_j
+            err[idx] = e
+        value[flat < 0.0] = value[flat < 0.0].conj()
+    if lam.ndim == 0:
+        return complex(value[0]), float(err[0])
+    return value.reshape(lam.shape), err.reshape(lam.shape)
 
-    # sub-oscillatory head in log space: x in [X_LO, x1], lam*x <= 1
-    w_lo, w1 = math.log(_X_LO), math.log(x1)
-    head_re, e = quad_careful(
-        lambda w: 2.0 * math.sin(lam * math.exp(w) / 2.0) ** 2
-        * g(math.exp(-w)) * math.exp(-w),
-        w_lo, w1, epsabs=1e-13, epsrel=1e-10,
-    )
-    err += e
-    head_im, e = quad_careful(
-        lambda w: _sin_minus_lin(lam * math.exp(w)) * g(math.exp(-w)) * math.exp(-w),
-        w_lo, w1, epsabs=1e-13, epsrel=1e-10,
-    )
-    err += e
-    # the cut below X_LO is bounded by (lam x)^2/2 against the jump density
-    hi_tail, e = quad_careful(
-        lambda w: g(math.exp(w)) * math.exp(-w), -w_lo, 80.0, epsabs=1e-16, epsrel=1e-8,
-        raise_bad=False,
-    )
-    err += (lam * lam / 2.0) * abs(hi_tail) + e
-    re, im_j = head_re, head_im
-    if x1 < x_cut:
-        plain, e = quad_careful(
-            lambda w: g(math.exp(-w)) * math.exp(-w), w1, math.log(x_cut),
-            epsabs=1e-13, epsrel=1e-10,
-        )
-        err += e
-        cos_part, e = scipy.integrate.quad(
-            f, x1, x_cut, weight="cos", wvar=lam, limit=3000, maxp1=100
-        )
-        err += e
-        sin_part, e = scipy.integrate.quad(
-            f, x1, x_cut, weight="sin", wvar=lam, limit=3000, maxp1=100
-        )
-        err += e
-        comp_hi = min(x_cut, 1.0)
-        compens = 0.0
-        if comp_hi > x1:
-            compens, e = quad_careful(
-                lambda w: g(math.exp(-w)), w1, math.log(comp_hi),
-                epsabs=1e-13, epsrel=1e-10,
-            )
-            err += e
-        re += plain - cos_part
-        im_j += sin_part - lam * compens
-    if x_max is None:
-        # full-support profile: add the exact non-oscillatory remainder and
-        # bound the trig remainders by 2 f(x_cut) / lam (integration by parts)
-        plain_tail, e = quad_careful(
-            lambda v: g(1.0 / v) if v > 0 else 0.0, 0.0, 1.0 / x_cut,
-            epsabs=1e-14, epsrel=1e-9, raise_bad=False,
-        )
-        re += plain_tail
-        err += e + 4.0 * f(x_cut) / lam
-        if x_cut < 1.0:
-            raise QuadratureFailure("compensated region extends past the cutoff")
-    imag = -(model.p - model.q) * im_j
-    return complex(re, imag), err
+
+# ---------------------------------------------------------------- spectral
 
 
 class SpectralFns:
-    """Cached evaluators for R = Re 1/(beta+psi) and I = Im 1/(beta+psi).
+    """Evaluators for R = Re 1/(beta+psi) and I = Im 1/(beta+psi).
 
-    The asymptotic surrogate replaces psi by its leading form
-    (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail`` integrates the
-    drift-corrected surrogate over (Lam, infinity).  The cache is populated
-    on first use and safe for concurrent reads afterwards.
+    R, I and ``resolvent`` take a number or an array of lam and evaluate
+    psi once for all of it.  The asymptotic surrogate replaces psi by its
+    leading form (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail``
+    integrates the drift-corrected surrogate over (Lam, infinity).  The
+    drift fit is computed on first use.
     """
 
     def __init__(self, model: LevyModel):
         self.model = model
         self.beta = model.beta
-        self._psi_cache: dict[float, tuple[complex, float]] = {}
-        self._drift: dict[str, tuple[float, float, float]] = {}
+        self._drift: dict[str, tuple[float, float, float]] | None = None
         w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
         self._w_cut = w_cut
         grid = np.linspace(w_cut, _W_TABLE_MAX, 4001)
-        vals = np.array([model.g_of_log(w) for w in grid])
+        vals = model.g_of_log(grid)
         self._g_grid = grid
         self._G_table = np.concatenate(
             [[0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(grid))]
@@ -229,88 +374,91 @@ class SpectralFns:
         self._certify_integrability()
 
     # -- exact evaluators ------------------------------------------------
-    def _psi(self, lam: float) -> complex:
-        hit = self._psi_cache.get(lam)
-        if hit is None:
-            hit = psi_with_error(self.model, lam)
-            self._psi_cache[lam] = hit
-        return hit[0]
+    def resolvent(self, lam):
+        """R and I at lam with the psi error carried through them:
+        |d(1/(beta+psi))| <= |d psi| / |beta+psi|^2."""
+        value, err = psi_with_error(self.model, lam)
+        inv = 1.0 / (self.beta + value)
+        i = 0.0 * inv.real if self.model.symmetric else inv.imag
+        return inv.real, i, err * np.abs(inv) ** 2
 
-    def R(self, lam: float) -> float:
-        if lam == 0.0:
-            return 1.0 / self.beta
-        return (1.0 / (self.beta + self._psi(lam))).real
+    def R(self, lam):
+        return self.resolvent(lam)[0]
 
-    def I(self, lam: float) -> float:
-        if lam == 0.0 or self.model.symmetric:
-            return 0.0
-        return (1.0 / (self.beta + self._psi(lam))).imag
+    def I(self, lam):
+        if self.model.symmetric:
+            return np.zeros(np.shape(lam)) if np.ndim(lam) else 0.0
+        return self.resolvent(lam)[1]
 
     # -- asymptotic surrogate in w = log(lam) space ----------------------
-    def G_log(self, w: float) -> float:
-        """Integral of g(s)/s from the support edge to e^w."""
-        if w <= self._w_cut:
-            return 0.0
-        if w <= _W_TABLE_MAX:
-            return float(np.interp(w, self._g_grid, self._G_table))
-        extra, _ = quad_careful(
-            self.model.g_of_log, _W_TABLE_MAX, w, epsabs=1e-12, epsrel=1e-9
-        )
-        return float(self._G_table[-1]) + extra
+    def G_log(self, w):
+        """Integral of g(s)/s from the support edge to e^w, elementwise."""
+        w = np.asarray(w, dtype=float)
+        out = np.atleast_1d(np.interp(w, self._g_grid, self._G_table))
+        for k in np.flatnonzero(w.ravel() > _W_TABLE_MAX):
+            out[k] += self._g_beyond_table(w.flat[k])
+        return float(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
-    def _asym_parts(self, w: float) -> tuple[float, float]:
-        ebw = self.beta * math.exp(-w) if w < 700 else 0.0
-        re = ebw + (math.pi / 2.0) * self.model.g_of_log(w)
+    def _g_beyond_table(self, w: float) -> float:
+        """Integral of g(e^s) over [_W_TABLE_MAX, w], on Gauss-Legendre
+        panels of width at most 2 in log s."""
+        t_end = math.log(w / _W_TABLE_MAX)
+        edges = np.linspace(0.0, t_end, max(1, math.ceil(t_end / 2.0)) + 1)
+        _, half, t = _legendre_panels(edges[:-1], edges[1:])
+        s = _W_TABLE_MAX * np.exp(t)
+        val, _ = _legendre_integral(self.model.g_of_log(s) * s, half)
+        return float(val.sum())
+
+    def _asym_parts(self, w):
+        re = self.beta * np.exp(-w) + (math.pi / 2.0) * self.model.g_of_log(w)
         im = (self.model.p - self.model.q) * self.G_log(w)
         return re, im
 
-    def R_asym_w(self, w: float) -> float:
+    def R_asym_w(self, w):
         """e^w * R_asym(e^w); the e^w factor cancels analytically."""
         re, im = self._asym_parts(w)
         return re / (re * re + im * im)
 
-    def I_asym_w(self, w: float) -> float:
+    def I_asym_w(self, w):
         re, im = self._asym_parts(w)
         return -im / (re * re + im * im)
 
-    def R_asym(self, lam: float) -> float:
-        return self.R_asym_w(math.log(lam)) / lam
+    def R_asym(self, lam):
+        return self.R_asym_w(np.log(lam)) / lam
 
-    def I_asym(self, lam: float) -> float:
-        return self.I_asym_w(math.log(lam)) / lam
+    def I_asym(self, lam):
+        return self.I_asym_w(np.log(lam)) / lam
 
     # -- drift correction: exact/asym ratio fitted as 1 + a/w + b/w^2 ----
     def drift(self, which: str) -> tuple[float, float, float]:
-        """Fit coefficients (a, b) and the fit residual for R or I."""
-        cached = self._drift.get(which)
-        if cached is not None:
-            return cached
-        exact = self.R if which == "R" else self.I
-        asym = self.R_asym if which == "R" else self.I_asym
-        ws = np.linspace(math.log(_LAM_EXACT_MAX / 16.0), math.log(_LAM_EXACT_MAX), 5)
-        ratios = []
-        for w in ws:
-            av = asym(math.exp(w))
-            ev = exact(math.exp(w))
-            if av == 0.0:
-                self._drift[which] = (0.0, 0.0, 0.0)
-                return self._drift[which]
-            ratios.append(ev / av)
-        rhs = np.asarray(ratios) - 1.0
+        """Fit coefficients (a, b) and the fit residual for R or I; both
+        fits share one psi batch."""
+        if self._drift is None:
+            ws = np.linspace(math.log(_LAM_EXACT_MAX / 16.0), math.log(_LAM_EXACT_MAX), 5)
+            lams = np.exp(ws)
+            r, i, _ = self.resolvent(lams)
+            self._drift = {"R": self._fit(ws, r, self.R_asym(lams)),
+                           "I": self._fit(ws, i, self.I_asym(lams))}
+        return self._drift[which]
+
+    @staticmethod
+    def _fit(ws, exact, asym) -> tuple[float, float, float]:
+        if np.any(asym == 0.0):
+            return 0.0, 0.0, 0.0
+        rhs = exact / asym - 1.0
         design = np.vstack([1.0 / ws, 1.0 / ws**2]).T
         coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
         resid = float(np.abs(design @ coef - rhs).max())
-        self._drift[which] = (float(coef[0]), float(coef[1]), resid)
-        return self._drift[which]
+        return float(coef[0]), float(coef[1]), resid
 
-    def R_far(self, lam: float) -> float:
+    def R_far(self, lam):
         a, b, _ = self.drift("R")
-        w = math.log(lam)
+        w = np.log(lam)
         return self.R_asym(lam) * (1.0 + a / w + b / w**2)
 
-    def I_far(self, lam: float) -> float:
+    def I_far(self, lam):
         a, b, _ = self.drift("I")
-        w = math.log(lam)
+        w = np.log(lam)
         return self.I_asym(lam) * (1.0 + a / w + b / w**2)
 
     def l1_tail(self, lam: float) -> tuple[float, float]:
@@ -352,16 +500,69 @@ class SpectralFns:
             raise NotIntegrable("surrogate spectral tail does not Cauchy-converge")
 
 
-_SPECTRAL_CACHE: dict[LevyModel, SpectralFns] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def spectral(model: LevyModel) -> SpectralFns:
-    """Spectral evaluators for the model; certified integrable R or NotIntegrable."""
-    fns = _SPECTRAL_CACHE.get(model)
-    if fns is None:
-        fns = SpectralFns(model)
-        _SPECTRAL_CACHE[model] = fns
-    return fns
+    """Spectral evaluators for the model; certified integrable R or NotIntegrable.
+
+    The most recently used models keep their evaluators (and drift fits)."""
+    return SpectralFns(model)
+
+
+# ---------------------------------------------------------------- quadrature
+
+
+def _geometric_edges(lo: float, hi: float) -> np.ndarray:
+    """Edges from lo to hi with ratio at most 2 between neighbours."""
+    return np.geomspace(lo, hi, max(1, math.ceil(math.log2(hi / lo))) + 1)
+
+
+def _head_edges(top: float) -> np.ndarray:
+    """Panel edges over [0, top]: [0, 1] and then ratio-2 panels."""
+    if top <= 1.0:
+        return np.array([0.0, top])
+    return np.concatenate([[0.0], _geometric_edges(1.0, top)])
+
+
+def _integrate(sf: SpectralFns, edges: np.ndarray, integrand):
+    """Integrals of integrand over consecutive panels of edges, per panel.
+
+    ``integrand(lam, r, i)`` returns (values, sensitivities), both of shape
+    (m, *lam.shape): m integrands, each linear in R or I, and the absolute
+    value of its factor, which carries the psi error of R and I into the
+    error.  Every round is one psi batch over the Gauss-Kronrod-21 nodes of
+    all open panels; a panel whose |Kronrod - Gauss| misses tolerance is
+    bisected, up to _MAX_BISECT times, and the estimate of a panel still
+    open then is kept in its error.  Returns (values, errors), each (m, P).
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    n = a.size
+    owner = np.arange(n)
+    total = err = None
+    for depth in range(_MAX_BISECT + 1):
+        nodes, half = gk21_nodes(a, b)
+        r, i, e = sf.resolvent(nodes)
+        vals, sens = integrand(nodes, r, i)
+        value, gap = gk21_sums(np.asarray(vals), half)
+        psi_err, _ = gk21_sums(np.asarray(sens) * e, half)
+        if total is None:
+            total = np.zeros((value.shape[0], n))
+            err = np.zeros((value.shape[0], n))
+        done = (gap <= np.maximum(_PANEL_EPSABS, _PANEL_EPSREL * np.abs(value))).all(axis=0)
+        if depth == _MAX_BISECT:
+            done[:] = True
+        for row in range(value.shape[0]):
+            total[row] += np.bincount(owner[done], value[row, done], minlength=n)
+            err[row] += np.bincount(owner[done], gap[row, done] + psi_err[row, done],
+                                    minlength=n)
+        if done.all():
+            break
+        mid = 0.5 * (a + b)
+        open_ = ~done
+        a = np.concatenate([a[open_], mid[open_]])
+        b = np.concatenate([mid[open_], b[open_]])
+        owner = np.concatenate([owner[open_], owner[open_]])
+    return total, err
 
 
 @dataclass(frozen=True)
@@ -390,29 +591,19 @@ def _exact_lobe_count(z: float) -> int:
     return max(2, min(_N_EXACT_LOBES, int(_LAM_EXACT_MAX * z / math.pi) - 1))
 
 
-def _trig_tail(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]:
-    """Integral of trig(lam z) times (R for cos / I for sin) over the lobed
-    region [head boundary, infinity)."""
-    exact = sf.R if kind == "cos" else sf.I
-    far = sf.R_far if kind == "cos" else sf.I_far
-    n_ex = _exact_lobe_count(z)
-    bounds = lobe_boundaries(z, kind, n_ex)
-    trig = math.cos if kind == "cos" else math.sin
-    terms = []
-    err = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        v, e = quad_careful(
-            lambda lam: trig(lam * z) * exact(lam), a, b, epsabs=1e-13, epsrel=1e-9,
-            limit=60, raise_bad=False,
-        )
-        terms.append(v)
-        err += e
-    far_bounds = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=n_ex)
-    for a, b in zip(far_bounds[:-1], far_bounds[1:]):
-        terms.append(gl16(lambda lam: trig(lam * z) * far(lam), a, b))
-    total, accel_err = euler_accelerate(terms)
+def _lobe_sum(sf: SpectralFns, z: float, kind: str, exact_terms, exact_err):
+    """Euler-accelerated sum of the exact lobe integrals of trig(lam z) times
+    R (cos) or I (sin), continued by _N_FAR_LOBES drift-corrected surrogate
+    lobes."""
+    n_ex = len(exact_terms)
+    trig, far = (np.cos, sf.R_far) if kind == "cos" else (np.sin, sf.I_far)
+    far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=n_ex)
+    nodes, half = gk21_nodes(far_edges[:-1], far_edges[1:])
+    far_terms, far_err = gk21_sums(trig(nodes * z) * far(nodes), half)
+    total, accel_err = euler_accelerate(np.concatenate([exact_terms, far_terms]))
     _, _, resid = sf.drift("R" if kind == "cos" else "I")
-    return total, err + accel_err + resid * abs(terms[n_ex]) * 4.0
+    err = float(np.sum(exact_err) + far_err.sum()) + accel_err
+    return total, err + resid * abs(far_terms[0]) * 4.0
 
 
 def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
@@ -426,35 +617,38 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
             sigma2=0.0, identity_gap=0.0, abserr=e0,
         )
     n_ex = _exact_lobe_count(z)
-    b0c = float(lobe_boundaries(z, "cos", 0)[0])
-    lam_split = float(lobe_boundaries(z, "cos", n_ex)[-1])
-    cos_tail, cos_err = _trig_tail(sf, z, "cos")
-    head_cos, e1 = quad_careful(
-        lambda lam: math.cos(lam * z) * sf.R(lam), 0.0, b0c, epsabs=1e-12, limit=600,
-        raise_bad=False,
+    # one panel set per trig: the head from 0 to the first lobe boundary,
+    # then the exact lobes
+    cos_edges = lobe_boundaries(z, "cos", n_ex)
+    head_edges = _head_edges(cos_edges[0])
+    n_head = head_edges.size - 1
+    vals, errs = _integrate(
+        sf, np.concatenate([head_edges, cos_edges[1:]]),
+        lambda lam, r, i: (
+            (np.cos(lam * z) * r, 2.0 * np.sin(lam * z / 2.0) ** 2 * r, r),
+            (np.abs(np.cos(lam * z)), 2.0 * np.sin(lam * z / 2.0) ** 2, np.ones_like(r)),
+        ),
     )
-    head_one_minus, e2 = quad_careful(
-        lambda lam: 2.0 * math.sin(lam * z / 2.0) ** 2 * sf.R(lam), 0.0, b0c,
-        epsabs=1e-12, limit=600, raise_bad=False,
-    )
-    head_R, e3 = quad_careful(sf.R, 0.0, b0c, epsabs=1e-12, limit=600,
-                              raise_bad=False)
-    between, e4 = quad_careful(
-        lambda w: sf.R(math.exp(w)) * math.exp(w), math.log(b0c), math.log(lam_split),
-        epsabs=1e-12, limit=600, raise_bad=False,
-    )
-    tail, e5 = sf.l1_tail(lam_split)
+    head_cos, head_one_minus, head_R = vals[:, :n_head].sum(axis=1)
+    e1, e2, e3 = errs[:, :n_head].sum(axis=1)
+    # on the lobes, cos R feeds the Euler sum and R the plain integral up to
+    # the splice
+    cos_tail, cos_err = _lobe_sum(sf, z, "cos", vals[0, n_head:], errs[0, n_head:])
+    between, e4 = vals[2, n_head:].sum(), errs[2, n_head:].sum()
+    tail, e5 = sf.l1_tail(float(cos_edges[-1]))
     if model.symmetric:
         h_part, sin_err = 0.0, 0.0
     else:
-        b0s = float(lobe_boundaries(z, "sin", 0)[0])
-        sin_tail, sin_err = _trig_tail(sf, z, "sin")
-        head_sin, e6 = quad_careful(
-            lambda lam: math.sin(lam * z) * sf.I(lam), 0.0, b0s, epsabs=1e-12,
-            limit=600, raise_bad=False,
+        sin_edges = lobe_boundaries(z, "sin", n_ex)
+        head_edges = _head_edges(sin_edges[0])
+        n_head = head_edges.size - 1
+        vals, errs = _integrate(
+            sf, np.concatenate([head_edges, sin_edges[1:]]),
+            lambda lam, r, i: ((np.sin(lam * z) * i,), (np.abs(np.sin(lam * z)),)),
         )
-        sin_err += e6
-        h_part = (head_sin + sin_tail) / math.pi
+        sin_tail, sin_err = _lobe_sum(sf, z, "sin", vals[0, n_head:], errs[0, n_head:])
+        sin_err += errs[0, :n_head].sum()
+        h_part = (vals[0, :n_head].sum() + sin_tail) / math.pi
     r_part = (head_cos + cos_tail) / math.pi
     u_zero = (head_R + between + tail) / math.pi
     sigma2 = (2.0 / math.pi) * (head_one_minus + between + tail - cos_tail)
@@ -473,20 +667,15 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
     )
 
 
+def _plain_R(lam, r, i):
+    return (r,), (np.ones_like(r),)
+
+
 def _u_zero(sf: SpectralFns) -> tuple[float, float]:
     split = 1e6
-    head, e1 = quad_careful(sf.R, 0.0, 1e3, epsabs=1e-12, limit=600, raise_bad=False)
-    mid, e2 = quad_careful(
-        lambda w: sf.R(math.exp(w)) * math.exp(w), math.log(1e3), math.log(split),
-        epsabs=1e-12, limit=600, raise_bad=False,
-    )
+    vals, errs = _integrate(sf, _head_edges(split), _plain_R)
     tail, e3 = sf.l1_tail(split)
-    return (head + mid + tail) / math.pi, (e1 + e2 + e3) / math.pi
-
-
-def u_beta(model: LevyModel, z: float) -> PotentialValues:
-    """Potential density u(z), u(-z) and its even/odd decomposition."""
-    return potential_bundle(model, z)
+    return (vals.sum() + tail) / math.pi, (errs.sum() + e3) / math.pi
 
 
 def sigma2_beta(model: LevyModel, z: float) -> tuple[float, float]:
@@ -570,41 +759,40 @@ def check_cor14(model: LevyModel, z_grid, n_grid=(1e2, 1e3, 1e4, 1e5, 1e6)) -> C
     rows = []
     for z in z_grid:
         z = abs(z)
-        lhs, _ = quad_careful(
-            lambda lam: lam * abs(sf.I(lam)), 0.0, math.pi / z, epsabs=1e-12,
-            limit=600, raise_bad=False,
-        )
-        lhs *= z
+        lhs, _ = _integrate(sf, _head_edges(math.pi / z),
+                            lambda lam, r, i: ((lam * np.abs(i),), (lam,)))
+        lhs = z * lhs.sum()
         split = min(max(math.pi / (2 * z) * 64.0, 1e6), _LAM_EXACT_MAX)
-        finite, _ = quad_careful(
-            lambda w: sf.R(math.exp(w)) * math.exp(w),
-            math.log(math.pi / (2 * z)), math.log(split), epsabs=1e-12, limit=600,
-            raise_bad=False,
-        )
+        finite, _ = _integrate(sf, _geometric_edges(math.pi / (2 * z), split), _plain_R)
         tail, _ = sf.l1_tail(split)
-        tail_integral = finite + tail
+        tail_integral = finite.sum() + tail
         implied = 2.0 * lhs / tail_integral
         rows.append(Cor14Row(z=z, lhs=lhs, tail_integral=tail_integral,
                              implied_c=implied, holds=implied < 1.0))
     lams = np.geomspace(1e3, _LAM_EXACT_MAX, 25)
-    r_vals = np.array([sf.R(l) for l in lams])
-    i_vals = np.array([abs(sf.I(l)) for l in lams])
+    r_vals, i_vals, _ = sf.resolvent(lams)
+    i_vals = np.abs(i_vals)
     slack = 1e-9
     monotone = bool(
         (np.diff(r_vals) <= slack * r_vals[:-1]).all()
         and (model.symmetric or (np.diff(i_vals) <= slack * np.maximum(i_vals[:-1], 1e-300)).all())
     )
+    # one panel set over [min split, Lam/2] with every split as an edge; each
+    # split's finite part is the sum of the panels above it
+    far = _LAM_EXACT_MAX / 2
+    splits = [max(float(n), 1e3) for n in n_grid]
+    inner = sorted({s for s in splits if s < far})
+    finite = np.zeros(0)
+    if inner:
+        edges = np.unique(np.concatenate(
+            [_geometric_edges(lo, hi) for lo, hi in zip(inner, inner[1:] + [far])]))
+        finite, _ = _integrate(sf, edges, _plain_R)
+        finite = finite[0]
+        far_tail, _ = sf.l1_tail(far)
     divergence = []
-    for n in n_grid:
-        split = max(float(n), 1e3)
-        if split < _LAM_EXACT_MAX / 2:
-            finite, _ = quad_careful(
-                lambda w: sf.R(math.exp(w)) * math.exp(w),
-                math.log(split), math.log(_LAM_EXACT_MAX / 2), epsabs=1e-12, limit=600,
-                raise_bad=False,
-            )
-            tail, _ = sf.l1_tail(_LAM_EXACT_MAX / 2)
-            tail += finite
+    for n, split in zip(n_grid, splits):
+        if split < far:
+            tail = far_tail + finite[edges[:-1] >= split].sum()
         else:
             tail, _ = sf.l1_tail(split)
         divergence.append((float(n), tail * math.log(n)))
