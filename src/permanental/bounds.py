@@ -264,7 +264,7 @@ class SudakovReport:
     stronger: str
 
 
-def sudakov_compare(pair: MMatrixPair, alpha: float) -> SudakovReport:
+def sudakov_compare(pair: MMatrixPair) -> SudakovReport:
     """Compare the permanental lower bound (via max A_ii) with the
     Sudakov-style bound 2/sigma_star2 for a symmetric positive definite kernel."""
     K = pair.K

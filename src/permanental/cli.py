@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gamma_tails, levy, markov, matio
 from .errors import PermanentalError
-from .linalg import alpha_permanent, invert, validate_m_matrix
+from .linalg import alpha_permanent, alpha_permanent_rel_err, invert, validate_m_matrix
 from .model import (
     PermanentalSpec,
     direct_laplace,
@@ -95,7 +95,7 @@ def cmd_permanent(args) -> int:
     m = matio.load_matrix(args.matrix)
     value = alpha_permanent(m, args.alpha)
     _emit(args, {"value": value, "alpha": args.alpha, "n": int(m.shape[0]),
-                 "rel_err": _EXACT_REL_ERR})
+                 "rel_err": alpha_permanent_rel_err(m, args.alpha, value)})
     return 0
 
 
@@ -191,7 +191,8 @@ def cmd_mc_validate(args) -> int:
 
 def cmd_gamma_tail(args) -> int:
     tail = gamma_tails.gamma_tail_exact(args.u, args.v, args.t)
-    payload = {"u": args.u, "v": args.v, "t": args.t, "tail": tail, "rel_err": 1e-12}
+    payload = {"u": args.u, "v": args.v, "t": args.t, "tail": tail,
+               "rel_err": gamma_tails.gamma_tail_rel_err(args.u, args.v, args.t)}
     if args.bounds:
         lower, upper = gamma_tails.tail_bounds(args.u, args.v * args.t)
         payload["bounds"] = {"lower": lower, "upper": upper,
@@ -220,7 +221,7 @@ def cmd_bounds(args) -> int:
         payload["p"] = args.p
         payload["psi_star"] = bounds_mod.psi_star(config, p=args.p, m_matrix_tol=args.tol)
     else:  # sudakov
-        rep = bounds_mod.sudakov_compare(pair, args.alpha)
+        rep = bounds_mod.sudakov_compare(pair)
         payload.update(dataclasses.asdict(rep))
     _emit(args, payload)
     return 0
@@ -280,11 +281,6 @@ def cmd_validate_kernel(args) -> int:
 
 def cmd_levy(args) -> int:
     q = args.q if args.q is not None else 1.0 - args.p
-    if args.classify:
-        label = levy.classify_example11(args.gamma, args.delta, args.p, q)
-        _emit(args, {"label": label, "gamma": args.gamma, "delta": args.delta,
-                     "p": args.p, "q": q})
-        return 0
     if args.scan_thm16:
         rows = levy.check_thm16_integrals(
             args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16)
@@ -314,8 +310,7 @@ def cmd_levy(args) -> int:
                      "kernel": matio.matrix_to_json_obj(config.kernel_values),
                      "quad_err": err})
         return 0
-    raise PermanentalError("levy needs one of --u, --sigma2, --classify, "
-                           "--scan-thm16, --kernel")
+    raise PermanentalError("levy needs one of --u, --sigma2, --scan-thm16, --kernel")
 
 
 def cmd_classify(args) -> int:
@@ -392,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--k-hat", type=float, dest="k_hat")
     p.add_argument("--p", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
@@ -430,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-cut", type=float, default=levy.DEFAULT_CUT, dest="eps_cut")
     p.add_argument("--u", type=float)
     p.add_argument("--sigma2", type=float)
-    p.add_argument("--classify", action="store_true")
     p.add_argument("--scan-thm16", dest="scan_thm16")
     p.add_argument("--kernel", help="JSON file with a points array")
     p.add_argument("--out")

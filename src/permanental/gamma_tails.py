@@ -2,35 +2,43 @@
 
 ``gamma_tail_exact`` implements the regularized upper incomplete gamma with
 the standard split: ascending series below x = u + 1, Lentz continued
-fraction above it.  Everything here is a pure function.
+fraction above it; ``gamma_tail_rel_err`` bounds its error from the stopping
+rule, the rounding of the prefactor and, below u + 1, the cancellation in
+1 - P.  Everything here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import PreconditionViolated
 
 _TOL = 1e-15
 _TINY = 1e-300
+_U = 2.0**-53  # unit roundoff
 
 
-def _lower_series(u: float, x: float, max_iter: int = 1_000) -> float:
-    """Regularized lower incomplete gamma P(u, x) for x < u + 1."""
-    ap = u
+def _lower_series(u: float, x: float, max_iter: int = 1_000) -> tuple[float, float]:
+    """Sum S of the ascending series, P(u, x) = S x^u e^-x / Gamma(u), for
+    x < u + 1, with a bound on its relative error."""
     delt = 1.0 / u
     total = delt
-    for _ in range(max_iter):
-        ap += 1.0
-        delt *= x / ap
+    for i in range(1, max_iter + 1):
+        delt *= x / (u + i)
         total += delt
         if abs(delt) < abs(total) * _TOL:
-            return total * math.exp(-x + u * math.log(x) - math.lgamma(u))
+            # later terms shrink by at least r per step; term i went through
+            # 3i + 1 roundings and the running sum adds up to i more
+            r = x / (u + i + 1)
+            return total, delt * r / ((1.0 - r) * total) + (4 * i + 1) * _U
     raise RuntimeError(f"incomplete gamma series stalled at u={u}, x={x}")
 
 
-def _upper_cf(u: float, x: float, max_iter: int = 10_000) -> float:
-    """Regularized upper incomplete gamma Q(u, x) by modified Lentz."""
+def _upper_cf(u: float, x: float, max_iter: int = 10_000) -> tuple[float, float]:
+    """Continued fraction h of Q(u, x) = h x^u e^-x / Gamma(u) by modified
+    Lentz, with an estimate of its relative error: the last step's change
+    plus ten roundings per step (coefficients, the two ratios, the update)."""
     b = x + 1.0 - u
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
@@ -48,22 +56,57 @@ def _upper_cf(u: float, x: float, max_iter: int = 10_000) -> float:
         delt = d * c
         h *= delt
         if abs(delt - 1.0) < _TOL:
-            return h * math.exp(-x + u * math.log(x) - math.lgamma(u))
+            return h, abs(delt - 1.0) + 10 * i * _U
     raise RuntimeError(f"incomplete gamma continued fraction stalled at u={u}, x={x}")
 
 
-def gamma_tail_exact(u: float, v: float, t: float) -> float:
-    """P(xi_{u,v} >= t) for the gamma law with shape u and scale parameter v."""
+def _tail(u: float, v: float, t: float) -> tuple[float, float]:
+    """Q(u, v t) and a bound on its relative error.
+
+    The error adds, to first order:
+    * the series or continued-fraction error (stopping rule and rounding);
+    * the rounding of exp(-x + u log x - lgamma u): log and the product
+      (2 ulps of u log x), lgamma (4 ulps), the two sums (1 ulp of the sum
+      of magnitudes each) give an absolute error in the exponent, and exp
+      one more rounding;
+    * on the series branch, 1 - P multiplies P's relative error by P/Q and
+      rounds once;
+    * x = v t rounds once, which moves Q by x |Q'(x)| u = (x^u e^-x / Gamma(u)) u.
+    A tail that underflows to below the smallest normal float gets 1.
+    """
     if u <= 0 or v <= 0:
         raise ValueError("shape and scale must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return 1.0
+        return 1.0, 0.0
     x = v * t
+    u_log_x = u * math.log(x)
+    lg = math.lgamma(u)
+    pref = math.exp(-x + u_log_x - lg)
+    pref_err = _U * (2 * (x + abs(u_log_x) + abs(lg)) + 2 * abs(u_log_x) + 4 * abs(lg) + 1)
     if x < u + 1.0:
-        return 1.0 - _lower_series(u, x)
-    return _upper_cf(u, x)
+        series, err = _lower_series(u, x)
+        p = series * pref
+        q = 1.0 - p
+        rel = p / q * (err + pref_err + 2 * _U) + _U
+    else:
+        frac, err = _upper_cf(u, x)
+        q = frac * pref
+        rel = err + pref_err + 2 * _U
+    if q < sys.float_info.min:
+        return q, 1.0
+    return q, rel + pref / q * _U
+
+
+def gamma_tail_exact(u: float, v: float, t: float) -> float:
+    """P(xi_{u,v} >= t) for the gamma law with shape u and scale parameter v."""
+    return _tail(u, v, t)[0]
+
+
+def gamma_tail_rel_err(u: float, v: float, t: float) -> float:
+    """Bound on the relative error of ``gamma_tail_exact(u, v, t)``."""
+    return _tail(u, v, t)[1]
 
 
 def tail_bounds(u: float, lam: float) -> tuple[float, float]:

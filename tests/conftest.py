@@ -1,6 +1,10 @@
-"""Shared fixtures: the Markov-generated kernel corpus used across tests."""
+"""Shared fixtures: the Markov-generated kernel corpus used across tests, and
+the brute-force alpha-permanent oracle."""
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,3 +42,32 @@ def brownian_min_matrix(n: int) -> np.ndarray:
     """Covariance of standard Brownian motion at integer times 1..n."""
     idx = np.arange(1, n + 1)
     return np.minimum.outer(idx, idx).astype(float)
+
+
+def naive_terms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle count and product prod m[i, pi(i)] of each of the n! permutations."""
+    n = m.shape[0]
+    cycles, prods = [], []
+    for pi in itertools.permutations(range(n)):
+        seen = [False] * n
+        count = 0
+        for i in range(n):
+            if not seen[i]:
+                count += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = pi[j]
+        prod = 1.0
+        for i in range(n):
+            prod *= m[i, pi[i]]
+        cycles.append(count)
+        prods.append(prod)
+    return np.array(cycles, dtype=float), np.array(prods)
+
+
+def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
+    """Sum of alpha^cycles * prod over all permutations, correctly rounded sum
+    of terms that carry at most n + 1 roundings each."""
+    cycles, prods = naive_terms(m)
+    return math.fsum(prods * alpha**cycles)

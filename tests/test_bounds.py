@@ -250,7 +250,7 @@ def test_unboundedness_statistic_log_kernels_trend():
 
 def test_sudakov_identity_kernel_tie():
     pair = validate_m_matrix(np.eye(3))
-    rep = sudakov_compare(pair, 1.0)
+    rep = sudakov_compare(pair)
     assert rep.max_diag_a == pytest.approx(1.0)
     assert rep.sudakov_bound == pytest.approx(1.0)
     assert rep.stronger == "tie"
@@ -258,7 +258,7 @@ def test_sudakov_identity_kernel_tie():
 
 def test_sudakov_brownian_tie():
     pair = validate_m_matrix(invert(brownian_min_matrix(4)))
-    rep = sudakov_compare(pair, 0.5)
+    rep = sudakov_compare(pair)
     assert rep.max_diag_a == pytest.approx(2.0)
     assert rep.sudakov_bound == pytest.approx(2.0)
     assert rep.stronger == "tie"
@@ -267,7 +267,7 @@ def test_sudakov_brownian_tie():
 def test_sudakov_constant_diagonal_pd_kernel():
     K = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.4], [0.2, 0.4, 1.0]])
     pair = validate_m_matrix(invert(K))
-    rep = sudakov_compare(pair, 1.0)
+    rep = sudakov_compare(pair)
     # Lemma on constant-diagonal symmetric kernels: permanental wins or ties
     assert rep.max_diag_a <= rep.sudakov_bound * (1 + 1e-12)
 
@@ -275,7 +275,7 @@ def test_sudakov_constant_diagonal_pd_kernel():
 def test_sudakov_rejects_asymmetric():
     pair = validate_m_matrix(invert(scaled_brownian(4)))
     with pytest.raises(NotSymmetric):
-        sudakov_compare(pair, 1.0)
+        sudakov_compare(pair)
 
 
 def test_asymmetry_degenerate_sigma_raises():

@@ -7,6 +7,8 @@ import pytest
 
 from permanental import matio
 
+from conftest import naive_alpha_permanent
+
 CLI = [sys.executable, "-m", "permanental.cli"]
 
 
@@ -111,6 +113,17 @@ def test_permanent_command(tmp_path):
     matio.save_matrix(str(m), np.eye(3))
     payload = json.loads(run_cli("permanent", "--matrix", m, "--alpha", 2).stdout)
     assert payload["value"] == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.4])
+def test_permanent_rel_err_is_computed_and_covers_oracle(tmp_path, shift):
+    matrix = np.random.default_rng(31).random((6, 6)) + shift
+    m = tmp_path / "m.json"
+    matio.save_matrix(str(m), matrix)
+    payload = json.loads(run_cli("permanent", "--matrix", m, "--alpha", 1.5).stdout)
+    want = naive_alpha_permanent(matrix, 1.5)
+    assert payload["rel_err"] != 1e-14
+    assert abs(payload["value"] - want) <= payload["rel_err"] * abs(payload["value"])
 
 
 def test_bounds_simple(kernel_file):

@@ -8,6 +8,7 @@ import scipy.special
 from permanental.errors import PreconditionViolated
 from permanental.gamma_tails import (
     gamma_tail_exact,
+    gamma_tail_rel_err,
     max_iid_lower,
     tail_bounds,
     unbounded_lambda_check,
@@ -48,6 +49,27 @@ def test_grid_vs_scipy_oracle():
         for x in (0.01, 0.5, u, u + 2, 4 * u + 10):
             want = float(scipy.special.gammaincc(u, x))
             assert gamma_tail_exact(u, 1.0, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("u", [0.1, 0.5, 1.0, 1.7, 3.0, 10.0])
+def test_rel_err_covers_high_precision_oracle(u):
+    # straddles the series / continued-fraction switch at x = u + 1 and covers
+    # x in [6, 15]; v = 0.3 makes x = v t round
+    for x in (0.05, u + 1 - 1e-3, u + 1, u + 1 + 1e-3, 6.0, 9.5, 15.0, 4 * u + 30):
+        for v in (1.0, 0.3):
+            t = x / v
+            with mpmath.workdps(40):
+                want = float(mpmath.gammainc(u, mpmath.mpf(v) * t, mpmath.inf,
+                                             regularized=True))
+            rel = gamma_tail_rel_err(u, v, t)
+            assert abs(gamma_tail_exact(u, v, t) - want) <= rel * want
+            assert rel < 1e-12
+
+
+def test_rel_err_of_underflowed_tail_is_one():
+    assert gamma_tail_exact(1.0, 1.0, 800.0) == 0.0
+    assert gamma_tail_rel_err(1.0, 1.0, 800.0) == 1.0
+    assert gamma_tail_rel_err(2.0, 1.0, 0.0) == 0.0
 
 
 def test_scale_invariance():

@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from permanental.errors import DimensionTooLarge, NotMMatrix, SingularMatrix
 from permanental.linalg import (
+    PERMANENT_CAP,
     alpha_permanent,
+    alpha_permanent_rel_err,
     block_expand,
     det_lu,
     invert,
@@ -15,7 +17,7 @@ from permanental.linalg import (
     validate_m_matrix,
 )
 
-from conftest import brownian_min_matrix
+from conftest import brownian_min_matrix, naive_alpha_permanent, naive_terms
 
 
 # ---------------------------------------------------------------- oracles
@@ -32,26 +34,6 @@ def cofactor_det(m: np.ndarray) -> float:
     for j in range(n):
         cols = [c for c in range(n) if c != j]
         total += (-1.0) ** j * m[0, j] * cofactor_det(m[np.ix_(rest, cols)])
-    return total
-
-
-def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
-    n = m.shape[0]
-    total = 0.0
-    for pi in itertools.permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for i in range(n):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = pi[j]
-        prod = 1.0
-        for i in range(n):
-            prod *= m[i, pi[i]]
-        total += alpha**cycles * prod
     return total
 
 
@@ -199,9 +181,42 @@ def test_alpha_permanent_random_vs_naive_oracle():
         )
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_alpha_permanent_within_reported_bound(n):
+    rng = np.random.default_rng(200 + n)
+    mixed = rng.normal(size=(n, n))
+    # paper-style C(k): indices repeated k_i times
+    repeated = block_expand(rng.random((3, 3)), rng.multinomial(n, [0.5, 0.3, 0.2]))
+    for m in (mixed, repeated):
+        cycles, prods = naive_terms(m)
+        for alpha in (0.3, 1.0, 2.5):
+            weights = alpha**cycles
+            want = math.fsum(prods * weights)
+            magnitude = math.fsum(np.abs(prods) * weights)
+            got = alpha_permanent(m, alpha)
+            bound = alpha_permanent_rel_err(m, alpha, got) * abs(got)
+            # plus the oracle's own rounding: n + 1 per term, then one
+            assert abs(got - want) <= bound + (n + 2) * 2.0**-53 * magnitude
+
+
 def test_alpha_permanent_cap():
-    with pytest.raises(DimensionTooLarge):
-        alpha_permanent(np.eye(13), 1.0)
+    with pytest.raises(DimensionTooLarge, match="exceeds cap"):
+        alpha_permanent(np.eye(PERMANENT_CAP + 1), 1.0)
+
+
+def test_alpha_permanent_n13_is_answered():
+    assert alpha_permanent(np.eye(13), 1.3) == pytest.approx(1.3**13, rel=1e-14)
+
+
+def test_alpha_permanent_all_ones_at_cap():
+    # perm_alpha of the all-ones matrix is the rising factorial alpha (alpha+1) ... (alpha+n-1)
+    n, alpha = PERMANENT_CAP, 0.7
+    ones = np.ones((n, n))
+    got = alpha_permanent(ones, alpha)
+    rel = alpha_permanent_rel_err(ones, alpha, got)
+    assert rel <= 1e-9
+    want = math.prod(alpha + j for j in range(n))
+    assert abs(got - want) <= (rel + 2 * n * 2.0**-53) * want
 
 
 def test_alpha_permanent_diagonal_closed_form():
@@ -212,7 +227,7 @@ def test_alpha_permanent_diagonal_closed_form():
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(2, 13))
 def test_plain_permanent_matches_ryser(n):
     rng = np.random.default_rng(100 + n)
     m = rng.random((n, n))
