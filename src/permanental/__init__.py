@@ -12,7 +12,6 @@ from .errors import (
     DegenerateSigma,
     DimensionTooLarge,
     HypothesisFailed,
-    NoConvergence,
     NotConstantDiagonal,
     NotIntegrable,
     NotMMatrix,

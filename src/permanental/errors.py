@@ -28,14 +28,6 @@ class DimensionTooLarge(PermanentalError):
     """Requested exact computation exceeds the hard size cap."""
 
 
-class NoConvergence(PermanentalError):
-    """Iteration cap reached; carries the last iterate."""
-
-    def __init__(self, message: str, last: float):
-        super().__init__(f"{message} (last iterate {last!r})")
-        self.last = last
-
-
 class TruncationInfeasible(PermanentalError):
     """Series truncation cannot be certified (Perron root too close to 1)."""
 

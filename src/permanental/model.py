@@ -3,8 +3,10 @@
 Two equivalent evaluations are provided: the determinant form
 ``|A|^alpha / |A+S|^alpha`` and the alpha-permanent series obtained from
 the D - B splitting of A.  The series is summed order by order with a
-certified geometric tail bound, which also normalizes the mixing
-distribution of the latent index vector Z.
+certified Chernoff tail bound, which also normalizes the mixing
+distribution of the latent index vector Z.  Per series matrix B~ = D^-1 B
+the bound comes from one Perron root and one batched ``slogdet`` over a
+fixed t grid, as a table over all truncation orders.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ GRID_CAP = 40_000_000
 # Above this Perron root no truncation order can be certified at double precision.
 RHO_CEILING = 1.0 - 1e-6
 _MAX_ORDER = 400
+# Grid points per batch of complex n x n determinants: bounds the transient
+# memory of the coefficient grid (the matrices and det's copy of them).
+_GRID_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -84,36 +89,38 @@ def compositions(total: int, n: int):
             yield (first,) + rest
 
 
-def _log_chernoff_tail(b_tilde: np.ndarray, alpha: float, order: int) -> float:
-    """log of an upper bound on sum_{|k| > order} |B~(k)|_alpha / k!.
+def _log_tail_bounds(
+    b_tilde: np.ndarray, alpha: float, rho: float, max_order: int
+) -> np.ndarray:
+    """log upper bounds on sum_{|k| > order} |B~(k)|_alpha / k!, order = 0..max_order.
 
     All series coefficients are nonnegative, so for any 1 < t < 1/rho the
-    tail is at most t^{-(order+1)} det(I - t B~)^{-alpha}; minimized on a
-    log-spaced t grid.
+    tail is at most t^{-(order+1)} det(I - t B~)^{-alpha}; each order takes
+    the minimum over one log-spaced t grid, whose determinants are one
+    batched slogdet.
     """
-    n = b_tilde.shape[0]
-    rho = spectral_radius_nonneg(b_tilde)
+    orders = np.arange(max_order + 1.0)
     if rho <= 0.0:
-        return -math.inf
+        return np.full(orders.size, -math.inf)
     if rho >= 1.0:
-        return math.inf
-    eye = np.eye(n)
-    best = math.inf
-    for t in np.geomspace(1.0 + 1e-9, (1.0 / rho) * (1.0 - 1e-9), 64):
-        sign, logdet = np.linalg.slogdet(eye - t * b_tilde)
-        if sign <= 0:
-            continue
-        best = min(best, -alpha * logdet - (order + 1) * math.log(t))
-    return best
+        return np.full(orders.size, math.inf)
+    t = np.geomspace(1.0 + 1e-9, (1.0 / rho) * (1.0 - 1e-9), 64)
+    sign, logdet = np.linalg.slogdet(np.eye(b_tilde.shape[0]) - t[:, None, None] * b_tilde)
+    t, logdet = t[sign > 0], logdet[sign > 0]
+    bounds = -alpha * logdet - (orders[:, None] + 1.0) * np.log(t)
+    return bounds.min(axis=1, initial=math.inf)
 
 
-def _series_coefficients_box(b_tilde: np.ndarray, alpha: float, order: int) -> np.ndarray:
+def _series_coefficients_box(
+    b_tilde: np.ndarray, alpha: float, order: int, rho: float
+) -> np.ndarray:
     """Coefficients F_k = |B~(k)|_alpha / k! for all k in {0..order}^n.
 
     Extracts Taylor coefficients of det(I - Z B~)^{-alpha} by evaluating it
     on the (order+1)-st roots-of-unity grid and applying an n-dimensional
     FFT.  At radius 1 the aliased mass is exactly the out-of-box mass,
-    which the caller's tail certificate already covers.
+    which the caller's tail certificate already covers.  ``rho`` is the
+    Perron root of B~.
     """
     n = b_tilde.shape[0]
     N = order + 1
@@ -122,14 +129,13 @@ def _series_coefficients_box(b_tilde: np.ndarray, alpha: float, order: int) -> n
         raise DimensionTooLarge(
             f"coefficient grid {N}^{n} = {total} exceeds cap {GRID_CAP}"
         )
-    rho = spectral_radius_nonneg(b_tilde)
     # principal branch of det^? is the analytic continuation only while the
     # accumulated argument cannot wrap; otherwise fall back to eigenvalues
     principal_ok = n * math.asin(min(rho, 1.0)) < 0.999 * math.pi
     omega = np.exp(2j * np.pi * np.arange(N) / N)
     eye = np.eye(n, dtype=complex)
     flat = np.empty(total, dtype=complex)
-    chunk = max(1, min(200_000, total))
+    chunk = min(_GRID_CHUNK, total)
     shape = (N,) * n
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -183,8 +189,9 @@ def _z_prefactor(spec: PermanentalSpec) -> float:
 
 def _z_masses_to_order(spec: PermanentalSpec, order: int) -> ZDistribution:
     bt = _b_tilde(spec.pair)
+    rho = spectral_radius_nonneg(bt)
     pref = _z_prefactor(spec)
-    coeffs = _series_coefficients_box(bt, spec.alpha, order)
+    coeffs = _series_coefficients_box(bt, spec.alpha, order, rho)
     masses: dict[tuple[int, ...], float] = {}
     index: list[tuple[int, ...]] = []
     vals: list[float] = []
@@ -195,8 +202,7 @@ def _z_masses_to_order(spec: PermanentalSpec, order: int) -> ZDistribution:
             index.append(k)
             vals.append(m)
     covered = float(np.sum(vals))
-    log_tail = _log_chernoff_tail(bt, spec.alpha, order)
-    tail = pref * (0.0 if log_tail == -math.inf else math.exp(log_tail))
+    tail = pref * math.exp(_log_tail_bounds(bt, spec.alpha, rho, order)[order])
     return ZDistribution(
         spec=spec,
         masses=masses,
@@ -209,8 +215,8 @@ def _z_masses_to_order(spec: PermanentalSpec, order: int) -> ZDistribution:
 
 
 def z_masses(spec: PermanentalSpec, target_mass: float) -> ZDistribution:
-    """Enumerate Z masses by increasing order until the certified tail
-    bound drops to 1 - target_mass (hence covered mass >= target_mass)."""
+    """Enumerate Z masses to the lowest order whose certified tail bound
+    is at most 1 - target_mass (hence covered mass >= target_mass)."""
     if not 0.0 < target_mass < 1.0 - 1e-12:
         raise ValueError("target_mass must lie in (0, 1 - 1e-12)")
     bt = _b_tilde(spec.pair)
@@ -219,16 +225,13 @@ def z_masses(spec: PermanentalSpec, target_mass: float) -> ZDistribution:
         raise TruncationInfeasible(
             f"Perron root {rho:.8f} too close to 1; no order can be certified"
         )
-    pref = _z_prefactor(spec)
-    budget = math.log(1.0 - target_mass) - math.log(pref)
-    order = 0
-    while _log_chernoff_tail(bt, spec.alpha, order) > budget:
-        order += 1
-        if order > _MAX_ORDER:
-            raise TruncationInfeasible(
-                f"no certified order below {_MAX_ORDER} for target {target_mass}"
-            )
-    return _z_masses_to_order(spec, order)
+    budget = math.log(1.0 - target_mass) - math.log(_z_prefactor(spec))
+    certified = np.flatnonzero(_log_tail_bounds(bt, spec.alpha, rho, _MAX_ORDER) <= budget)
+    if certified.size == 0:
+        raise TruncationInfeasible(
+            f"no certified order below {_MAX_ORDER} for target {target_mass}"
+        )
+    return _z_masses_to_order(spec, int(certified[0]))
 
 
 @dataclass(frozen=True)
@@ -263,14 +266,14 @@ def series_laplace_report(spec: PermanentalSpec, s, rel_tol: float = 1e-8) -> Se
     pref = math.exp(
         spec.alpha * (logdet_a - np.log(spec.pair.diag_a + sv).sum())
     )
+    log_tails = _log_tail_bounds(bt, spec.alpha, rho, _MAX_ORDER)
     c = [1.0]
     partial = 1.0
     traces: list[float] = []
     power = np.eye(spec.n)
     order = 0
     while True:
-        log_tail = _log_chernoff_tail(bt, spec.alpha, order)
-        tail = 0.0 if log_tail == -math.inf else math.exp(log_tail)
+        tail = math.exp(log_tails[order])
         if tail <= rel_tol * partial:
             return SeriesValue(value=pref * partial, rel_err=tail / partial, orders_used=order)
         order += 1

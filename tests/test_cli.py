@@ -97,6 +97,24 @@ def test_z_dist_output(spec_file):
     assert zero and zero[0]["mass"] > 0
 
 
+def test_acyclic_spec_is_answered(tmp_path):
+    # A = I - 0.5 * superdiagonal: the chain never returns, so Z = 0
+    spec = tmp_path / "acyclic.json"
+    matio.save_spec_file(str(spec), 1.0, a_matrix=np.eye(3) - 0.5 * np.eye(3, k=1))
+    out = run_cli("z-dist", "--spec", spec)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["max_order"] == 0 and payload["tail_bound"] == 0.0
+    ser = run_cli("laplace", "--spec", spec, "--s", "1,2,3", "--method", "series")
+    assert ser.returncode == 0, ser.stderr
+    assert json.loads(ser.stdout)["value"] == pytest.approx(1.0 / 24.0, rel=1e-14)
+    draws = tmp_path / "draws.csv"
+    out = run_cli("sample", "--spec", spec, "--n", 20, "--seed", 3, "--out", draws)
+    assert out.returncode == 0, out.stderr
+    rows = draws.read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(r.endswith(",0,0,0") for r in rows)
+
+
 def test_gamma_tail_with_bounds():
     out = run_cli("gamma-tail", "--u", 2, "--v", 1, "--t", 5, "--bounds")
     payload = json.loads(out.stdout)

@@ -326,9 +326,19 @@ def test_markov_split_radius_below_one(corpus20):
         assert spectral_radius_nonneg(bt) < 1.0
 
 
-def test_spectral_radius_iteration_cap():
-    from permanental.errors import NoConvergence
+def test_spectral_radius_acyclic_is_exactly_zero():
+    # a chain that never returns to a state: B~ is nilpotent, in any order
+    assert spectral_radius_nonneg(0.5 * np.eye(3, k=1)) == 0.0
+    rng = np.random.default_rng(23)
+    perm = rng.permutation(5)
+    upper = np.triu(rng.random((5, 5)), 1)
+    assert spectral_radius_nonneg(upper[np.ix_(perm, perm)]) == 0.0
 
-    m = np.array([[0.3, 0.6], [0.1, 0.2]])
-    with pytest.raises(NoConvergence):
-        spectral_radius_nonneg(m, tol=1e-12, max_iter=2)
+
+def test_spectral_radius_defective_not_below_perron_root():
+    # two equal 2x2 blocks coupled one way: 0.4 is a double, defective root
+    m = np.array([[0.0, 0.4, 0.0, 0.0], [0.4, 0.0, 0.3, 0.0],
+                  [0.0, 0.0, 0.0, 0.4], [0.0, 0.0, 0.4, 0.0]])
+    rho = spectral_radius_nonneg(m)
+    assert rho >= 0.4 * (1.0 - 8 * 2.0**-53)
+    assert rho == pytest.approx(0.4, rel=1e-7)

@@ -254,3 +254,82 @@ def test_z_masses_eigenvalue_branch_matches_permanent_oracle():
             assert zd.masses[k] == pytest.approx(
                 expected, rel=1e-7, abs=zd.tail_bound * 1e-3 + 1e-12
             )
+
+
+# ---------------------------------------------------------------- acyclic and defective B~
+
+# A chain that never returns to a state: B~ = 0.5 * superdiagonal is nilpotent.
+ACYCLIC = PermanentalSpec.from_m_matrix(np.eye(3) - 0.5 * np.eye(3, k=1), 1.0)
+# Two equal 2x2 blocks, the first feeding the second: B~ is reducible and its
+# Perron root 0.4 is a double, defective eigenvalue.
+DEFECTIVE = PermanentalSpec.from_m_matrix(
+    [[1.0, -0.4, 0.0, 0.0], [-0.4, 1.0, -0.3, 0.0],
+     [0.0, 0.0, 1.0, -0.4], [0.0, 0.0, -0.4, 1.0]], 0.7)
+
+
+def _bt(spec):
+    return spec.pair.B / spec.pair.diag_a[:, None]
+
+
+def test_acyclic_spec_z_masses_and_series():
+    # spectral_radius_nonneg is exactly 0 here (tests/test_linalg.py)
+    zd = z_masses(ACYCLIC, 1 - 1e-9)
+    assert zd.max_order == 0
+    assert zd.tail_bound == 0.0
+    assert zd.masses[(0, 0, 0)] == pytest.approx(1.0, abs=1e-15)
+    for s in ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.3, 0.0, 5.0]):
+        sv = series_laplace_report(ACYCLIC, s)
+        assert sv.orders_used == 0
+        assert sv.value == pytest.approx(direct_laplace(ACYCLIC, s), rel=1e-14)
+
+
+def test_defective_spec_masses_match_block_permanent_oracle():
+    zd = z_masses(DEFECTIVE, 1 - 1e-9)
+    bt = _bt(DEFECTIVE)
+    pref = (np.linalg.det(DEFECTIVE.pair.A) / DEFECTIVE.pair.diag_a.prod()) ** 0.7
+    for order in range(1, 4):
+        for k in compositions(order, 4):
+            expected = pref * alpha_permanent(block_expand(bt, k), 0.7) / np.prod(
+                [math.factorial(ki) for ki in k]
+            )
+            assert abs(zd.masses[k] - expected) <= zd.tail_bound + 1e-15
+
+
+@pytest.mark.parametrize("s", [[0.0, 0.0, 0.0, 0.0], [0.3, 1.0, 0.3, 1.0]])
+def test_defective_spec_series_within_rel_err(s):
+    # equal shifts on both blocks keep the shifted B~ defective
+    sv = series_laplace_report(DEFECTIVE, s)
+    want = direct_laplace(DEFECTIVE, s)
+    assert abs(sv.value - want) <= (sv.rel_err + 1e-14) * want
+
+
+# ---------------------------------------------------------------- tail certificate
+
+
+@pytest.mark.parametrize("n, rho, order", [(5, 0.1, 10), (6, 0.05, 7)])
+def test_certified_order_at_fixed_perron_root(n, rho, order):
+    # B~ = rho/(n-1) (J - I) has Perron root rho
+    A = np.eye(n) - rho / (n - 1) * (np.ones((n, n)) - np.eye(n))
+    assert z_masses(PermanentalSpec.from_m_matrix(A, 1.0), 1 - 1e-9).max_order == order
+
+
+def test_tail_table_bounds_the_true_tail(corpus20):
+    from permanental.linalg import spectral_radius_nonneg
+    from permanental.model import _MAX_ORDER, _log_tail_bounds
+
+    for spec in corpus20[:10]:
+        bt = _bt(spec)
+        table = _log_tail_bounds(bt, spec.alpha, spectral_radius_nonneg(bt), _MAX_ORDER)
+        total = np.linalg.det(np.eye(spec.n) - bt) ** -spec.alpha
+        # per-order sums from the log-derivative recursion
+        c, traces, power = [1.0], [], np.eye(spec.n)
+        for order in range(_MAX_ORDER + 1):
+            tail = total - math.fsum(c)
+            if tail <= 1e-10:
+                break
+            assert math.exp(table[order]) >= tail
+            power = power @ bt
+            traces.append(float(np.trace(power)))
+            c.append(spec.alpha / (order + 1) * math.fsum(
+                traces[r] * c[order - r] for r in range(order + 1)))
+        assert order > 0
