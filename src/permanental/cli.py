@@ -60,16 +60,16 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_row(values) -> str:
-    cells = []
-    for v in values:
-        if isinstance(v, (float, np.floating)):
-            cells.append(repr(float(v)))
-        elif v is None:
-            cells.append("")
-        else:
-            cells.append(str(v))
-    return ",".join(cells)
+def _csv_text(header, rows) -> str:
+    """CSV text, one line per row of Python cells (as from ``ndarray.tolist()``).
+
+    A number is written by repr, so a float reads back exactly; a string is
+    written as it is and None as an empty cell.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(["" if v is None else v if type(v) is str else repr(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _load_spec(path: str) -> PermanentalSpec:
@@ -137,14 +137,9 @@ def cmd_sample(args) -> int:
     if args.couple:
         header += [f"L_{i+1}" for i in range(n)]
     header += [f"Z_{i+1}" for i in range(n)]
-    lines = [",".join(header)]
-    for i in range(batch.n_draws):
-        row = list(batch.draws[i])
-        if args.couple:
-            row += list(batch.coupled_lower[i])
-        row += [int(z) for z in batch.z_draws[i]]
-        lines.append(_csv_row(row))
-    _write(args, "\n".join(lines) + "\n")
+    floats = np.hstack([batch.draws, batch.coupled_lower]) if args.couple else batch.draws
+    rows = map(list.__add__, floats.tolist(), batch.z_draws.tolist())
+    _write(args, _csv_text(header, rows))
     return 0
 
 
@@ -245,11 +240,9 @@ def cmd_unbounded_scan(args) -> int:
     rows = bounds_mod.unboundedness_statistic(
         kernel_fn, [args.delta], _parse_ints(args.n), p=args.p
     )
-    lines = ["delta,n,psi_star,log_n_over_psi_star,sigma_star2_log_n,error"]
-    for r in rows:
-        lines.append(_csv_row([r.delta, r.n, r.a_star, r.log_n_over_a_star,
-                               r.sigma_star2_log_n, r.error]))
-    _write(args, "\n".join(lines) + "\n")
+    header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
+    _write(args, _csv_text(header, [[r.delta, r.n, r.a_star, r.log_n_over_a_star,
+                                     r.sigma_star2_log_n, r.error] for r in rows]))
     return 0
 
 
@@ -285,10 +278,8 @@ def cmd_levy(args) -> int:
         rows = levy.check_thm16_integrals(
             args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16)
         )
-        lines = ["n,statistic,log_n,ratio"]
-        for r in rows:
-            lines.append(_csv_row([r.n, r.statistic, r.log_n, r.ratio]))
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, _csv_text(["n", "statistic", "log_n", "ratio"],
+                               [[r.n, r.statistic, r.log_n, r.ratio] for r in rows]))
         return 0
     model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
                                  cut=args.eps_cut)

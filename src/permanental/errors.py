@@ -13,7 +13,7 @@ class PermanentalError(Exception):
 
 
 class SingularMatrix(PermanentalError):
-    """Pivoted factorization found a pivot below the singularity threshold."""
+    """Matrix is exactly singular or its condition number exceeds the invert threshold."""
 
 
 class NotMMatrix(PermanentalError):

@@ -4,6 +4,13 @@ All operations are pure functions of their inputs and safe to call
 concurrently.  Matrices are plain ``numpy`` arrays; ``as_square_matrix``
 is the single entry point that enforces squareness and finiteness.
 
+``invert`` is numpy's LAPACK inverse with one singularity rule: a matrix
+whose inf-norm condition number kappa = ||A|| ||A^-1|| exceeds
+SINGULAR_COND = 1e13 (or that LAPACK finds exactly singular) is refused
+with SingularMatrix, so no inverse whose relative error bound kappa u
+exceeds about 1e-3 is returned.  ``validate_m_matrix`` reports such a
+matrix as NotMMatrix("singular: ...").
+
 ``alpha_permanent`` is a subset dynamic program, not an enumeration of the
 n! permutations: Held-Karp cycle sums over the subsets that share a largest
 element, then the set-partition recursion over subsets by direct sums
@@ -15,11 +22,9 @@ summation order into a computed error bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionTooLarge, NotMMatrix, SingularMatrix
 
@@ -30,6 +35,8 @@ PERMANENT_CAP = 18
 # Default tolerances for M-matrix membership of empirically computed inverses.
 OFF_DIAG_TOL = 1e-12
 INVERSE_TOL = 1e-10
+# invert refuses a matrix whose inf-norm condition number exceeds this
+SINGULAR_COND = 1e13
 
 # alpha_permanent's partition step sums 3^_LOW_BITS (R, U) pairs per vectorized step
 _LOW_BITS = 10
@@ -52,46 +59,24 @@ def _inf_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def _lu_factor_quiet(a: np.ndarray):
-    # zero pivots are handled by the callers; scipy's warning is noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(a, check_finite=False)
+def invert(m) -> np.ndarray:
+    """Inverse from LAPACK's pivoted LU (``np.linalg.inv``).
 
-
-def det_lu(m) -> float:
-    """Determinant via pivoted LU factorization.
-
-    The empty 0x0 determinant is 1.  A matrix that is singular to machine
-    precision returns 0.0 rather than raising.
+    Raises SingularMatrix when LAPACK meets an exact zero pivot, when the
+    inverse is not finite, or when the inf-norm condition number
+    kappa = ||A|| ||A^-1|| exceeds SINGULAR_COND; the message carries kappa.
     """
     a = as_square_matrix(m)
-    if a.shape[0] == 0:
-        return 1.0
-    lu, piv = _lu_factor_quiet(a)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    return sign * float(np.prod(np.diag(lu)))
-
-
-def invert(m) -> np.ndarray:
-    """Inverse via pivoted LU; raises SingularMatrix on a pivot below threshold."""
-    a = as_square_matrix(m)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    norm = _inf_norm(a)
-    if norm == 0.0:
-        raise SingularMatrix("zero matrix")
-    lu, piv = _lu_factor_quiet(a)
-    smallest = float(np.abs(np.diag(lu)).min())
-    if smallest < 1e-13 * norm:
+    try:
+        inv = np.linalg.inv(a)
+        kappa = _inf_norm(a) * _inf_norm(inv)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        kappa = math.inf
+    if not kappa <= SINGULAR_COND:  # inf or nan when the inverse is not finite
         raise SingularMatrix(
-            f"pivot {smallest:.3e} below threshold {1e-13 * norm:.3e}"
+            f"condition number {kappa:.3e} above {SINGULAR_COND:.0e} (inf-norm)"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    return inv
 
 
 @dataclass(frozen=True)

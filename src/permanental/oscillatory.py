@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.integrate
 
 from .errors import QuadratureFailure
 
@@ -75,7 +74,13 @@ def euler_accelerate(terms) -> tuple[float, float]:
 
 
 def quad_careful(f, a, b, epsabs=1e-12, epsrel=1e-9, limit=400, raise_bad=True):
-    """scipy.integrate.quad with failure surfaced as QuadratureFailure."""
+    """scipy.integrate.quad with failure surfaced as QuadratureFailure.
+
+    scipy is imported here, not at module level: this is its only use at
+    run time, and most commands never integrate.
+    """
+    import scipy.integrate
+
     val, err, info, *extra = scipy.integrate.quad(
         f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True
     )

@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from permanental import matio
+from permanental import bounds, matio
+from permanental.cli import _KERNEL_MODELS
+from permanental.model import PermanentalSpec
+from permanental.sampler import RngStream, sample_permanental
 
 from conftest import naive_alpha_permanent
 
@@ -87,6 +90,42 @@ def test_sample_worker_invariance(spec_file, tmp_path):
     run_cli("sample", "--spec", spec_file, "--n", 400, "--seed", 9,
             "--workers", 4, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def loop_csv_line(values) -> str:
+    """Reference for the CLI's CSV bytes, one cell at a time: a float by
+    repr(float(v)), None as an empty cell, anything else by str."""
+    cells = []
+    for v in values:
+        if isinstance(v, (float, np.floating)):
+            cells.append(repr(float(v)))
+        elif v is None:
+            cells.append("")
+        else:
+            cells.append(str(v))
+    return ",".join(cells)
+
+
+def test_sample_csv_matches_loop_formatter(spec_file, tmp_path):
+    path = tmp_path / "s.csv"
+    out = run_cli("sample", "--spec", spec_file, "--n", 3000, "--seed", 4, "--couple",
+                  "--out", path)
+    assert out.returncode == 0, out.stderr
+    alpha, K, _ = matio.load_spec_file(spec_file)
+    batch = sample_permanental(PermanentalSpec.from_kernel(K, alpha), 3000, RngStream(4),
+                               with_coupling=True)
+    want = [loop_csv_line([*x, *low, *(int(v) for v in z)])
+            for x, low, z in zip(batch.draws, batch.coupled_lower, batch.z_draws)]
+    assert path.read_text().splitlines()[1:] == want
+
+
+def test_scan_csv_matches_loop_formatter():
+    out = run_cli("unbounded-scan", "--kernel-model", "loglog-smooth", "--n", "8,16")
+    rows = bounds.unboundedness_statistic(_KERNEL_MODELS["loglog-smooth"](0.0), [0.1], [8, 16])
+    assert rows[0].error is None and rows[1].a_star is None  # numbers, empty and text cells
+    want = [loop_csv_line([r.delta, r.n, r.a_star, r.log_n_over_a_star,
+                           r.sigma_star2_log_n, r.error]) for r in rows]
+    assert out.stdout.splitlines()[1:] == want
 
 
 def test_z_dist_output(spec_file):
@@ -219,3 +258,48 @@ def test_levy_kernel_points_command(tmp_path):
     assert rows[0][0] == pytest.approx(rows[1][1])
     assert rows[0][1] == pytest.approx(rows[1][0])
     assert payload["quad_err"] < 1e-3
+
+
+# Runs the CLI in a fresh interpreter and reports, on the last stderr line,
+# which scipy modules were loaded after the import and after the command.
+_SCIPY_PROBE = """
+import sys
+def loaded():
+    return ",".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+from permanental.cli import main
+after_import = loaded()
+code = main(sys.argv[1:])
+sys.stderr.write("\\n" + after_import + ";" + loaded() + "\\n")
+sys.exit(code)
+"""
+
+
+def scipy_modules_loaded(*args):
+    """Exit code and the scipy modules loaded after import and after the command."""
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, args)],
+                         capture_output=True, text=True)
+    after_import, _, after_run = out.stderr.splitlines()[-1].partition(";")
+    return out.returncode, after_import, after_run
+
+
+@pytest.mark.parametrize("command", ["classify", "gamma-tail", "laplace", "bounds",
+                                     "validate-kernel", "sample"])
+def test_short_commands_never_import_scipy(command, spec_file, kernel_file, tmp_path):
+    args = {
+        "classify": ["--gamma", -0.5, "--p", 0.8],
+        "gamma-tail": ["--u", 2, "--t", 5, "--bounds"],
+        "laplace": ["--spec", spec_file, "--s", "1,1,1", "--method", "det"],
+        "bounds": ["--kernel", kernel_file, "--which", "psi-star"],
+        "validate-kernel": [kernel_file],
+        "sample": ["--spec", spec_file, "--n", 100, "--seed", 1, "--couple",
+                   "--out", tmp_path / "s.csv"],
+    }[command]
+    assert scipy_modules_loaded(command, *args) == (0, "", "")
+
+
+def test_scan_thm16_imports_scipy_on_first_quad():
+    code, after_import, after_run = scipy_modules_loaded(
+        "levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", "100")
+    assert code == 0
+    assert after_import == ""
+    assert "scipy.integrate" in after_run.split(",")

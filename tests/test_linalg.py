@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permanental import markov
 from permanental.errors import DimensionTooLarge, NotMMatrix, SingularMatrix
 from permanental.linalg import (
     PERMANENT_CAP,
     alpha_permanent,
     alpha_permanent_rel_err,
     block_expand,
-    det_lu,
     invert,
     spectral_radius_nonneg,
     validate_m_matrix,
@@ -21,20 +23,6 @@ from conftest import brownian_min_matrix, naive_alpha_permanent, naive_terms
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def cofactor_det(m: np.ndarray) -> float:
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return float(m[0, 0])
-    total = 0.0
-    rest = np.arange(1, n)
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        total += (-1.0) ** j * m[0, j] * cofactor_det(m[np.ix_(rest, cols)])
-    return total
 
 
 def ryser_permanent(m: np.ndarray) -> float:
@@ -62,26 +50,7 @@ def charpoly_radius(m: np.ndarray) -> float:
     return float(np.abs(roots).max())
 
 
-# ---------------------------------------------------------------- det / invert
-
-
-def test_det_identity():
-    assert det_lu(np.eye(3)) == pytest.approx(1.0)
-
-
-def test_det_2x2():
-    assert det_lu([[2.0, -1.0], [-1.0, 2.0]]) == pytest.approx(3.0)
-
-
-def test_det_empty_is_one():
-    assert det_lu(np.zeros((0, 0))) == 1.0
-
-
-def test_det_random_vs_cofactor_oracle():
-    rng = np.random.default_rng(42)
-    m = rng.normal(size=(6, 6))
-    expected = cofactor_det(m)
-    assert det_lu(m) == pytest.approx(expected, rel=1e-12)
+# ---------------------------------------------------------------- invert
 
 
 def test_invert_diagonal():
@@ -117,6 +86,55 @@ def test_invert_residual_small():
     m = rng.normal(size=(6, 6)) + 6 * np.eye(6)
     res = np.abs(m @ invert(m) - np.eye(6)).max()
     assert res < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+def test_invert_matches_scipy_inv(n):
+    K = markov.green_kernel(markov.random_transient_chain(n, 0.5, n))
+    for m in (K, invert(K)):
+        want = scipy.linalg.inv(m)
+        assert np.abs(invert(m) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def pivot_rule_refuses(a: np.ndarray) -> bool:
+    """The former singularity rule of ``invert``: a zero matrix, or a pivot of
+    the partially pivoted LU factorization below 1e-13 ||A||_inf."""
+    norm = np.abs(a).sum(axis=1).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
+    return norm == 0.0 or np.abs(np.diag(lu)).min() < 1e-13 * norm
+
+
+def near_singular_m_matrices():
+    """(eps, I - (1 - eps) P) for row-stochastic P, n = 1..11, eps from 1e-10
+    down to 0: P dense or about half zero, with or without a diagonal."""
+    eps_grid = [0.0] + [10.0 ** -k for k in np.arange(10.0, 16.01, 0.25)]
+    for seed in range(20):
+        g = np.random.default_rng(seed)
+        for n in range(1, 12):
+            P = g.random((n, n)) * (g.random((n, n)) < (0.5 if seed % 2 else 1.1))
+            if n > 1 and seed % 4 < 2:
+                np.fill_diagonal(P, 0.0)
+            P[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # no zero row
+            P /= P.sum(axis=1, keepdims=True)
+            for eps in eps_grid:
+                yield eps, np.eye(n) - (1.0 - eps) * P
+
+
+def test_condition_rule_refuses_what_the_pivot_rule_refused():
+    refused = 0
+    for eps, A in near_singular_m_matrices():
+        if pivot_rule_refuses(A):
+            refused += 1
+            with pytest.raises(SingularMatrix, match="condition number"):
+                invert(A)
+            if (np.diag(A) > 0).all():
+                with pytest.raises(NotMMatrix, match="^singular: condition number"):
+                    validate_m_matrix(A)
+        if eps >= 1e-11:
+            invert(A)  # far enough from singular to be accepted
+    assert refused > 1000
 
 
 # ---------------------------------------------------------------- M-matrix
