@@ -20,7 +20,6 @@ from .errors import (
     OutOfRange,
     PermanentalError,
     PreconditionViolated,
-    QuadratureFailure,
     SingularMatrix,
     TruncationInfeasible,
 )

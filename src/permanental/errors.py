@@ -74,14 +74,6 @@ class NotTransient(PermanentalError):
     """Substochastic matrix fails the transience (spectral radius) test."""
 
 
-class QuadratureFailure(PermanentalError):
-    """Numerical integration failed to meet its tolerance; carries the residual."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NotIntegrable(PermanentalError):
     """Certified spectral tail diverges."""
 

@@ -18,9 +18,14 @@ over one psi batch, bisecting only the panels that miss tolerance.
 Because R decays only like 1/(lam log^c lam), every integral over
 (0, infinity) is split at a finite boundary: exact evaluation below it and
 an asymptotic surrogate above it, with the surrogate corrected by a fitted
-1/log-lambda drift measured against the exact values.  Reported error
-estimates include the fit residual, the quadrature estimates of every
-panel (converged or not) and the psi error carried through R and I.
+1/log-lambda drift measured against the exact values.  The remaining 1-D
+integrals (the antiderivative G of g(s)/s, the surrogate tail of R, the
+Thm 1.6 statistics and the profile checks) use the same Gauss-Legendre
+panels as psi, in log w for the tails, which end where a closed-form bound
+on the rest is negligible.  Reported error estimates include the fit
+residual, the quadrature estimates of every panel (converged or not), the
+bound on the part of a tail the panels leave out, and the psi error carried
+through R and I.
 """
 
 from __future__ import annotations
@@ -34,14 +39,13 @@ import numpy as np
 
 from .bounds import PointConfig
 from .errors import NotIntegrable, OutOfRange
-from .oscillatory import euler_accelerate, gk21_nodes, gk21_sums, lobe_boundaries, quad_careful
+from .oscillatory import euler_accelerate, gk21_nodes, gk21_sums, lobe_boundaries
 
 DEFAULT_CUT = math.e**2
 _X_LO = 1e-12
 _LAM_EXACT_MAX = 2e8
 _N_EXACT_LOBES = 48
 _N_FAR_LOBES = 512
-_W_TABLE_MAX = 42.0
 
 # psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds the
 # node arrays at about _PSI_BLOCK * 40 panels * _N_LEG nodes), the upper
@@ -58,6 +62,16 @@ _W_PLAIN_TAIL = 50.0
 _PANEL_EPSREL = 1e-9
 _PANEL_EPSABS = 1e-15
 _MAX_BISECT = 3
+
+# tail integrals in w = log lam: panel width in log w, the log of the largest
+# w they reach (w = e^700 ~ 1e304), and the size, relative to the bound on
+# the whole tail, below which the closed-form bound on the rest lets the
+# panels stop
+_T_STEP = 0.5
+_T_MAX = 700.0
+_REST_RTOL = 1e-17
+# depth in v = log y of the check that g is integrable over (0, 1)
+_V_LOW = 60.0
 
 
 @dataclass(frozen=True)
@@ -88,11 +102,31 @@ class LogPowerProfile:
         w = np.asarray(w, dtype=float)
         live = w > math.log(self.cut)
         safe = np.where(live, w, math.e)
-        val = safe**self.gamma
-        if self.delta != 0.0:
-            val = val * np.log(safe) ** self.delta
+        with np.errstate(over="ignore"):  # g = inf far out is its value there
+            val = safe**self.gamma
+            if self.delta != 0.0:
+                val = val * np.log(safe) ** self.delta
         out = np.where(live, val, 0.0)
         return float(out) if out.ndim == 0 else out
+
+    def inverse_tail_bound(self, w):
+        """Upper bound on the integral of 1/g(e^s) over s > w >= log(cut),
+        elementwise, in closed form (inf where none holds).
+
+        With t = log s the integrand is e^{(1-gamma) t} t^{-delta}.  For
+        gamma = 1 it integrates exactly; for gamma > 1 its log-derivative
+        stays below -c = 1 - gamma - min(delta, 0)/t beyond t, so the
+        integral is at most the integrand at t over c.
+        """
+        t = np.log(np.asarray(w, dtype=float))
+        gam, dl = self.gamma, self.delta
+        if gam < 1.0 or (gam == 1.0 and dl <= 1.0):
+            return np.full(t.shape, math.inf)
+        if gam == 1.0:
+            return t ** (1.0 - dl) / (dl - 1.0)
+        c = gam - 1.0 + min(dl, 0.0) / t
+        value = np.exp((1.0 - gam) * t) * (t**-dl if dl != 0.0 else 1.0)
+        return np.where(c > 0.0, value / np.maximum(c, 1e-300), math.inf)
 
 
 @dataclass(frozen=True)
@@ -116,10 +150,16 @@ class LevyModel:
         if self.p < 0 or self.q < 0 or abs(self.p + self.q - 1.0) > 1e-12:
             raise OutOfRange("need p, q >= 0 with p + q = 1")
         if self.support_min < 1.0:
-            low, _ = quad_careful(
-                self.g, max(self.support_min, 0.0), 1.0, epsabs=1e-9, epsrel=1e-6
-            )
-            if not math.isfinite(low):
+            # integral of g(y) dy = g(e^v) e^v dv on unit panels in v up to
+            # v = 0; with full support down to v = -_V_LOW, where the lowest
+            # panel must have died out against the total
+            lo = math.log(self.support_min) if self.support_min > 0 else -_V_LOW
+            edges = np.linspace(lo, 0.0, math.ceil(-lo) + 1)
+            _, half, v = _legendre_panels(edges[:-1], edges[1:])
+            pieces, _ = _legendre_integral(self.g_of_log(v) * np.exp(v), half)
+            total = float(pieces.sum())
+            if not math.isfinite(total) or (
+                    self.support_min <= 0 and abs(pieces[0]) > 1e-6 * abs(total) + 1e-9):
                 raise OutOfRange("integral of g over (0, 1) must be finite")
 
     @property
@@ -208,6 +248,83 @@ def _w_integrals(owner, lo, hi, integrand, n: int):
     val, err = _legendre_integral(integrand(owner, w), half)
     return (np.array([np.bincount(owner, v, minlength=n) for v in val]),
             np.bincount(owner, err.sum(axis=0), minlength=n))
+
+
+class _Antiderivative:
+    """G(w) = integral of g(e^u) du over (w_cut, w), elementwise, for the
+    profile g_of_log; 0 at and below w_cut.
+
+    The panels are geometric, ratio sqrt 2, in the distance from the nearest
+    point below w_cut where the log-power profiles are singular (u = 1,
+    where log u vanishes, else u = 0), and run to w = e^_T_MAX or to where
+    the sum stops being finite (G = inf beyond).  Each panel keeps the
+    Legendre coefficients of the antiderivative of its interpolant of g, so
+    G at any w is the sum of the panels below plus its own panel's part:
+    exact to rounding and smooth in w.
+    """
+
+    def __init__(self, g_of_log, w_cut: float):
+        base = 1.0 if w_cut > 1.0 else (0.0 if w_cut > 0.0 else w_cut - 1.0)
+        count = math.ceil(2.0 * math.log2((math.exp(_T_MAX) - base) / (w_cut - base)))
+        edges = base + (w_cut - base) * 2.0 ** (0.5 * np.arange(count + 1.0))
+        _, half, u = _legendre_panels(edges[:-1], edges[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = g_of_log(u) @ _legendre_rule()[1]
+            cum = np.concatenate([[0.0], np.cumsum(2.0 * half * coef[:, 0])])
+        ok = np.isfinite(coef).all(axis=1) & np.isfinite(cum[1:])
+        keep = ok.size if ok.all() else int(np.argmin(ok))
+        self.w_cut = w_cut
+        self.finite_to = math.inf if ok.all() else edges[keep]
+        self.edges = edges[:keep + 1]
+        self.half = half[:keep]
+        self.cum = cum[:keep + 1]
+        self.anti = np.polynomial.legendre.legint(coef[:keep], lbnd=-1, axis=1).T
+        panel_err = 2.0 * half[:keep] * (np.abs(coef[:keep, -1]) + np.abs(coef[:keep, -2]))
+        self.cum_err = np.concatenate([[0.0], np.cumsum(panel_err)])
+
+    def with_error(self, w):
+        """G(w) and its error estimate (the estimates of every panel below
+        w and of w's own panel)."""
+        w = np.asarray(w, dtype=float)
+        flat = w.ravel()
+        k = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, self.half.size - 1)
+        x = np.clip((flat - self.edges[k]) / self.half[k] - 1.0, -1.0, 1.0)
+        part = np.polynomial.legendre.legval(x, self.anti[:, k], tensor=False)
+        value = np.where(flat > self.finite_to, math.inf, self.cum[k] + self.half[k] * part)
+        value = np.where(flat > self.w_cut, value, 0.0).reshape(w.shape)
+        err = np.where(flat > self.w_cut, self.cum_err[k + 1], 0.0).reshape(w.shape)
+        if w.ndim == 0:
+            return float(value), float(err)
+        return value, err
+
+    def __call__(self, w):
+        return self.with_error(w)[0]
+
+
+def _tail_integral(f, w0: float, rest) -> tuple[float, float]:
+    """Integral of a positive f(w) over (w0, infinity) and its error, on
+    Gauss-Legendre panels of width _T_STEP in t = log w.
+
+    ``rest(w)`` is a closed-form bound on the integral over (w, infinity),
+    elementwise.  The panels stop at the first edge where it falls below
+    _REST_RTOL times its largest finite value, at w = e^_T_MAX, or before
+    the first panel where f is not positive and finite (the profile
+    overflowed there); the bound at the stop is added to the error.
+    """
+    edges = np.append(np.arange(math.log(w0), _T_MAX, _T_STEP), _T_MAX)
+    with np.errstate(over="ignore", divide="ignore"):
+        bounds = rest(np.exp(edges))
+        scale = np.max(bounds, where=np.isfinite(bounds), initial=0.0)
+        below = np.flatnonzero(bounds <= _REST_RTOL * scale)
+        stop = int(below[0]) if below.size else edges.size - 1
+        _, half, t = _legendre_panels(edges[:stop], edges[1:stop + 1])
+        w = np.exp(t)
+        values = f(w) * w
+    bad = np.flatnonzero(~((values > 0.0) & np.isfinite(values)).all(axis=1))
+    if bad.size:
+        stop = int(bad[0])
+    val, err = _legendre_integral(values[:stop], half[:stop])
+    return float(val.sum()), float(err.sum() + bounds[stop])
 
 
 @functools.cache
@@ -364,13 +481,7 @@ class SpectralFns:
         self.beta = model.beta
         self._drift: dict[str, tuple[float, float, float]] | None = None
         w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
-        self._w_cut = w_cut
-        grid = np.linspace(w_cut, _W_TABLE_MAX, 4001)
-        vals = model.g_of_log(grid)
-        self._g_grid = grid
-        self._G_table = np.concatenate(
-            [[0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(grid))]
-        )
+        self._G = _Antiderivative(model.g_of_log, w_cut)
         self._certify_integrability()
 
     # -- exact evaluators ------------------------------------------------
@@ -393,31 +504,18 @@ class SpectralFns:
     # -- asymptotic surrogate in w = log(lam) space ----------------------
     def G_log(self, w):
         """Integral of g(s)/s from the support edge to e^w, elementwise."""
-        w = np.asarray(w, dtype=float)
-        out = np.atleast_1d(np.interp(w, self._g_grid, self._G_table))
-        for k in np.flatnonzero(w.ravel() > _W_TABLE_MAX):
-            out[k] += self._g_beyond_table(w.flat[k])
-        return float(out[0]) if w.ndim == 0 else out.reshape(w.shape)
-
-    def _g_beyond_table(self, w: float) -> float:
-        """Integral of g(e^s) over [_W_TABLE_MAX, w], on Gauss-Legendre
-        panels of width at most 2 in log s."""
-        t_end = math.log(w / _W_TABLE_MAX)
-        edges = np.linspace(0.0, t_end, max(1, math.ceil(t_end / 2.0)) + 1)
-        _, half, t = _legendre_panels(edges[:-1], edges[1:])
-        s = _W_TABLE_MAX * np.exp(t)
-        val, _ = _legendre_integral(self.model.g_of_log(s) * s, half)
-        return float(val.sum())
+        return self._G(w)
 
     def _asym_parts(self, w):
         re = self.beta * np.exp(-w) + (math.pi / 2.0) * self.model.g_of_log(w)
-        im = (self.model.p - self.model.q) * self.G_log(w)
+        im = 0.0 if self.model.symmetric else (self.model.p - self.model.q) * self.G_log(w)
         return re, im
 
     def R_asym_w(self, w):
-        """e^w * R_asym(e^w); the e^w factor cancels analytically."""
+        """e^w * R_asym(e^w); the e^w factor cancels analytically.  Written
+        as 1/(re + im^2/re), so that g = inf far out gives 0."""
         re, im = self._asym_parts(w)
-        return re / (re * re + im * im)
+        return 1.0 / (re + im * (im / re))
 
     def I_asym_w(self, w):
         re, im = self._asym_parts(w)
@@ -462,14 +560,30 @@ class SpectralFns:
         return self.I_asym(lam) * (1.0 + a / w + b / w**2)
 
     def l1_tail(self, lam: float) -> tuple[float, float]:
-        """Integral of R over (lam, infinity) via the drift-corrected surrogate."""
+        """Integral of R over (lam, infinity) via the drift-corrected
+        surrogate, with its error: the panel estimates, the fit residual
+        and the bound on the range beyond the panels."""
         a, b, resid = self.drift("R")
-        w0 = math.log(lam)
-        val, qerr = quad_careful(
-            lambda w: self.R_asym_w(w) * (1.0 + a / w + b / w**2),
-            w0, np.inf, epsabs=1e-12, epsrel=1e-9, raise_bad=False,
-        )
-        return val, qerr + resid * abs(val)
+        val, err = _tail_integral(
+            lambda w: self.R_asym_w(w) * (1.0 + a / w + b / w**2), math.log(lam),
+            lambda w: (1.0 + abs(a) / w + abs(b) / w**2) * self._surrogate_rest(w))
+        return val, err + resid * abs(val)
+
+    def _surrogate_rest(self, w):
+        """Closed-form bound on the integral of R_asym_w over (w, infinity).
+
+        For p != q, R_asym_w <= re / im^2, and the integral of g/G^2 over
+        (w, infinity) is at most 1/G(w).  For p = q, R_asym_w <= 2/(pi g),
+        whose tail the log-power profile bounds; no bound is known for
+        other profiles (inf).
+        """
+        m = self.model
+        if not m.symmetric:
+            big_g = self.G_log(w)
+            return ((math.pi / 2.0) / big_g + self.beta * np.exp(-w) / big_g**2) / (m.p - m.q) ** 2
+        if isinstance(m.g, LogPowerProfile):
+            return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
+        return np.full(np.shape(w), math.inf)
 
     # -- integrability certificate ---------------------------------------
     def _certify_integrability(self) -> None:
@@ -486,16 +600,12 @@ class SpectralFns:
             return
         if isinstance(m.g, LogPowerProfile):
             return  # p != q with gamma > -1: the surrogate tail integrates finitely
-        # tabulated profile: probe a geometric ladder of surrogate tail pieces
-        pieces = []
-        w = 20.0
-        for _ in range(12):
-            piece, _ = quad_careful(
-                self.R_asym_w, w, w * 1.6, epsabs=1e-13, epsrel=1e-8, raise_bad=False
-            )
-            pieces.append(piece)
-            w *= 1.6
-        total = sum(pieces)
+        # tabulated profile: the surrogate tail on a geometric ladder of w,
+        # one panel per rung
+        rungs = np.log(20.0 * 1.6 ** np.arange(13.0))
+        _, half, t = _legendre_panels(rungs[:-1], rungs[1:])
+        pieces, _ = _legendre_integral(self.R_asym_w(np.exp(t)) * np.exp(t), half)
+        total = pieces.sum()
         if total > 0 and pieces[-1] > 0.25 * total:
             raise NotIntegrable("surrogate spectral tail does not Cauchy-converge")
 
@@ -834,27 +944,29 @@ class Thm16Row:
     statistic: float
     log_n: float
     ratio: float
+    err: float
 
 
 def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid) -> list[Thm16Row]:
-    """The integral criterion against log n on the grid: the integral of
-    g(s)/s up to n for p != q, or the reciprocal tail integral for p = q."""
+    """The integral criterion against log n on the grid, with the error of
+    each statistic: the integral of g(s)/s up to n for p != q, or the
+    reciprocal of the integral of 1/g(e^w) over w > log n for p = q."""
     classify_example11(gamma, delta, p, q)  # validates the parameter ranges
     profile = LogPowerProfile(gamma=gamma, delta=delta)
     w_cut = math.log(profile.cut)
+    big_g = _Antiderivative(profile.of_log, w_cut) if p != q else None
     rows = []
     for n in n_grid:
         w_n = math.log(float(n))
-        if p != q:
-            stat, _ = quad_careful(profile.of_log, w_cut, max(w_n, w_cut),
-                                   epsabs=1e-12, epsrel=1e-10)
+        if big_g is not None:
+            stat, err = big_g.with_error(w_n)
         else:
-            inv, _ = quad_careful(
-                lambda w: 1.0 / profile.of_log(w), max(w_n, w_cut + 1e-9), np.inf,
-                epsabs=1e-12, epsrel=1e-10,
-            )
-            stat = 1.0 / inv
-        rows.append(Thm16Row(n=float(n), statistic=stat, log_n=w_n, ratio=stat / w_n))
+            inv, inv_err = _tail_integral(lambda w: 1.0 / profile.of_log(w), max(w_n, w_cut),
+                                          profile.inverse_tail_bound)
+            stat, err = 1.0 / inv, inv_err / inv**2
+        if not math.isfinite(err):
+            raise OutOfRange(f"no error bound for the Thm 1.6 statistic at n = {n:g}")
+        rows.append(Thm16Row(n=float(n), statistic=stat, log_n=w_n, ratio=stat / w_n, err=err))
     return rows
 
 

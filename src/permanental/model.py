@@ -187,10 +187,18 @@ def _z_prefactor(spec: PermanentalSpec) -> float:
     return math.exp(spec.alpha * (logdet_a - np.log(spec.pair.diag_a).sum()))
 
 
-def _z_masses_to_order(spec: PermanentalSpec, order: int) -> ZDistribution:
+def _z_series_parts(spec: PermanentalSpec, max_order: int):
+    """B~, its Perron root, the mass prefactor and the log tail bounds for
+    orders 0..max_order."""
     bt = _b_tilde(spec.pair)
     rho = spectral_radius_nonneg(bt)
-    pref = _z_prefactor(spec)
+    return bt, rho, _z_prefactor(spec), _log_tail_bounds(bt, spec.alpha, rho, max_order)
+
+
+def _z_masses_to_order(spec: PermanentalSpec, order: int, parts=None) -> ZDistribution:
+    """Masses up to ``order``; ``parts`` is ``_z_series_parts(spec, m)`` for
+    some m >= order when the caller has it already."""
+    bt, rho, pref, log_tails = parts or _z_series_parts(spec, order)
     coeffs = _series_coefficients_box(bt, spec.alpha, order, rho)
     masses: dict[tuple[int, ...], float] = {}
     index: list[tuple[int, ...]] = []
@@ -202,7 +210,7 @@ def _z_masses_to_order(spec: PermanentalSpec, order: int) -> ZDistribution:
             index.append(k)
             vals.append(m)
     covered = float(np.sum(vals))
-    tail = pref * math.exp(_log_tail_bounds(bt, spec.alpha, rho, order)[order])
+    tail = pref * math.exp(log_tails[order])
     return ZDistribution(
         spec=spec,
         masses=masses,
@@ -219,19 +227,18 @@ def z_masses(spec: PermanentalSpec, target_mass: float) -> ZDistribution:
     is at most 1 - target_mass (hence covered mass >= target_mass)."""
     if not 0.0 < target_mass < 1.0 - 1e-12:
         raise ValueError("target_mass must lie in (0, 1 - 1e-12)")
-    bt = _b_tilde(spec.pair)
-    rho = spectral_radius_nonneg(bt)
+    parts = _z_series_parts(spec, _MAX_ORDER)
+    _, rho, pref, log_tails = parts
     if rho >= RHO_CEILING:
         raise TruncationInfeasible(
             f"Perron root {rho:.8f} too close to 1; no order can be certified"
         )
-    budget = math.log(1.0 - target_mass) - math.log(_z_prefactor(spec))
-    certified = np.flatnonzero(_log_tail_bounds(bt, spec.alpha, rho, _MAX_ORDER) <= budget)
+    certified = np.flatnonzero(log_tails <= math.log(1.0 - target_mass) - math.log(pref))
     if certified.size == 0:
         raise TruncationInfeasible(
             f"no certified order below {_MAX_ORDER} for target {target_mass}"
         )
-    return _z_masses_to_order(spec, int(certified[0]))
+    return _z_masses_to_order(spec, int(certified[0]), parts)
 
 
 @dataclass(frozen=True)

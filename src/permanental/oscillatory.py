@@ -6,7 +6,9 @@ dominant error source.  Instead the axis is partitioned at the trig zeros,
 each lobe is integrated with a vectorized Gauss-Kronrod-21 rule whose
 embedded Gauss-10 sum gives the error estimate, and the alternating lobe
 sums are accelerated by repeated averaging; the acceleration error is
-estimated from the last two averaging depths.
+estimated from the last two averaging depths.  Everything here is numpy
+only; the non-oscillatory integrals of ``levy`` use its Gauss-Legendre
+panels instead.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import QuadratureFailure
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK qk21): the Kronrod
 # abscissae from the endpoint inwards, their weights, and the weights of the
@@ -71,24 +71,6 @@ def euler_accelerate(terms) -> tuple[float, float]:
             best = last
         prev_last = last
     return best, best_err
-
-
-def quad_careful(f, a, b, epsabs=1e-12, epsrel=1e-9, limit=400, raise_bad=True):
-    """scipy.integrate.quad with failure surfaced as QuadratureFailure.
-
-    scipy is imported here, not at module level: this is its only use at
-    run time, and most commands never integrate.
-    """
-    import scipy.integrate
-
-    val, err, info, *extra = scipy.integrate.quad(
-        f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True
-    )
-    if extra and raise_bad:
-        message = extra[0]
-        if err > max(epsabs, epsrel * abs(val)) * 100:
-            raise QuadratureFailure(f"quad on [{a:g}, {b:g}]: {message}", residual=err)
-    return val, err
 
 
 def lobe_boundaries(z: float, kind: str, count: int, start_index: int = 0) -> np.ndarray:

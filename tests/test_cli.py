@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from permanental import bounds, matio
+from permanental import bounds, levy, matio
 from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_permanental
@@ -282,24 +283,41 @@ def scipy_modules_loaded(*args):
     return out.returncode, after_import, after_run
 
 
-@pytest.mark.parametrize("command", ["classify", "gamma-tail", "laplace", "bounds",
-                                     "validate-kernel", "sample"])
-def test_short_commands_never_import_scipy(command, spec_file, kernel_file, tmp_path):
+@pytest.mark.parametrize("case", ["classify", "gamma-tail", "laplace", "bounds",
+                                  "validate-kernel", "sample", "levy-kernel", "levy-u",
+                                  "levy-scan-thm16"])
+def test_short_commands_never_import_scipy(case, spec_file, kernel_file, tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [0.0, 0.3]}')
     args = {
-        "classify": ["--gamma", -0.5, "--p", 0.8],
-        "gamma-tail": ["--u", 2, "--t", 5, "--bounds"],
-        "laplace": ["--spec", spec_file, "--s", "1,1,1", "--method", "det"],
-        "bounds": ["--kernel", kernel_file, "--which", "psi-star"],
-        "validate-kernel": [kernel_file],
-        "sample": ["--spec", spec_file, "--n", 100, "--seed", 1, "--couple",
+        "classify": ["classify", "--gamma", -0.5, "--p", 0.8],
+        "gamma-tail": ["gamma-tail", "--u", 2, "--t", 5, "--bounds"],
+        "laplace": ["laplace", "--spec", spec_file, "--s", "1,1,1", "--method", "det"],
+        "bounds": ["bounds", "--kernel", kernel_file, "--which", "psi-star"],
+        "validate-kernel": ["validate-kernel", kernel_file],
+        "sample": ["sample", "--spec", spec_file, "--n", 100, "--seed", 1, "--couple",
                    "--out", tmp_path / "s.csv"],
-    }[command]
-    assert scipy_modules_loaded(command, *args) == (0, "", "")
+        "levy-kernel": ["levy", "--p", 0.8, "--gamma", -0.5, "--kernel", points],
+        "levy-u": ["levy", "--p", 0.5, "--gamma", 2.0, "--u", 0.05],
+        "levy-scan-thm16": ["levy", "--p", 0.5, "--gamma", 1.2, "--delta", -0.5,
+                            "--scan-thm16", "100,1e4"],
+    }[case]
+    assert scipy_modules_loaded(*args) == (0, "", "")
 
 
-def test_scan_thm16_imports_scipy_on_first_quad():
-    code, after_import, after_run = scipy_modules_loaded(
-        "levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", "100")
-    assert code == 0
-    assert after_import == ""
-    assert "scipy.integrate" in after_run.split(",")
+def test_scan_thm16_slowly_decaying_symmetric_tail_matches_mpmath():
+    # 1/g = w^-1.2 (log w)^0.5 decays so slowly that adaptive quadrature
+    # over (log n, infinity) gives up on it
+    out = run_cli("levy", "--p", 0.5, "--gamma", 1.2, "--delta", -0.5,
+                  "--scan-thm16", "100,1e4")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
+    errs = [r.err for r in levy.check_thm16_integrals(1.2, -0.5, 0.5, 0.5, [100, 1e4])]
+    with mp.workdps(30):
+        for (n, stat, _, _), err in zip(rows, errs):
+            # integral of 1/g(e^w) over w > log n, in t = log w
+            t0 = mp.log(mp.log(mp.mpf(n)))
+            inv = sum(mp.quad(lambda t: mp.exp(-0.2 * t) * mp.sqrt(t), seg)
+                      for seg in ([t0, t0 + 10], [t0 + 10, t0 + 100], [t0 + 100, mp.inf]))
+            assert abs(float(stat) - float(1 / inv)) <= err
+            assert err <= 1e-13 * float(stat)

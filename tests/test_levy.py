@@ -17,6 +17,7 @@ MILD = levy.log_power_model(1.0, 0.6, 0.4, -0.5, 0.0)
 SYM2 = levy.log_power_model(1.0, 0.5, 0.5, 2.0, 0.0)    # p = q, g = (log)^2
 FLAT = levy.tabulated_model(1.0, 0.5, 0.5, lambda y: 1.0, 0.0)  # g == 1
 LOGLOG = levy.log_power_model(1.0, 0.8, 0.2, 0.0, 3.0)  # g = (log log)^3
+SYM1 = levy.log_power_model(1.0, 0.5, 0.5, 1.0, 2.0)    # p = q, g = log (log log)^2
 
 
 def oracle_psi(model, lam, dps=20):
@@ -79,6 +80,27 @@ def oracle_r_part(sf, z, n_half=60):
         value, _ = mp.levin(method="levin", variant="u").update_psum(
             [mp.mpf(float(x)) for x in partial])
     return float(value) / math.pi
+
+
+def oracle_l1_tail(sf, lam, dps=20):
+    """Integral of the drift-corrected surrogate R over (lam, infinity) by
+    tanh-sinh in t = log log lam, G in closed form (delta = 0 when p != q)."""
+    m, (a, b, _) = sf.model, sf.drift("R")
+    gam, dl = m.g.gamma, m.g.delta
+    with mp.workdps(dps):
+        w_cut = mp.log(m.g.cut)
+
+        def integrand(t):
+            w = mp.exp(t)
+            re = mp.pi / 2 * w**gam * (mp.log(w) ** dl if dl else 1)
+            if w < 1e4:
+                re += m.beta * mp.exp(-w)
+            im = (m.p - m.q) * (w ** (gam + 1) - w_cut ** (gam + 1)) / (gam + 1)
+            return w * re / (re**2 + im**2) * (1 + a / w + b / w**2)
+
+        t0 = mp.log(mp.log(lam))
+        return float(sum(mp.quad(integrand, seg) for seg in (
+            [t0, t0 + 2], [t0 + 2, t0 + 10], [t0 + 10, t0 + 50], [t0 + 50, mp.inf])))
 
 
 # ---------------------------------------------------------------- psi
@@ -213,6 +235,46 @@ def test_spectral_tail_vs_asymptotic_formula():
     pred = (math.pi / 2) / 0.6 * ell
     assert abs(tail / pred - 1.0) <= 0.15
     assert err < 0.05 * tail
+
+
+def test_G_log_matches_closed_form():
+    # delta = 0: G(w) = (w^(gamma+1) - w_cut^(gamma+1)) / (gamma+1) past w_cut = 2
+    for gam in (-0.5, 0.7):
+        sf = levy.spectral(levy.log_power_model(1.0, 0.8, 0.2, gam, 0.0))
+
+        def closed(w):
+            return (np.asarray(w) ** (gam + 1) - 2.0 ** (gam + 1)) / (gam + 1)
+
+        for w in (2.5, 10.0, 41.9, 42.0, 43.0, 1e3, 1e5):
+            assert sf.G_log(w) == pytest.approx(closed(w), rel=1e-13)
+        grid = np.array([[43.0, 50.0, 1e3], [2.5, 1e4, 77.0]])  # 2-D, mostly past 42
+        assert np.allclose(sf.G_log(grid), closed(grid), rtol=1e-13, atol=0.0)
+        assert sf.G_log(np.array([[2.0], [1.0]])).tolist() == [[0.0], [0.0]]
+        # just above the cut G grows like g(w_cut) (w - w_cut), with g(w_cut) > 0
+        assert sf.G_log(2.0 + 1e-6) == pytest.approx(2.0**gam * 1e-6, rel=1e-6)
+
+
+def test_tabulated_profile_matches_log_power_G():
+    # the same profile as ASYM given pointwise: same panels, same G
+    tab = levy.spectral(levy.tabulated_model(1.0, 0.8, 0.2, ASYM.g, math.e**2))
+    w = np.array([2.5, 30.0, 1e4])
+    assert np.allclose(tab.G_log(w), levy.spectral(ASYM).G_log(w), rtol=1e-15, atol=0.0)
+
+
+def test_tabulated_profile_refusals():
+    with pytest.raises(OutOfRange):  # integral of 1/y over (0, 1) diverges
+        levy.tabulated_model(1.0, 0.5, 0.5, lambda y: 1.0 / y)
+    levy.tabulated_model(1.0, 0.5, 0.5, lambda y: y**-0.5)  # integrable
+    with pytest.raises(NotIntegrable):  # g == 1 makes R ~ 2/(pi lam)
+        levy.spectral(FLAT)
+
+
+@pytest.mark.parametrize("model", [ASYM, SYM2, SYM1], ids=["asym", "sym2", "sym-g1-d2"])
+def test_l1_tail_matches_mpmath(model):
+    sf = levy.spectral(model)
+    for lam in (1e3, 1e6):
+        tail, err = sf.l1_tail(lam)
+        assert abs(tail - oracle_l1_tail(sf, lam)) <= err
 
 
 # ---------------------------------------------------------------- potentials
@@ -358,6 +420,25 @@ def test_thm16_symmetric_three_halves_vanishing_ratio():
     # statistic ~ C sqrt(log n): the normalized values stabilize
     normalized = [row.statistic / math.sqrt(row.log_n) for row in rows]
     assert abs(normalized[-1] / normalized[-2] - 1.0) < 0.1
+
+
+def test_thm16_symmetric_statistic_within_error_of_closed_form():
+    # delta = 0: 1/g(e^w) = w^-gamma integrates to w^(1-gamma)/(gamma-1), so
+    # the statistic is (gamma-1) (log n)^(gamma-1).  At gamma = 1.03, w^gamma
+    # overflows before w = e^700; the panels stop there, and the error holds
+    # the closed-form bound on the rest.
+    for gam in (1.03, 1.5):
+        for row in levy.check_thm16_integrals(gam, 0.0, 0.5, 0.5, [1e2, 1e8, 1e300]):
+            exact = (gam - 1.0) * row.log_n ** (gam - 1.0)
+            assert abs(row.statistic - exact) <= row.err + 1e-15 * exact
+            assert row.err <= 2e-9 * exact
+
+
+def test_thm16_symmetric_refuses_without_tail_bound():
+    # gamma - 1 + delta / log w stays negative up to w = e^700: no closed-form
+    # bound on the rest of the integral of 1/g, so no error and no statistic
+    with pytest.raises(OutOfRange):
+        levy.check_thm16_integrals(1.001, -2.0, 0.5, 0.5, [1e2])
 
 
 def test_thm16_symmetric_log_squared_ratio_grows():
