@@ -287,11 +287,7 @@ def cmd_levy(args) -> int:
         b = levy.potential_bundle(model, args.u)
         _emit(args, {"z": b.z, "u_plus": b.u_plus, "u_minus": b.u_minus,
                      "r_part": b.r_part, "h_part": b.h_part, "u_zero": b.u_zero,
-                     "quad_err": b.abserr})
-        return 0
-    if args.sigma2 is not None:
-        val, err = levy.sigma2_beta(model, args.sigma2)
-        _emit(args, {"z": abs(args.sigma2), "sigma2": val, "quad_err": err})
+                     "sigma2": b.sigma2, "quad_err": b.abserr})
         return 0
     if args.kernel:
         with open(args.kernel) as fh:
@@ -301,7 +297,7 @@ def cmd_levy(args) -> int:
                      "kernel": matio.matrix_to_json_obj(config.kernel_values),
                      "quad_err": err})
         return 0
-    raise PermanentalError("levy needs one of --u, --sigma2, --scan-thm16, --kernel")
+    raise PermanentalError("levy needs one of --u, --scan-thm16, --kernel")
 
 
 def cmd_classify(args) -> int:
@@ -414,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--eps-cut", type=float, default=levy.DEFAULT_CUT, dest="eps_cut")
     p.add_argument("--u", type=float)
-    p.add_argument("--sigma2", type=float)
     p.add_argument("--scan-thm16", dest="scan_thm16")
     p.add_argument("--kernel", help="JSON file with a points array")
     p.add_argument("--out")

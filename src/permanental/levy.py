@@ -9,11 +9,13 @@ w = log x on the sub-oscillatory head (lam x <= 1), and Filon-type panels
 2 i^k j_k(lam h)) on geometric x panels over the oscillatory part, so the
 cost grows only like log lam.  Each panel's error is estimated from its
 trailing Legendre coefficients.  The spectral functions
-R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) then yield the
-killed potential density u(z) = R_part(z) + H_part(z) and the increment
-metric sigma^2(z) by half-period lobe summation with Euler acceleration;
-every lobe, head and panel integral is a vectorized Gauss-Kronrod-21 rule
-over one psi batch, bisecting only the panels that miss tolerance.
+R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) then yield u(0),
+once per model, and at each lag the killed potential density
+u(+-z) = R_part(z) +- H_part(z) by half-period lobe summation of cos(lam z) R
+and sin(lam z) I with Euler acceleration; the increment metric is
+sigma^2(z) = 2 (u(0) - R_part(z)).  Every lobe, head and panel integral is
+a vectorized Gauss-Kronrod-21 rule over one psi batch, bisecting only the
+panels that miss tolerance.
 
 Because R decays only like 1/(lam log^c lam), every integral over
 (0, infinity) is split at a finite boundary: exact evaluation below it and
@@ -46,6 +48,8 @@ _X_LO = 1e-12
 _LAM_EXACT_MAX = 2e8
 _N_EXACT_LOBES = 48
 _N_FAR_LOBES = 512
+# lags of a kernel that agree to this relative size share one bundle
+_LAG_REL = 1e-12
 
 # psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds the
 # node arrays at about _PSI_BLOCK * 40 panels * _N_LEG nodes), the upper
@@ -301,7 +305,7 @@ class _Antiderivative:
         return self.with_error(w)[0]
 
 
-def _tail_integral(f, w0: float, rest) -> tuple[float, float]:
+def _tail_integral(f, w0: float, rest, exact: bool = False) -> tuple[float, float]:
     """Integral of a positive f(w) over (w0, infinity) and its error, on
     Gauss-Legendre panels of width _T_STEP in t = log w.
 
@@ -309,7 +313,8 @@ def _tail_integral(f, w0: float, rest) -> tuple[float, float]:
     elementwise.  The panels stop at the first edge where it falls below
     _REST_RTOL times its largest finite value, at w = e^_T_MAX, or before
     the first panel where f is not positive and finite (the profile
-    overflowed there); the bound at the stop is added to the error.
+    overflowed there); the bound at the stop is added to the error, or to
+    the value when ``exact`` says that rest(w) is the integral itself.
     """
     edges = np.append(np.arange(math.log(w0), _T_MAX, _T_STEP), _T_MAX)
     with np.errstate(over="ignore", divide="ignore"):
@@ -324,6 +329,8 @@ def _tail_integral(f, w0: float, rest) -> tuple[float, float]:
     if bad.size:
         stop = int(bad[0])
     val, err = _legendre_integral(values[:stop], half[:stop])
+    if exact:
+        return float(val.sum() + bounds[stop]), float(err.sum())
     return float(val.sum()), float(err.sum() + bounds[stop])
 
 
@@ -473,13 +480,14 @@ class SpectralFns:
     psi once for all of it.  The asymptotic surrogate replaces psi by its
     leading form (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail``
     integrates the drift-corrected surrogate over (Lam, infinity).  The
-    drift fit is computed on first use.
+    drift fit and u(0) are computed on first use.
     """
 
     def __init__(self, model: LevyModel):
         self.model = model
         self.beta = model.beta
         self._drift: dict[str, tuple[float, float, float]] | None = None
+        self._u0: tuple[float, float] | None = None
         w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
         self._G = _Antiderivative(model.g_of_log, w_cut)
         self._certify_integrability()
@@ -562,11 +570,19 @@ class SpectralFns:
     def l1_tail(self, lam: float) -> tuple[float, float]:
         """Integral of R over (lam, infinity) via the drift-corrected
         surrogate, with its error: the panel estimates, the fit residual
-        and the bound on the range beyond the panels."""
+        and the bound on the range beyond the panels.
+
+        For p = q with gamma = 1 that bound is the exact integral of
+        2/(pi g), which R_asym_w equals far out, where the panels stop
+        (g overflows near w = e^696 and the drift factor is 1 to rounding);
+        the rest is then added to the value.
+        """
         a, b, resid = self.drift("R")
+        g = self.model.g
+        exact = self.model.symmetric and isinstance(g, LogPowerProfile) and g.gamma == 1.0
         val, err = _tail_integral(
             lambda w: self.R_asym_w(w) * (1.0 + a / w + b / w**2), math.log(lam),
-            lambda w: (1.0 + abs(a) / w + abs(b) / w**2) * self._surrogate_rest(w))
+            lambda w: (1.0 + abs(a) / w + abs(b) / w**2) * self._surrogate_rest(w), exact)
         return val, err + resid * abs(val)
 
     def _surrogate_rest(self, w):
@@ -584,6 +600,16 @@ class SpectralFns:
         if isinstance(m.g, LogPowerProfile):
             return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
         return np.full(np.shape(w), math.inf)
+
+    def u_zero(self) -> tuple[float, float]:
+        """u(0) = (1/pi) integral of R over (0, infinity) and its error:
+        exact R on panels up to 1e6, then ``l1_tail``."""
+        if self._u0 is None:
+            split = 1e6
+            vals, errs = _integrate(self, _head_edges(split), _plain_R)
+            tail, tail_err = self.l1_tail(split)
+            self._u0 = (vals.sum() + tail) / math.pi, (errs.sum() + tail_err) / math.pi
+        return self._u0
 
     # -- integrability certificate ---------------------------------------
     def _certify_integrability(self) -> None:
@@ -614,7 +640,8 @@ class SpectralFns:
 def spectral(model: LevyModel) -> SpectralFns:
     """Spectral evaluators for the model; certified integrable R or NotIntegrable.
 
-    The most recently used models keep their evaluators (and drift fits)."""
+    The most recently used models keep their evaluators (drift fits and
+    u(0) included)."""
     return SpectralFns(model)
 
 
@@ -677,12 +704,9 @@ def _integrate(sf: SpectralFns, edges: np.ndarray, integrand):
 
 @dataclass(frozen=True)
 class PotentialValues:
-    """u(z), u(-z) with their even/odd parts and the increment metric.
-
-    ``sigma2`` is integrated directly from (1 - cos) R; ``identity_gap``
-    is its disagreement with 2 u(0) - u(z) - u(-z), a pure quadrature
-    consistency diagnostic (the decomposition u(+-z) = R +- H is exact).
-    """
+    """u(z), u(-z) with their even/odd parts, u(0) and the increment metric
+    sigma^2(z) = 2 u(0) - u(z) - u(-z) = 2 (u(0) - r_part); ``abserr``
+    bounds the error of every field."""
 
     z: float
     u_plus: float
@@ -691,7 +715,6 @@ class PotentialValues:
     h_part: float
     u_zero: float
     sigma2: float
-    identity_gap: float
     abserr: float
 
 
@@ -701,99 +724,59 @@ def _exact_lobe_count(z: float) -> int:
     return max(2, min(_N_EXACT_LOBES, int(_LAM_EXACT_MAX * z / math.pi) - 1))
 
 
-def _lobe_sum(sf: SpectralFns, z: float, kind: str, exact_terms, exact_err):
-    """Euler-accelerated sum of the exact lobe integrals of trig(lam z) times
-    R (cos) or I (sin), continued by _N_FAR_LOBES drift-corrected surrogate
-    lobes."""
-    n_ex = len(exact_terms)
-    trig, far = (np.cos, sf.R_far) if kind == "cos" else (np.sin, sf.I_far)
+def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]:
+    """(1/pi) integral of cos(lam z) R (kind "cos") or sin(lam z) I ("sin")
+    over (0, infinity) and its error.
+
+    The head up to the first lobe boundary and the exact lobes share one
+    panel set; the Euler-accelerated lobe sum is continued by _N_FAR_LOBES
+    drift-corrected surrogate lobes."""
+    trig, far, which = (np.cos, sf.R_far, "R") if kind == "cos" else (np.sin, sf.I_far, "I")
+    n_ex = _exact_lobe_count(z)
+    edges = lobe_boundaries(z, kind, n_ex)
+    head_edges = _head_edges(edges[0])
+    n_head = head_edges.size - 1
+    (vals,), (errs,) = _integrate(
+        sf, np.concatenate([head_edges, edges[1:]]),
+        lambda lam, r, i: ((trig(lam * z) * (r if which == "R" else i),),
+                           (np.abs(trig(lam * z)),)),
+    )
     far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=n_ex)
     nodes, half = gk21_nodes(far_edges[:-1], far_edges[1:])
     far_terms, far_err = gk21_sums(trig(nodes * z) * far(nodes), half)
-    total, accel_err = euler_accelerate(np.concatenate([exact_terms, far_terms]))
-    _, _, resid = sf.drift("R" if kind == "cos" else "I")
-    err = float(np.sum(exact_err) + far_err.sum()) + accel_err
-    return total, err + resid * abs(far_terms[0]) * 4.0
+    lobes, accel_err = euler_accelerate(np.concatenate([vals[n_head:], far_terms]))
+    _, _, resid = sf.drift(which)
+    err = errs.sum() + far_err.sum() + accel_err + resid * abs(far_terms[0]) * 4.0
+    return (vals[:n_head].sum() + lobes) / math.pi, err / math.pi
 
 
 def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
-    """All potential quantities at lag z >= 0, sharing one splice geometry."""
+    """All potential quantities at lag z (its sign is dropped).
+
+    u(0) is the model's (``SpectralFns.u_zero``); the lag integrates only
+    cos(lam z) R and, for p != q, sin(lam z) I."""
     sf = spectral(model)
     z = abs(z)
+    u0, u0_err = sf.u_zero()
     if z == 0.0:
-        u0, e0 = _u_zero(sf)
-        return PotentialValues(
-            z=0.0, u_plus=u0, u_minus=u0, r_part=u0, h_part=0.0, u_zero=u0,
-            sigma2=0.0, identity_gap=0.0, abserr=e0,
-        )
-    n_ex = _exact_lobe_count(z)
-    # one panel set per trig: the head from 0 to the first lobe boundary,
-    # then the exact lobes
-    cos_edges = lobe_boundaries(z, "cos", n_ex)
-    head_edges = _head_edges(cos_edges[0])
-    n_head = head_edges.size - 1
-    vals, errs = _integrate(
-        sf, np.concatenate([head_edges, cos_edges[1:]]),
-        lambda lam, r, i: (
-            (np.cos(lam * z) * r, 2.0 * np.sin(lam * z / 2.0) ** 2 * r, r),
-            (np.abs(np.cos(lam * z)), 2.0 * np.sin(lam * z / 2.0) ** 2, np.ones_like(r)),
-        ),
-    )
-    head_cos, head_one_minus, head_R = vals[:, :n_head].sum(axis=1)
-    e1, e2, e3 = errs[:, :n_head].sum(axis=1)
-    # on the lobes, cos R feeds the Euler sum and R the plain integral up to
-    # the splice
-    cos_tail, cos_err = _lobe_sum(sf, z, "cos", vals[0, n_head:], errs[0, n_head:])
-    between, e4 = vals[2, n_head:].sum(), errs[2, n_head:].sum()
-    tail, e5 = sf.l1_tail(float(cos_edges[-1]))
-    if model.symmetric:
-        h_part, sin_err = 0.0, 0.0
-    else:
-        sin_edges = lobe_boundaries(z, "sin", n_ex)
-        head_edges = _head_edges(sin_edges[0])
-        n_head = head_edges.size - 1
-        vals, errs = _integrate(
-            sf, np.concatenate([head_edges, sin_edges[1:]]),
-            lambda lam, r, i: ((np.sin(lam * z) * i,), (np.abs(np.sin(lam * z)),)),
-        )
-        sin_tail, sin_err = _lobe_sum(sf, z, "sin", vals[0, n_head:], errs[0, n_head:])
-        sin_err += errs[0, :n_head].sum()
-        h_part = (vals[0, :n_head].sum() + sin_tail) / math.pi
-    r_part = (head_cos + cos_tail) / math.pi
-    u_zero = (head_R + between + tail) / math.pi
-    sigma2 = (2.0 / math.pi) * (head_one_minus + between + tail - cos_tail)
-    identity_gap = sigma2 - 2.0 * (u_zero - r_part)
-    err = (e1 + e2 + e3 + 2.0 * (e4 + e5) + 2.0 * cos_err + sin_err) / math.pi
+        return PotentialValues(z=0.0, u_plus=u0, u_minus=u0, r_part=u0, h_part=0.0,
+                               u_zero=u0, sigma2=0.0, abserr=u0_err)
+    r_part, r_err = _trig_transform(sf, z, "cos")
+    h_part, h_err = (0.0, 0.0) if model.symmetric else _trig_transform(sf, z, "sin")
     return PotentialValues(
         z=z,
         u_plus=r_part + h_part,
         u_minus=r_part - h_part,
         r_part=r_part,
         h_part=h_part,
-        u_zero=u_zero,
-        sigma2=max(sigma2, 0.0),
-        identity_gap=identity_gap,
-        abserr=err + abs(identity_gap),
+        u_zero=u0,
+        sigma2=max(2.0 * (u0 - r_part), 0.0),
+        abserr=2.0 * (u0_err + r_err) + h_err,
     )
 
 
 def _plain_R(lam, r, i):
     return (r,), (np.ones_like(r),)
-
-
-def _u_zero(sf: SpectralFns) -> tuple[float, float]:
-    split = 1e6
-    vals, errs = _integrate(sf, _head_edges(split), _plain_R)
-    tail, e3 = sf.l1_tail(split)
-    return (vals.sum() + tail) / math.pi, (errs.sum() + e3) / math.pi
-
-
-def sigma2_beta(model: LevyModel, z: float) -> tuple[float, float]:
-    """Increment metric sigma^2(z) = (2/pi) integral of (1 - cos(lam z)) R."""
-    if z == 0.0:
-        return 0.0, 0.0
-    bundle = potential_bundle(model, z)
-    return bundle.sigma2, bundle.abserr
 
 
 @dataclass(frozen=True)
@@ -980,7 +963,6 @@ class AsymmetryRow:
     h_part: float
     rel_steep: float
     rel_shallow: float
-    identity_gap: float
 
 
 def asymmetry_asymptotics(model: LevyModel, z_grid) -> list[AsymmetryRow]:
@@ -1001,8 +983,7 @@ def asymmetry_asymptotics(model: LevyModel, z_grid) -> list[AsymmetryRow]:
         rows.append(
             AsymmetryRow(
                 z=b.z, u_plus=b.u_plus, u_minus=b.u_minus, u_zero=b.u_zero,
-                sigma2=b.sigma2, h_part=b.h_part, rel_steep=steep,
-                rel_shallow=shallow, identity_gap=b.identity_gap,
+                sigma2=b.sigma2, h_part=b.h_part, rel_steep=steep, rel_shallow=shallow,
             )
         )
     return rows
@@ -1010,22 +991,20 @@ def asymmetry_asymptotics(model: LevyModel, z_grid) -> list[AsymmetryRow]:
 
 def kernel_matrix(model: LevyModel, points) -> tuple[PointConfig, float]:
     """Stationary kernel K[i, j] = u(t_j - t_i) over the points, with the
-    worst per-entry quadrature error estimate."""
+    worst per-entry quadrature error estimate.
+
+    One bundle serves every run of lags |t_j - t_i| that agree with their
+    sorted neighbour to _LAG_REL relative: the smallest of the run.  An
+    equally spaced grid thus gives an exactly Toeplitz kernel, although
+    rounding makes its j*h lags differ in the last bits."""
     pts = tuple(float(t) for t in points)
-    lags = {}
-    worst = 0.0
-    for i, s in enumerate(pts):
-        for j, t in enumerate(pts):
-            lag = t - s
-            if abs(lag) not in lags:
-                b = potential_bundle(model, abs(lag))
-                lags[abs(lag)] = b
-                worst = max(worst, b.abserr)
-    n = len(pts)
-    kv = np.empty((n, n))
-    for i, s in enumerate(pts):
-        for j, t in enumerate(pts):
-            lag = t - s
-            b = lags[abs(lag)]
-            kv[i, j] = b.u_plus if lag >= 0 else b.u_minus
-    return PointConfig(points=pts, kernel_values=kv), worst
+    t = np.array(pts)
+    lag = t[None, :] - t[:, None]
+    lags, index = np.unique(np.abs(lag), return_inverse=True)
+    new = np.diff(lags, prepend=-math.inf) > _LAG_REL * lags
+    bundles = [potential_bundle(model, float(z)) for z in lags[new]]
+    run = (np.cumsum(new) - 1)[index].reshape(lag.shape)
+    u_plus = np.array([b.u_plus for b in bundles])
+    u_minus = np.array([b.u_minus for b in bundles])
+    kv = np.where(lag >= 0, u_plus[run], u_minus[run])
+    return PointConfig(points=pts, kernel_values=kv), max((b.abserr for b in bundles), default=0.0)

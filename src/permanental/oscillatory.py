@@ -6,9 +6,10 @@ dominant error source.  Instead the axis is partitioned at the trig zeros,
 each lobe is integrated with a vectorized Gauss-Kronrod-21 rule whose
 embedded Gauss-10 sum gives the error estimate, and the alternating lobe
 sums are accelerated by repeated averaging; the acceleration error is
-estimated from the last two averaging depths.  Everything here is numpy
-only; the non-oscillatory integrals of ``levy`` use its Gauss-Legendre
-panels instead.
+estimated from the last two averaging depths.  The same rule integrates
+u(0) and the R integrals of ``levy.check_cor14``; the other
+non-oscillatory integrals of ``levy`` use its Gauss-Legendre panels.
+Everything here is numpy only.
 """
 
 from __future__ import annotations

@@ -234,6 +234,7 @@ def test_json_outputs_byte_identical(spec_file, kernel_file):
         ["validate-kernel", kernel_file],
         ["gamma-tail", "--u", 1.5, "--v", 2, "--t", 3],
         ["classify", "--gamma", 0.0, "--delta", 3.0, "--p", 0.8],
+        ["levy", "--p", 0.5, "--gamma", 2, "--u", 0.05],
     ):
         first = run_cli(*args)
         second = run_cli(*args)
@@ -246,7 +247,15 @@ def test_levy_u_command_fast_lag():
     payload = json.loads(out.stdout)
     assert payload["u_plus"] == payload["u_minus"]  # symmetric model
     assert payload["u_zero"] > payload["u_plus"]
+    assert payload["sigma2"] == pytest.approx(2 * (payload["u_zero"] - payload["r_part"]),
+                                              rel=1e-14)
     assert payload["quad_err"] < 1e-3
+
+
+def test_levy_sigma2_option_is_gone():
+    # sigma2 is a field of levy --u; there is no second path to it
+    out = run_cli("levy", "--p", 0.5, "--gamma", 2.0, "--sigma2", 0.05)
+    assert out.returncode == 2
 
 
 def test_levy_kernel_points_command(tmp_path):
