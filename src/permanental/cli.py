@@ -191,7 +191,8 @@ def cmd_gamma_tail(args) -> int:
     if args.bounds:
         lower, upper = gamma_tails.tail_bounds(args.u, args.v * args.t)
         payload["bounds"] = {"lower": lower, "upper": upper,
-                             "lam": args.v * args.t, "rel_err": _EXACT_REL_ERR}
+                             "lam": args.v * args.t,
+                             "rel_err": gamma_tails.tail_bounds_rel_err(args.u, args.v * args.t)}
     _emit(args, payload)
     return 0
 

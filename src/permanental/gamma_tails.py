@@ -4,7 +4,8 @@
 the standard split: ascending series below x = u + 1, Lentz continued
 fraction above it; ``gamma_tail_rel_err`` bounds its error from the stopping
 rule, the rounding of the prefactor and, below u + 1, the cancellation in
-1 - P.  Everything here is a pure function.
+1 - P; ``tail_bounds_rel_err`` bounds the rounding of ``tail_bounds``.
+Everything here is a pure function.
 """
 
 from __future__ import annotations
@@ -130,8 +131,28 @@ def tail_bounds(u: float, lam: float) -> tuple[float, float]:
         raise PreconditionViolated(
             "lower", f"lower bound with u < 1 needs lam > 2(1-u) = {2 * (1 - u):g}"
         )
-    core = math.exp((u - 1.0) * math.log(lam) - lam - math.lgamma(u))
+    core, _ = _bounds_core(u, lam)
     return (2.0 / 3.0) * core, 2.0 * core
+
+
+def _bounds_core(u: float, lam: float) -> tuple[float, float]:
+    """lam^(u-1) e^-lam / Gamma(u) and a bound on its relative error.
+
+    The exponent a - lam - lgamma(u), a = (u - 1) log lam, carries an
+    absolute error of one ulp of |a| each from u - 1, log and the product,
+    one ulp of the sum of magnitudes from each of the two sums, and 4 ulps
+    of |lgamma(u)|; exp turns it into a relative error and rounds once.
+    """
+    a = (u - 1.0) * math.log(lam)
+    lg = math.lgamma(u)
+    core = math.exp(a - lam - lg)
+    return core, _U * (3 * abs(a) + 2 * (abs(a) + lam + abs(lg)) + 4 * abs(lg) + 1)
+
+
+def tail_bounds_rel_err(u: float, lam: float) -> float:
+    """Bound on the relative error of both ``tail_bounds(u, lam)``: that of
+    their common factor, plus the rounding of 2/3 and of the product."""
+    return _bounds_core(u, lam)[1] + 2 * _U
 
 
 def max_iid_lower(n: int, u: float, eps: float, q: float) -> float:

@@ -9,22 +9,24 @@ w = log x on the sub-oscillatory head (lam x <= 1), and Filon-type panels
 2 i^k j_k(lam h)) on geometric x panels over the oscillatory part, so the
 cost grows only like log lam.  Each panel's error is estimated from its
 trailing Legendre coefficients.  The spectral functions
-R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) then yield u(0),
-once per model, and at each lag the killed potential density
-u(+-z) = R_part(z) +- H_part(z) by half-period lobe summation of cos(lam z) R
-and sin(lam z) I with Euler acceleration; the increment metric is
-sigma^2(z) = 2 (u(0) - R_part(z)).  Every lobe, head and panel integral is
-a vectorized Gauss-Kronrod-21 rule over one psi batch, bisecting only the
-panels that miss tolerance.
+R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) are evaluated once
+per model on a fixed table of 20-point Gauss-Legendre panels in lam up to
+_LAM_EXACT_MAX, which keeps their Legendre coefficients.  The table gives
+u(0), the Cor 1.4 integrals, and at each lag the exact range of the killed
+potential density u(+-z) = R_part(z) +- H_part(z): Filon weights in lam (the
+moments of the same Legendre polynomials against e^{i lam z}) times the
+coefficients of R and I, plus one new panel that ends where the surrogate
+lobes begin.  Those lobes are summed with Euler acceleration; the increment
+metric is sigma^2(z) = 2 (u(0) - R_part(z)).
 
 Because R decays only like 1/(lam log^c lam), every integral over
 (0, infinity) is split at a finite boundary: exact evaluation below it and
 an asymptotic surrogate above it, with the surrogate corrected by a fitted
 1/log-lambda drift measured against the exact values.  The remaining 1-D
 integrals (the antiderivative G of g(s)/s, the surrogate tail of R, the
-Thm 1.6 statistics and the profile checks) use the same Gauss-Legendre
-panels as psi, in log w for the tails, which end where a closed-form bound
-on the rest is negligible.  Reported error estimates include the fit
+surrogate lobes, the Thm 1.6 statistics and the profile checks) use the
+same Gauss-Legendre panels as psi, in log w for the tails, which end where
+a closed-form bound on the rest is negligible.  Reported error estimates include the fit
 residual, the quadrature estimates of every panel (converged or not), the
 bound on the part of a tail the panels leave out, and the psi error carried
 through R and I.
@@ -35,13 +37,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bounds import PointConfig
 from .errors import NotIntegrable, OutOfRange
-from .oscillatory import euler_accelerate, gk21_nodes, gk21_sums, lobe_boundaries
+from .oscillatory import euler_accelerate, lobe_boundaries
 
 DEFAULT_CUT = math.e**2
 _X_LO = 1e-12
@@ -61,11 +63,11 @@ _OMEGA_RECUR = 20.0  # Filon moments by recurrence above this lam * half width
 _W_HI_TAIL = 80.0
 _W_PLAIN_TAIL = 50.0
 
-# acceptance of a Gauss-Kronrod panel, and the bisection depth after which
-# a panel's estimate is kept and reported as its error
-_PANEL_EPSREL = 1e-9
-_PANEL_EPSABS = 1e-15
-_MAX_BISECT = 3
+# spectral table: the width of its uniform panels in periods 2 pi support_min
+# of the ripple that the support cut puts into R (about 14 Gauss nodes per
+# period), and their number
+_RIPPLE_PERIODS = 1.38
+_UNIFORM_PANELS = 64
 
 # tail integrals in w = log lam: panel width in log w, the log of the largest
 # w they reach (w = e^700 ~ 1e304), and the size, relative to the bound on
@@ -480,13 +482,14 @@ class SpectralFns:
     psi once for all of it.  The asymptotic surrogate replaces psi by its
     leading form (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail``
     integrates the drift-corrected surrogate over (Lam, infinity).  The
-    drift fit and u(0) are computed on first use.
+    drift fit, the spectral table and u(0) are computed on first use.
     """
 
     def __init__(self, model: LevyModel):
         self.model = model
         self.beta = model.beta
         self._drift: dict[str, tuple[float, float, float]] | None = None
+        self._table: _Panels | None = None
         self._u0: tuple[float, float] | None = None
         w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
         self._G = _Antiderivative(model.g_of_log, w_cut)
@@ -601,14 +604,21 @@ class SpectralFns:
             return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
         return np.full(np.shape(w), math.inf)
 
+    def table(self) -> _Panels:
+        """R and I on the panels of ``_table_edges`` up to _LAM_EXACT_MAX,
+        one psi batch on first use."""
+        if self._table is None:
+            self._table = _resolvent_panels(self, _table_edges(self.model.support_min))
+        return self._table
+
     def u_zero(self) -> tuple[float, float]:
         """u(0) = (1/pi) integral of R over (0, infinity) and its error:
-        exact R on panels up to 1e6, then ``l1_tail``."""
+        the table's panel integrals, then ``l1_tail(_LAM_EXACT_MAX)``."""
         if self._u0 is None:
-            split = 1e6
-            vals, errs = _integrate(self, _head_edges(split), _plain_R)
-            tail, tail_err = self.l1_tail(split)
-            self._u0 = (vals.sum() + tail) / math.pi, (errs.sum() + tail_err) / math.pi
+            t = self.table()
+            tail, tail_err = self.l1_tail(_LAM_EXACT_MAX)
+            value = (2.0 * t.half * t.coef[0, :, 0]).sum() + tail
+            self._u0 = value / math.pi, (t.err[0].sum() + tail_err) / math.pi
         return self._u0
 
     # -- integrability certificate ---------------------------------------
@@ -640,66 +650,56 @@ class SpectralFns:
 def spectral(model: LevyModel) -> SpectralFns:
     """Spectral evaluators for the model; certified integrable R or NotIntegrable.
 
-    The most recently used models keep their evaluators (drift fits and
-    u(0) included)."""
+    The most recently used models keep their evaluators (drift fits,
+    spectral tables and u(0) included)."""
     return SpectralFns(model)
 
 
 # ---------------------------------------------------------------- quadrature
 
 
-def _geometric_edges(lo: float, hi: float) -> np.ndarray:
-    """Edges from lo to hi with ratio at most 2 between neighbours."""
-    return np.geomspace(lo, hi, max(1, math.ceil(math.log2(hi / lo))) + 1)
+def _table_edges(support_min: float) -> np.ndarray:
+    """Panel edges of a model's spectral table over [0, _LAM_EXACT_MAX]: [0, 1],
+    ratio-2 panels up to w, _UNIFORM_PANELS panels of width w, then ratio-sqrt 2
+    panels.  w = _RIPPLE_PERIODS ripple periods 2 pi support_min, at least 1:
+    the uniform panels resolve the ripple where it matters, and beyond them
+    it is small against R."""
+    w = max(_RIPPLE_PERIODS * 2.0 * math.pi * support_min, 1.0)
+    top = min(_UNIFORM_PANELS * w, _LAM_EXACT_MAX)
+    return np.unique(np.concatenate([
+        [0.0], np.geomspace(1.0, w, math.ceil(math.log2(w)) + 1),
+        np.minimum(w * np.arange(1.0, _UNIFORM_PANELS + 1.0), top),
+        np.geomspace(top, _LAM_EXACT_MAX, math.ceil(2.0 * math.log2(_LAM_EXACT_MAX / top)) + 1)]))
 
 
-def _head_edges(top: float) -> np.ndarray:
-    """Panel edges over [0, top]: [0, 1] and then ratio-2 panels."""
-    if top <= 1.0:
-        return np.array([0.0, top])
-    return np.concatenate([[0.0], _geometric_edges(1.0, top)])
+class _Panels(NamedTuple):
+    """R and I on Gauss-Legendre panels in lam: the edges, mid points, half
+    widths, Legendre coefficients (2, P, _N_LEG) of R (row 0) and I (row 1),
+    and their integration errors (2, P): the trailing-coefficient estimate
+    plus the psi error carried through R and I, integrated over the panel."""
+
+    edges: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    coef: np.ndarray
+    err: np.ndarray
 
 
-def _integrate(sf: SpectralFns, edges: np.ndarray, integrand):
-    """Integrals of integrand over consecutive panels of edges, per panel.
+def _resolvent_panels(sf: SpectralFns, edges: np.ndarray) -> _Panels:
+    """One psi batch over the Gauss-Legendre nodes of the panels between
+    consecutive edges."""
+    mid, half, lam = _legendre_panels(edges[:-1], edges[1:])
+    r, i, e = sf.resolvent(lam)
+    coef = np.stack([r, i, e]) @ _legendre_rule()[1]
+    trailing = np.abs(coef[:2, :, -1]) + np.abs(coef[:2, :, -2])
+    return _Panels(edges, mid, half, coef[:2], 2.0 * half * (trailing + coef[2, :, 0]))
 
-    ``integrand(lam, r, i)`` returns (values, sensitivities), both of shape
-    (m, *lam.shape): m integrands, each linear in R or I, and the absolute
-    value of its factor, which carries the psi error of R and I into the
-    error.  Every round is one psi batch over the Gauss-Kronrod-21 nodes of
-    all open panels; a panel whose |Kronrod - Gauss| misses tolerance is
-    bisected, up to _MAX_BISECT times, and the estimate of a panel still
-    open then is kept in its error.  Returns (values, errors), each (m, P).
-    """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    n = a.size
-    owner = np.arange(n)
-    total = err = None
-    for depth in range(_MAX_BISECT + 1):
-        nodes, half = gk21_nodes(a, b)
-        r, i, e = sf.resolvent(nodes)
-        vals, sens = integrand(nodes, r, i)
-        value, gap = gk21_sums(np.asarray(vals), half)
-        psi_err, _ = gk21_sums(np.asarray(sens) * e, half)
-        if total is None:
-            total = np.zeros((value.shape[0], n))
-            err = np.zeros((value.shape[0], n))
-        done = (gap <= np.maximum(_PANEL_EPSABS, _PANEL_EPSREL * np.abs(value))).all(axis=0)
-        if depth == _MAX_BISECT:
-            done[:] = True
-        for row in range(value.shape[0]):
-            total[row] += np.bincount(owner[done], value[row, done], minlength=n)
-            err[row] += np.bincount(owner[done], gap[row, done] + psi_err[row, done],
-                                    minlength=n)
-        if done.all():
-            break
-        mid = 0.5 * (a + b)
-        open_ = ~done
-        a = np.concatenate([a[open_], mid[open_]])
-        b = np.concatenate([mid[open_], b[open_]])
-        owner = np.concatenate([owner[open_], owner[open_]])
-    return total, err
+
+def _filon(mid: np.ndarray, half: np.ndarray, coef: np.ndarray, z: float) -> complex:
+    """Sum over panels of the integral of e^{i lam z} times the Legendre
+    series coef (P, _N_LEG) of each panel: Filon weights in lam."""
+    return complex(np.sum(half * np.exp(1j * z * mid)
+                          * np.sum(coef * _filon_moments(z * half), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -728,26 +728,29 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     """(1/pi) integral of cos(lam z) R (kind "cos") or sin(lam z) I ("sin")
     over (0, infinity) and its error.
 
-    The head up to the first lobe boundary and the exact lobes share one
-    panel set; the Euler-accelerated lobe sum is continued by _N_FAR_LOBES
-    drift-corrected surrogate lobes."""
-    trig, far, which = (np.cos, sf.R_far, "R") if kind == "cos" else (np.sin, sf.I_far, "I")
-    n_ex = _exact_lobe_count(z)
-    edges = lobe_boundaries(z, kind, n_ex)
-    head_edges = _head_edges(edges[0])
-    n_head = head_edges.size - 1
-    (vals,), (errs,) = _integrate(
-        sf, np.concatenate([head_edges, edges[1:]]),
-        lambda lam, r, i: ((trig(lam * z) * (r if which == "R" else i),),
-                           (np.abs(trig(lam * z)),)),
-    )
-    far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=n_ex)
-    nodes, half = gk21_nodes(far_edges[:-1], far_edges[1:])
-    far_terms, far_err = gk21_sums(trig(nodes * z) * far(nodes), half)
-    lobes, accel_err = euler_accelerate(np.concatenate([vals[n_head:], far_terms]))
+    The exact range runs up to lam_split, the end of _exact_lobe_count(z)
+    half-period lobes: the table's panels below lam_split and one new panel
+    that ends there (ratio-sqrt 2 panels if lam_split lies past the table),
+    all by Filon weights.  _N_FAR_LOBES drift-corrected surrogate lobes
+    follow, summed with Euler acceleration."""
+    row, trig, far, which = ((0, np.cos, sf.R_far, "R") if kind == "cos"
+                             else (1, np.sin, sf.I_far, "I"))
+    far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=_exact_lobe_count(z))
+    split = far_edges[0]
+    table = sf.table()
+    k = int(np.searchsorted(table.edges, split, side="right")) - 1
+    lo = table.edges[k]
+    new = _resolvent_panels(sf, np.array([lo, split]) if split <= _LAM_EXACT_MAX else
+                            np.geomspace(lo, split, math.ceil(2.0 * math.log2(split / lo)) + 1))
+    exact = (_filon(table.mid[:k], table.half[:k], table.coef[row, :k], z)
+             + _filon(new.mid, new.half, new.coef[row], z))
+    _, half, nodes = _legendre_panels(far_edges[:-1], far_edges[1:])
+    far_terms, far_err = _legendre_integral(trig(nodes * z) * far(nodes), half)
+    lobes, accel_err = euler_accelerate(far_terms)
     _, _, resid = sf.drift(which)
-    err = errs.sum() + far_err.sum() + accel_err + resid * abs(far_terms[0]) * 4.0
-    return (vals[:n_head].sum() + lobes) / math.pi, err / math.pi
+    err = (table.err[row, :k].sum() + new.err[row].sum() + far_err.sum() + accel_err
+           + resid * abs(far_terms[0]) * 4.0)
+    return ((exact.real if kind == "cos" else exact.imag) + lobes) / math.pi, err / math.pi
 
 
 def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
@@ -773,10 +776,6 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
         sigma2=max(2.0 * (u0 - r_part), 0.0),
         abserr=2.0 * (u0_err + r_err) + h_err,
     )
-
-
-def _plain_R(lam, r, i):
-    return (r,), (np.ones_like(r),)
 
 
 @dataclass(frozen=True)
@@ -847,18 +846,33 @@ class Cor14Report:
 
 def check_cor14(model: LevyModel, z_grid, n_grid=(1e2, 1e3, 1e4, 1e5, 1e6)) -> Cor14Report:
     """|z| integral of lam |I| over (0, pi/|z|) against half the R tail from
-    pi/(2|z|); the implied constant must be below 1 for the criterion."""
+    pi/(2|z|); the implied constant must be below 1 for the criterion.
+
+    The integrals come from the spectral table: the panels below the upper
+    end and the antiderivative of its own panel's interpolant (absolute
+    values panel by panel).  Every R tail is the table's part up to
+    _LAM_EXACT_MAX plus ``l1_tail(_LAM_EXACT_MAX)``."""
     sf = spectral(model)
+    leg = np.polynomial.legendre
+    edges, mid, half, coef, _ = sf.table()
+    r_coef = coef[0]
+    lam_i_coef = (mid[:, None] * np.pad(coef[1], ((0, 0), (0, 1)))
+                  + half[:, None] * np.apply_along_axis(leg.legmulx, 1, coef[1]))
+
+    def below(c, x):
+        k = min(int(np.searchsorted(edges, x, side="right")) - 1, half.size - 1)
+        part = half[k] * leg.legval((x - mid[k]) / half[k], leg.legint(c[k], lbnd=-1))
+        return float(np.abs(2.0 * half[:k] * c[:k, 0]).sum() + abs(part))
+
+    far_tail, _ = sf.l1_tail(_LAM_EXACT_MAX)
+    r_total = below(r_coef, _LAM_EXACT_MAX)
     rows = []
     for z in z_grid:
         z = abs(z)
-        lhs, _ = _integrate(sf, _head_edges(math.pi / z),
-                            lambda lam, r, i: ((lam * np.abs(i),), (lam,)))
-        lhs = z * lhs.sum()
-        split = min(max(math.pi / (2 * z) * 64.0, 1e6), _LAM_EXACT_MAX)
-        finite, _ = _integrate(sf, _geometric_edges(math.pi / (2 * z), split), _plain_R)
-        tail, _ = sf.l1_tail(split)
-        tail_integral = finite.sum() + tail
+        if math.pi / z > _LAM_EXACT_MAX:
+            raise OutOfRange(f"check_cor14 needs |z| >= pi / {_LAM_EXACT_MAX:g}, got {z:g}")
+        lhs = z * below(lam_i_coef, math.pi / z)
+        tail_integral = r_total - below(r_coef, math.pi / (2 * z)) + far_tail
         implied = 2.0 * lhs / tail_integral
         rows.append(Cor14Row(z=z, lhs=lhs, tail_integral=tail_integral,
                              implied_c=implied, holds=implied < 1.0))
@@ -870,22 +884,11 @@ def check_cor14(model: LevyModel, z_grid, n_grid=(1e2, 1e3, 1e4, 1e5, 1e6)) -> C
         (np.diff(r_vals) <= slack * r_vals[:-1]).all()
         and (model.symmetric or (np.diff(i_vals) <= slack * np.maximum(i_vals[:-1], 1e-300)).all())
     )
-    # one panel set over [min split, Lam/2] with every split as an edge; each
-    # split's finite part is the sum of the panels above it
-    far = _LAM_EXACT_MAX / 2
-    splits = [max(float(n), 1e3) for n in n_grid]
-    inner = sorted({s for s in splits if s < far})
-    finite = np.zeros(0)
-    if inner:
-        edges = np.unique(np.concatenate(
-            [_geometric_edges(lo, hi) for lo, hi in zip(inner, inner[1:] + [far])]))
-        finite, _ = _integrate(sf, edges, _plain_R)
-        finite = finite[0]
-        far_tail, _ = sf.l1_tail(far)
     divergence = []
-    for n, split in zip(n_grid, splits):
-        if split < far:
-            tail = far_tail + finite[edges[:-1] >= split].sum()
+    for n in n_grid:
+        split = max(float(n), 1e3)
+        if split < _LAM_EXACT_MAX:
+            tail = r_total - below(r_coef, split) + far_tail
         else:
             tail, _ = sf.l1_tail(split)
         divergence.append((float(n), tail * math.log(n)))

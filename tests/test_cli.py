@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from permanental import bounds, levy, matio
+from permanental import bounds, gamma_tails, levy, matio
 from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_permanental
@@ -159,6 +159,9 @@ def test_gamma_tail_with_bounds():
     out = run_cli("gamma-tail", "--u", 2, "--v", 1, "--t", 5, "--bounds")
     payload = json.loads(out.stdout)
     assert payload["bounds"]["lower"] <= payload["tail"] <= payload["bounds"]["upper"]
+    # a computed error, not the nominal 1e-14
+    assert payload["bounds"]["rel_err"] == gamma_tails.tail_bounds_rel_err(2.0, 5.0)
+    assert payload["bounds"]["rel_err"] != 1e-14
 
 
 def test_gamma_tail_bounds_precondition_exit(tmp_path):

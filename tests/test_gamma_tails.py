@@ -11,6 +11,7 @@ from permanental.gamma_tails import (
     gamma_tail_rel_err,
     max_iid_lower,
     tail_bounds,
+    tail_bounds_rel_err,
     unbounded_lambda_check,
 )
 
@@ -123,6 +124,23 @@ def test_sandwich_on_precondition_grid():
             assert lower <= exact <= upper, (u, lam)
             count += 1
     assert count >= 150
+
+
+def test_bounds_rel_err_covers_mpmath():
+    worst = 0.0
+    for u in np.linspace(0.5, 3.0, 26):
+        for lam in np.linspace(6.0, 15.0, 37):
+            u, lam = float(u), float(lam)
+            lower, upper = tail_bounds(u, lam)
+            rel = tail_bounds_rel_err(u, lam)
+            with mpmath.workdps(40):
+                core = mpmath.mpf(lam) ** (u - 1) * mpmath.exp(-lam) / mpmath.gamma(u)
+                errs = [float(abs(v / (c * core) - 1)) for v, c in
+                        ((lower, mpmath.mpf(2) / 3), (upper, 2))]
+            assert max(errs) <= rel, (u, lam)
+            worst = max(worst, rel)
+    # a few dozen ulps, not the nominal 1e-14
+    assert worst <= 1e-14
 
 
 def test_upper_precondition_violation():

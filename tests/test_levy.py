@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from permanental import levy, oscillatory
+from permanental import levy
 from permanental.errors import NotIntegrable, OutOfRange
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import validate_appendix_lemma
@@ -85,18 +85,25 @@ def oracle_r_part(sf, z, n_half=60):
 
 def oracle_l1_tail(sf, lam, dps=20):
     """Integral of the drift-corrected surrogate R over (lam, infinity) by
-    tanh-sinh in t = log log lam, G in closed form (delta = 0 when p != q)."""
+    tanh-sinh in t = log log lam, G in closed form (an integer delta when
+    p != q): with s = log u and c = gamma + 1, the integral of
+    e^{c s} s^delta is e^{c s} sum_k (-1)^k delta!/(delta-k)! s^(delta-k) / c^(k+1)."""
     m, (a, b, _) = sf.model, sf.drift("R")
     gam, dl = m.g.gamma, m.g.delta
     with mp.workdps(dps):
         w_cut = mp.log(m.g.cut)
+
+        def anti(u):
+            s, c = mp.log(u), gam + 1
+            return u**c * mp.fsum((-1) ** k * mp.factorial(dl) / mp.factorial(dl - k)
+                                  * s ** (dl - k) / c ** (k + 1) for k in range(int(dl) + 1))
 
         def integrand(t):
             w = mp.exp(t)
             re = mp.pi / 2 * w**gam * (mp.log(w) ** dl if dl else 1)
             if w < 1e4:
                 re += m.beta * mp.exp(-w)
-            im = (m.p - m.q) * (w ** (gam + 1) - w_cut ** (gam + 1)) / (gam + 1)
+            im = (m.p - m.q) * (anti(w) - anti(w_cut)) if m.p != m.q else 0
             return w * re / (re**2 + im**2) * (1 + a / w + b / w**2)
 
         t0 = mp.log(mp.log(lam))
@@ -183,16 +190,16 @@ def test_filon_moments_match_spherical_bessel():
     assert np.abs(levy._filon_moments(omega) - want).max() <= 1e-13
 
 
-def test_gauss_kronrod21_exact_to_degree_31():
-    nodes, half = oscillatory.gk21_nodes(np.array([0.0, -1.0]), np.array([2.0, 3.0]))
-    for degree in (0, 7, 19, 30, 31):
-        kronrod, _ = oscillatory.gk21_sums(nodes**degree, half)
-        exact = [(b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
-                 for a, b in ((0.0, 2.0), (-1.0, 3.0))]
-        assert kronrod == pytest.approx(exact, rel=1e-13)
-    # the embedded Gauss-10 rule is exact to degree 19 as well
-    kronrod, gap = oscillatory.gk21_sums(nodes**19, half)
-    assert np.all(gap <= 1e-12 * np.abs(kronrod))
+def test_filon_in_lambda_matches_closed_form():
+    # integral of e^{i z lam} e^{-lam} over (0, 16) on width-1 panels, where
+    # 20 Legendre coefficients resolve e^{-lam} to rounding; z * half runs
+    # from 1e-6 to 1e4, across both ways of taking the moments
+    edges = np.arange(17.0)
+    mid, half, lam = levy._legendre_panels(edges[:-1], edges[1:])
+    coef = np.exp(-lam) @ levy._legendre_rule()[1]
+    for z in np.geomspace(2e-6, 2e4, 61):
+        want = (1.0 - np.exp((1j * z - 1.0) * 16.0)) / (1.0 - 1j * z)
+        assert abs(levy._filon(mid, half, coef, z) - want) <= 1e-13
 
 
 # ---------------------------------------------------------------- spectral
@@ -296,6 +303,13 @@ def test_l1_tail_matches_mpmath(model):
             assert err <= 1e-5
 
 
+@pytest.mark.parametrize("model", [ASYM, LOGLOG, SYM15], ids=["asym", "loglog", "sym-g1.5"])
+def test_u_zero_matches_oracle_within_abserr(model):
+    sf = levy.spectral(model)
+    u0, err = sf.u_zero()
+    assert abs(u0 - oracle_u_zero(sf)) <= err
+
+
 # ---------------------------------------------------------------- potentials
 
 
@@ -319,9 +333,10 @@ def test_potential_bundle_construction_identity():
 
 
 def test_sigma2_zero_at_origin_and_monotone_small_z():
-    vals = [levy.potential_bundle(SYM2, z).sigma2 for z in (1e-5, 1e-4, 1e-3)]
+    # at z = 1e-8 the exact range ends past the spectral table
+    vals = [levy.potential_bundle(SYM2, z).sigma2 for z in (1e-8, 1e-5, 1e-4, 1e-3)]
     assert levy.potential_bundle(SYM2, 0.0).sigma2 == 0.0
-    assert vals[0] < vals[1] < vals[2]
+    assert 0.0 < vals[0] < vals[1] < vals[2] < vals[3]
 
 
 def test_sigma2_symmetric_vs_tail_integral_formula():
@@ -355,6 +370,50 @@ def test_sigma2_matches_oracle_within_abserr():
 def test_potential_r_part_matches_levin_oracle(model, z):
     b = levy.potential_bundle(model, z)
     assert abs(b.r_part - oracle_r_part(levy.spectral(model), z)) <= b.abserr
+
+
+# Bundles at the commit before the spectral table (Gauss-Kronrod panels with
+# bisection, u(0) from panels to 1e6): (cut, p, gamma, z) ->
+# (u_plus, u_minus, abserr).  The cut sets the period 2 pi cut of the ripple
+# in R that the table's panel width follows.
+_BUNDLES_BEFORE_TABLE = {
+    (1.2, 0.8, -0.5, 0.0): (1.3597914262880866, 1.3597914262880866, 2.7738e-06),
+    (1.2, 0.8, -0.5, 0.05): (0.5632344456213485, 0.9506332328800844, 5.6628e-06),
+    (1.2, 0.8, -0.5, 0.3): (0.3824589221505626, 0.5130658887276702, 5.6861e-06),
+    (1.2, 0.5, 1.5, 0.0): (0.8665172956682738, 0.8665172956682738, 2.6905e-06),
+    (1.2, 0.5, 1.5, 0.05): (0.5956863104304126, 0.5956863104304126, 5.4054e-06),
+    (1.2, 0.5, 1.5, 0.3): (0.4213068136372774, 0.4213068136372774, 5.4168e-06),
+    (1.5, 0.8, -0.5, 0.0): (1.5884421034876641, 1.5884421034876641, 3.1474e-06),
+    (1.5, 0.8, -0.5, 0.05): (0.6799229416056163, 1.0814031197220022, 6.3499e-06),
+    (1.5, 0.8, -0.5, 0.3): (0.442921023805978, 0.5497755433524392, 6.3747e-06),
+    (1.5, 0.5, 1.5, 0.0): (0.8701700641791797, 0.8701700641791797, 2.6905e-06),
+    (1.5, 0.5, 1.5, 0.05): (0.5992995863374759, 0.5992995863374759, 5.4053e-06),
+    (1.5, 0.5, 1.5, 0.3): (0.4240786395257248, 0.4240786395257248, 5.4168e-06),
+    (20.0, 0.8, -0.5, 0.0): (5.603513488848166, 5.603513488848166, 4.9472e-06),
+    (20.0, 0.8, -0.5, 0.05): (2.7299421849100542, 2.933194424726375, 1.0133e-05),
+    (20.0, 0.8, -0.5, 0.3): (0.3148145769432698, 0.30510031953132916, 1.0294e-05),
+    (20.0, 0.5, 1.5, 0.0): (1.2961280598772307, 1.2961280598772307, 2.6920e-06),
+    (20.0, 0.5, 1.5, 0.05): (0.9904924032304464, 0.9904924032304464, 5.4085e-06),
+    (20.0, 0.5, 1.5, 0.3): (0.5695503658130259, 0.5695503658130259, 5.4199e-06),
+    (100.0, 0.8, -0.5, 0.0): (12.200314718961739, 12.200314718961739, 3.4209e-06),
+    (100.0, 0.8, -0.5, 0.05): (3.6258210221458067, 3.7011736732718563, 7.2217e-06),
+    (100.0, 0.8, -0.5, 0.3): (0.017110208641615932, 0.01511484403212512, 7.3916e-06),
+    (100.0, 0.5, 1.5, 0.0): (2.094367881522008, 2.094367881522008, 2.6996e-06),
+    (100.0, 0.5, 1.5, 0.05): (1.5912602757046914, 1.5912602757046914, 5.4252e-06),
+    (100.0, 0.5, 1.5, 0.3): (0.6062190315670788, 0.6062190315670788, 5.4363e-06),
+}
+
+
+@pytest.mark.parametrize("cut", [1.2, 1.5, 20.0, 100.0])
+@pytest.mark.parametrize("p, gamma", [(0.8, -0.5), (0.5, 1.5)], ids=["asym", "sym-g1.5"])
+def test_table_panel_width_follows_the_support_cut(cut, p, gamma):
+    model = levy.log_power_model(1.0, p, 1.0 - p, gamma, 0.0, cut=cut)
+    for z in (0.0, 0.05, 0.3):
+        u_plus, u_minus, before_err = _BUNDLES_BEFORE_TABLE[(cut, p, gamma, z)]
+        b = levy.potential_bundle(model, z)
+        assert b.abserr <= 1.5 * before_err
+        assert abs(b.u_plus - u_plus) <= b.abserr + before_err
+        assert abs(b.u_minus - u_minus) <= b.abserr + before_err
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -406,6 +465,11 @@ def test_cor14_large_asymmetry_fails():
     rep = levy.check_cor14(ASYM, [1e-4])
     assert not rep.rows[0].holds
     assert rep.rows[0].implied_c > 1.0
+
+
+def test_cor14_refuses_lags_whose_range_passes_the_table():
+    with pytest.raises(OutOfRange):
+        levy.check_cor14(ASYM, [1e-9])
 
 
 # ---------------------------------------------------------------- classifier
@@ -527,6 +591,22 @@ def test_kernel_matrix_equally_spaced_grid_is_toeplitz():
     b = levy.potential_bundle(ASYM, 0.3)
     assert K[0, 1] == pytest.approx(b.u_plus, rel=1e-12)
     assert K[1, 0] == pytest.approx(b.u_minus, rel=1e-12)
+
+
+def test_kernel_matrix_costs_the_table_and_one_panel_per_lag(monkeypatch):
+    nodes = []
+    psi_with_error = levy.psi_with_error
+
+    def counted(model, lam):
+        nodes.append(np.size(lam))
+        return psi_with_error(model, lam)
+
+    monkeypatch.setattr(levy, "psi_with_error", counted)
+    levy.spectral.cache_clear()  # the table is built inside the count
+    levy.kernel_matrix(ASYM, [j * 0.05 for j in range(16)])
+    table_nodes = levy.spectral(ASYM).table().half.size * levy._N_LEG
+    # the table, the 5-point drift fit, one cos and one sin panel per lag
+    assert sum(nodes) <= table_nodes + 5 + 15 * 2 * levy._N_LEG
 
 
 def test_spectral_parity_even_odd():
