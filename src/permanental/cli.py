@@ -49,27 +49,34 @@ def _json_default(obj):
 
 def _emit(args, payload) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    _write(args, text)
+    _write(args, [text])
 
 
-def _write(args, text: str) -> None:
+def _write(args, parts) -> None:
+    """Write an iterable of strings, one at a time, to --out or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     else:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text, one line per row of Python cells (as from ``ndarray.tolist()``).
+def _write_csv(args, header, blocks) -> None:
+    """Write CSV: the header, then the rows of each block (lists of Python
+    cells, as from ``ndarray.tolist()``), one block at a time.
 
     A number is written by repr, so a float reads back exactly; a string is
     written as it is and None as an empty cell.
     """
-    lines = [",".join(header)]
-    lines += [",".join(["" if v is None else v if type(v) is str else repr(v) for v in row])
-              for row in rows]
-    return "\n".join(lines) + "\n"
+    def parts():
+        yield ",".join(header) + "\n"
+        for rows in blocks:
+            yield "".join([",".join(["" if v is None else v if type(v) is str else repr(v)
+                                     for v in row]) + "\n" for row in rows])
+
+    _write(args, parts())
 
 
 def _load_spec(path: str) -> PermanentalSpec:
@@ -137,10 +144,21 @@ def cmd_sample(args) -> int:
     if args.couple:
         header += [f"L_{i+1}" for i in range(n)]
     header += [f"Z_{i+1}" for i in range(n)]
-    floats = np.hstack([batch.draws, batch.coupled_lower]) if args.couple else batch.draws
-    rows = map(list.__add__, floats.tolist(), batch.z_draws.tolist())
-    _write(args, _csv_text(header, rows))
+    _write_csv(args, header, _sample_blocks(batch))
     return 0
+
+
+_CSV_BLOCK = 2048  # rows of a sample batch formatted per write
+
+
+def _sample_blocks(batch):
+    """The CSV rows of a batch (X, then L if coupled, then Z), _CSV_BLOCK rows
+    at a time."""
+    floats = [batch.draws] if batch.coupled_lower is None else [batch.draws, batch.coupled_lower]
+    for start in range(0, batch.n_draws, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        yield map(list.__add__, np.hstack([f[rows] for f in floats]).tolist(),
+                  batch.z_draws[rows].tolist())
 
 
 def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
@@ -163,6 +181,7 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
             within += 1
         points.append({"s": [float(x) for x in s], "empirical": emp, "se": se,
                        "direct": direct, "z_score": zscore})
+    del batch  # the inequality check draws a batch of its own
     ineq = check_permanental_inequality(spec, max(n_draws, 10_000), RngStream(seed, 1))
     return {
         "n_draws": n_draws,
@@ -242,8 +261,8 @@ def cmd_unbounded_scan(args) -> int:
         kernel_fn, [args.delta], _parse_ints(args.n), p=args.p
     )
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
-    _write(args, _csv_text(header, [[r.delta, r.n, r.a_star, r.log_n_over_a_star,
-                                     r.sigma_star2_log_n, r.error] for r in rows]))
+    _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
+                                r.sigma_star2_log_n, r.error] for r in rows]])
     return 0
 
 
@@ -279,8 +298,8 @@ def cmd_levy(args) -> int:
         rows = levy.check_thm16_integrals(
             args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16)
         )
-        _write(args, _csv_text(["n", "statistic", "log_n", "ratio"],
-                               [[r.n, r.statistic, r.log_n, r.ratio] for r in rows]))
+        _write_csv(args, ["n", "statistic", "log_n", "ratio"],
+                   [[[r.n, r.statistic, r.log_n, r.ratio] for r in rows]])
         return 0
     model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
                                  cut=args.eps_cut)

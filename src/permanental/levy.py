@@ -732,11 +732,20 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     half-period lobes: the table's panels below lam_split and one new panel
     that ends there (ratio-sqrt 2 panels if lam_split lies past the table),
     all by Filon weights.  _N_FAR_LOBES drift-corrected surrogate lobes
-    follow, summed with Euler acceleration."""
+    follow, summed with Euler acceleration.
+
+    The surrogate is psi's leading form only on the profile's support, and
+    its drift factor 1 + a/w + b/w^2 is an expansion in 1/w: a lag whose
+    lam_split lies below the support cut or below e (w < 1) is refused."""
     row, trig, far, which = ((0, np.cos, sf.R_far, "R") if kind == "cos"
                              else (1, np.sin, sf.I_far, "I"))
     far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=_exact_lobe_count(z))
     split = far_edges[0]
+    floor = max(sf.model.support_min, math.e)
+    if split < floor:
+        raise OutOfRange(f"lag z = {z:g} is too large: its surrogate lobes would start at "
+                         f"lam = {split:.4g}, below {floor:.4g}, where the surrogate is no "
+                         f"asymptotic form of R")
     table = sf.table()
     k = int(np.searchsorted(table.edges, split, side="right")) - 1
     lo = table.edges[k]

@@ -6,15 +6,16 @@ alpha + Z_i and scale a_i.  With coupling enabled the gamma coordinate is
 built as a_i^{-1} xi_{alpha,1} + xi_{Z_i, a_i}, so the coordinatewise lower
 bound holds pathwise by construction (xi_{0,.} := 0).
 
-Batches are sharded into fixed-size chunks, one substream per chunk, and
-reassembled in chunk order: results are bit-for-bit reproducible for a
-given (seed, stream_id) regardless of the worker count.
+Batches are sharded into fixed-size chunks, one substream per chunk.  The
+output arrays are allocated once and each chunk writes its own rows in
+place, so a batch costs its draw bytes plus one chunk of temporaries, and
+results are bit-for-bit reproducible for a given (seed, stream_id)
+regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,17 @@ def sample_gamma(u: float, v: float, rng, size=None):
     return g.standard_gamma(u, size=size) / v
 
 
-def _z_lookup(zdist: ZDistribution, u: np.ndarray) -> tuple[np.ndarray, ZDistribution]:
-    """Inverse-CDF lookup of uniforms; re-enumerates one order deeper when a
-    uniform lands in the residual tail mass."""
+def _z_lookup(zdist: ZDistribution, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF lookup of uniforms into ``out`` (a new int64 array if
+    None); re-enumerates one order deeper when a uniform lands in the
+    residual tail mass."""
     current = zdist
     for _ in range(_MAX_ESCALATIONS + 1):
         idx = np.searchsorted(current.cum, u, side="right")
         if idx.max() < len(current.index):
-            return np.asarray(current.index, dtype=np.int64)[idx], current
+            # indices are checked above, so clip mode skips take's buffered copy
+            return np.take(np.asarray(current.index, dtype=np.int64), idx, axis=0,
+                           out=out, mode="clip")
         current = current.extended(1)
     raise TruncationInfeasible(
         f"a Z draw stayed in the tail after {_MAX_ESCALATIONS} re-enumerations"
@@ -83,7 +87,7 @@ def sample_z(zdist: ZDistribution, rng, size=None):
         )
     g = _generator(rng)
     m = 1 if size is None else int(size)
-    karr, _ = _z_lookup(zdist, g.random(m))
+    karr = _z_lookup(zdist, g.random(m))
     if size is None:
         return tuple(int(x) for x in karr[0])
     return karr
@@ -121,34 +125,39 @@ def sample_permanental(
     zdist = z_masses(spec, target_mass)
     a = spec.pair.diag_a
     n = spec.n
+    draws = np.empty((n_draws, n))
+    coupled = np.empty((n_draws, n)) if with_coupling else None
+    z_draws = np.empty((n_draws, n), dtype=np.int64)
     bounds = [(c, start, min(start + _CHUNK, n_draws))
               for c, start in enumerate(range(0, n_draws, _CHUNK))]
 
     def run_chunk(args):
         c, start, stop = args
         g = rng.generator(c)
-        m = stop - start
-        karr, _ = _z_lookup(zdist, g.random(m))
-        kf = karr.astype(float)
+        z = _z_lookup(zdist, g.random(stop - start), out=z_draws[start:stop])
+        x = draws[start:stop]
         if with_coupling:
-            lower = g.standard_gamma(spec.alpha, size=(m, n)) / a
-            x = lower + g.standard_gamma(kf) / a
+            lower = coupled[start:stop]
+            g.standard_gamma(spec.alpha, size=lower.shape, out=lower)
+            lower /= a
+            x[...] = z
         else:
-            lower = None
-            x = g.standard_gamma(spec.alpha + kf) / a
-        return x, lower, karr
+            np.add(z, spec.alpha, out=x)
+        # x holds the gamma shapes; each is read just before its draw replaces it
+        g.standard_gamma(x, out=x)
+        x /= a
+        if with_coupling:
+            x += lower
 
     if workers and workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, bounds))
-    else:
-        parts = [run_chunk(b) for b in bounds]
+        from concurrent.futures import ThreadPoolExecutor
 
-    draws = np.concatenate([p[0] for p in parts], axis=0)
-    z_draws = np.concatenate([p[2] for p in parts], axis=0)
-    coupled = (
-        np.concatenate([p[1] for p in parts], axis=0) if with_coupling else None
-    )
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_chunk, bounds))
+    else:
+        for b in bounds:
+            run_chunk(b)
+
     return SampleBatch(
         spec=spec,
         draws=draws,

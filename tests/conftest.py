@@ -1,5 +1,5 @@
-"""Shared fixtures: the Markov-generated kernel corpus used across tests, and
-the brute-force alpha-permanent oracle."""
+"""Shared fixtures: the Markov-generated kernel corpus used across tests, the
+brute-force alpha-permanent oracle and the concatenating sampler oracle."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from permanental import markov
-from permanental.model import PermanentalSpec
+from permanental import markov, sampler
+from permanental.model import PermanentalSpec, z_masses
 
 
 def make_corpus(count: int, n_values, kill_min: float = 0.75, seed0: int = 1000,
@@ -71,3 +71,36 @@ def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
     of terms that carry at most n + 1 roundings each."""
     cycles, prods = naive_terms(m)
     return math.fsum(prods * alpha**cycles)
+
+
+def oracle_sample(spec, n_draws, rng, with_coupling=False, target_mass=1 - 1e-9,
+                  workers=None) -> sampler.SampleBatch:
+    """The sampler's draws by its former layout: each chunk of
+    ``sampler._CHUNK`` rows draws arrays of its own from substream c, in the
+    order uniforms, lower gammas, upper gammas, and the chunks are
+    concatenated.  ``workers`` is ignored (chunks run in order)."""
+    zd = z_masses(spec, target_mass)
+    index = np.asarray(zd.index, dtype=np.int64)
+    a = spec.pair.diag_a
+    parts = []
+    for c, start in enumerate(range(0, n_draws, sampler._CHUNK)):
+        m = min(sampler._CHUNK, n_draws - start)
+        g = rng.generator(c)
+        idx = np.searchsorted(zd.cum, g.random(m), side="right")
+        assert idx.max() < len(index), "a uniform fell in the tail"
+        z = index[idx]
+        if with_coupling:
+            lower = g.standard_gamma(spec.alpha, size=(m, spec.n)) / a
+            x = lower + g.standard_gamma(z.astype(float)) / a
+        else:
+            lower = None
+            x = g.standard_gamma(spec.alpha + z.astype(float)) / a
+        parts.append((x, lower, z))
+    return sampler.SampleBatch(
+        spec=spec,
+        draws=np.concatenate([p[0] for p in parts]),
+        coupled_lower=np.concatenate([p[1] for p in parts]) if with_coupling else None,
+        z_draws=np.concatenate([p[2] for p in parts]),
+        seed=rng.seed,
+        stream_id=rng.stream_id,
+    )

@@ -1,17 +1,19 @@
+import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from permanental import bounds, gamma_tails, levy, matio
+from permanental import bounds, cli, gamma_tails, levy, markov, matio, sampler
 from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_permanental
 
-from conftest import naive_alpha_permanent
+from conftest import naive_alpha_permanent, oracle_sample
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -118,6 +120,76 @@ def test_sample_csv_matches_loop_formatter(spec_file, tmp_path):
     want = [loop_csv_line([*x, *low, *(int(v) for v in z)])
             for x, low, z in zip(batch.draws, batch.coupled_lower, batch.z_draws)]
     assert path.read_text().splitlines()[1:] == want
+
+
+def oracle_csv_text(header, rows) -> str:
+    """The former whole-text CSV formatter: every line is built in memory and
+    joined once."""
+    lines = [",".join(header)]
+    lines += [",".join(["" if v is None else v if type(v) is str else repr(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_sample_csv(batch) -> str:
+    """Sample CSV bytes as the former formatter wrote them."""
+    n = batch.spec.n
+    header = [f"X_{i+1}" for i in range(n)]
+    floats = batch.draws
+    if batch.coupled_lower is not None:
+        header += [f"L_{i+1}" for i in range(n)]
+        floats = np.hstack([batch.draws, batch.coupled_lower])
+    header += [f"Z_{i+1}" for i in range(n)]
+    return oracle_csv_text(header, map(list.__add__, floats.tolist(), batch.z_draws.tolist()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("couple", [False, True], ids=["plain", "couple"])
+@pytest.mark.parametrize("size", ["1", "block-1", "block", "block+1", "chunks"])
+def test_sample_csv_bytes_match_whole_text_oracle(spec_file, tmp_path, monkeypatch,
+                                                  size, couple, workers):
+    block = cli._CSV_BLOCK
+    n_draws = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+               "chunks": 2 * block + 500}[size]
+    if size == "chunks":
+        monkeypatch.setattr(sampler, "_CHUNK", 1000)  # five chunks, three blocks
+    path = tmp_path / "s.csv"
+    argv = ["sample", "--spec", spec_file, "--n", str(n_draws), "--seed", "8",
+            "--workers", str(workers), "--out", str(path)]
+    assert cli.main(argv + ["--couple"] * couple) == 0
+    want = oracle_sample_csv(oracle_sample(cli._load_spec(spec_file), n_draws, RngStream(8),
+                                           with_coupling=couple))
+    assert path.read_bytes() == want.encode()
+
+
+def test_mc_validate_json_bytes_match_concatenating_sampler(spec_file, monkeypatch, capsys):
+    monkeypatch.setattr(sampler, "_CHUNK", 4096)
+    argv = ["mc-validate", "--spec", spec_file, "--n", "10000", "--seed", "3",
+            "--s-points", "3", "--workers", "2"]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(cli, "sample_permanental", oracle_sample)
+    monkeypatch.setattr(sampler, "sample_permanental", oracle_sample)
+    assert cli.main(argv) == 0
+    assert got == capsys.readouterr().out
+
+
+def test_csv_writer_peak_is_one_block_not_the_batch(tmp_path):
+    chain = markov.random_transient_chain(5, 0.5, 3)
+    spec = PermanentalSpec.from_kernel(markov.green_kernel(chain), 1.0)
+    args = argparse.Namespace(out=str(tmp_path / "peak.csv"))
+
+    def traced_peak(n_draws):
+        batch = sample_permanental(spec, n_draws, RngStream(62), with_coupling=True)
+        tracemalloc.start()
+        try:
+            cli._write_csv(args, ["c"] * 15, cli._sample_blocks(batch))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = traced_peak(2 * cli._CSV_BLOCK), traced_peak(12 * cli._CSV_BLOCK)
+    assert many <= 1.25 * few
 
 
 def test_scan_csv_matches_loop_formatter():
@@ -243,6 +315,12 @@ def test_json_outputs_byte_identical(spec_file, kernel_file):
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_levy_u_refuses_a_lag_past_the_support_cut():
+    out = run_cli("levy", "--p", 0.8, "--gamma", -0.5, "--u", 50)
+    assert out.returncode == 2
+    assert "too large" in out.stderr and out.stdout == ""
 
 
 def test_levy_u_command_fast_lag():

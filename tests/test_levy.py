@@ -416,6 +416,37 @@ def test_table_panel_width_follows_the_support_cut(cut, p, gamma):
         assert abs(b.u_minus - u_minus) <= b.abserr + before_err
 
 
+# (u_plus, u_minus, abserr) recorded before lags past the support cut were
+# refused: the refusal leaves every lag that it answers unchanged
+_KEPT_LAGS = {
+    ("ASYM", 0.9): (0.030859719790203678, 0.0256574130405075, 8.697761357705561e-06),
+    ("ASYM", 20.0): (0.0005955108329388283, 0.0012817248329669503, 9.252396200713051e-06),
+    ("SYM15", 1.8): (0.04208388925089915, 0.04208388925089915, 5.339905301463786e-06),
+    ("LOGLOG", 1.8): (0.005322986367982304, 0.004807613401851573, 1.1605607623635465e-06),
+}
+
+
+@pytest.mark.parametrize("name, z", sorted(_KEPT_LAGS))
+def test_answered_lags_keep_their_values(name, z):
+    b = levy.potential_bundle({"ASYM": ASYM, "SYM15": SYM15, "LOGLOG": LOGLOG}[name], z)
+    assert (b.u_plus, b.u_minus, float(b.abserr)) == _KEPT_LAGS[(name, z)]
+
+
+@pytest.mark.parametrize("z", [50.0, 100.0])
+def test_lags_whose_surrogate_starts_below_the_cut_are_refused(z):
+    # at z = 50 the surrogate lobes would start at lam = 3.05 < e^2, and
+    # u_plus came out at -0.039 with abserr 8.4e-3
+    with pytest.raises(OutOfRange):
+        levy.potential_bundle(ASYM, z)
+
+
+def test_refusal_starts_where_lam_split_passes_the_cut():
+    edge = 97.0 * math.pi / (2.0 * ASYM.support_min)  # lam_split of the cos lobes
+    assert levy.potential_bundle(ASYM, edge * (1.0 - 1e-9)).u_plus > 0.0
+    with pytest.raises(OutOfRange):
+        levy.potential_bundle(ASYM, edge * (1.0 + 1e-9))
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the drift-corrected surrogate that continues the lobes past lam = 508 is "
     "3.9% above exact R there; the Euler sum inherits about 3e-5 of it, which "

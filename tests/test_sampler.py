@@ -1,9 +1,12 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from permanental import markov, sampler
 from permanental.errors import TruncationInfeasible
 from permanental.gamma_tails import gamma_tail_exact
 from permanental.model import PermanentalSpec, direct_laplace, z_masses
@@ -16,7 +19,7 @@ from permanental.sampler import (
     sample_z,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, oracle_sample
 
 SPEC2 = PermanentalSpec.from_m_matrix([[2.0, -1.0], [-1.0, 2.0]], 1.0)
 
@@ -122,6 +125,40 @@ def test_batch_worker_count_invariance():
     a = sample_permanental(SPEC2, n, RngStream(33), workers=1)
     b = sample_permanental(SPEC2, n, RngStream(33), workers=4)
     np.testing.assert_array_equal(a.draws, b.draws)
+
+
+@pytest.mark.parametrize("couple", [False, True], ids=["plain", "couple"])
+def test_chunks_filled_in_place_match_concatenated_chunks(monkeypatch, couple):
+    monkeypatch.setattr(sampler, "_CHUNK", 777)
+    spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
+    want = oracle_sample(spec, 5000, RngStream(36, 2), with_coupling=couple)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads fill their slices of shared arrays
+    try:
+        batches = [sample_permanental(spec, 5000, RngStream(36, 2), with_coupling=couple,
+                                      workers=workers) for workers in (1, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in batches:
+        for field in ("draws", "coupled_lower", "z_draws"):
+            a, b = getattr(got, field), getattr(want, field)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sampler_peak_is_its_output_bytes():
+    chain = markov.random_transient_chain(5, 0.5, 3)
+    spec = PermanentalSpec.from_kernel(markov.green_kernel(chain), 1.0)
+    tracemalloc.start()
+    try:
+        batch = sample_permanental(spec, 200_000, RngStream(37), with_coupling=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = batch.draws.nbytes + batch.coupled_lower.nbytes + batch.z_draws.nbytes
+    assert peak <= 1.5 * out
 
 
 def test_diagonal_marginals_match_gamma_moments():
