@@ -24,7 +24,8 @@ from .errors import (
     TruncationInfeasible,
 )
 from .linalg import MMatrixPair, alpha_permanent, block_expand, validate_m_matrix
-from .model import PermanentalSpec, ZDistribution, direct_laplace, series_laplace, z_masses
+from .model import (PermanentalSpec, ZDistribution, direct_laplace, series_laplace_report,
+                    z_masses)
 from .sampler import RngStream, SampleBatch, sample_permanental
 
 __version__ = "0.1.0"

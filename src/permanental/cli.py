@@ -19,20 +19,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import gamma_tails, levy, markov, matio
-from .errors import PermanentalError
+from .errors import OutOfRange, PermanentalError
 from .linalg import alpha_permanent, alpha_permanent_rel_err, invert, validate_m_matrix
-from .model import (
-    PermanentalSpec,
-    direct_laplace,
-    series_laplace_report,
-    z_masses,
-)
-from .sampler import (
-    RngStream,
-    check_permanental_inequality,
-    empirical_laplace,
-    sample_permanental,
-)
+from .model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
+from .sampler import RngStream, check_permanental_inequality, empirical_laplace, sample_permanental
 
 _EXACT_REL_ERR = 1e-14  # nominal float-rounding scale for exact computations
 
@@ -123,7 +113,7 @@ def cmd_laplace(args) -> int:
 def cmd_z_dist(args) -> int:
     spec = _load_spec(args.spec)
     zd = z_masses(spec, args.target_mass)
-    masses = [{"k": list(k), "mass": zd.masses[k]} for k in zd.index]
+    masses = [{"k": list(k), "mass": m} for k, m in zd.masses.items()]
     _emit(args, {
         "masses": masses,
         "covered_mass": zd.covered_mass,
@@ -254,12 +244,19 @@ _KERNEL_MODELS = {
     ),
 }
 
+# the lags below which each stand-in kernel is defined: log(1/d) > 0, log log(1/d) > 0
+_MAX_LAG = {"brownian": math.inf, "log-smooth": 1.0, "loglog-smooth": 1.0 / math.e}
+
 
 def cmd_unbounded_scan(args) -> int:
+    grid = _parse_ints(args.n)
+    n_max = max(grid, default=1)
+    lag = n_max * args.delta / n_max - args.delta / n_max  # as the scan's points give it
+    if not lag < _MAX_LAG[args.kernel_model]:
+        raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
+                         f"of {args.kernel_model}, lags below {_MAX_LAG[args.kernel_model]:.6g}")
     kernel_fn = _KERNEL_MODELS[args.kernel_model](args.shift)
-    rows = bounds_mod.unboundedness_statistic(
-        kernel_fn, [args.delta], _parse_ints(args.n), p=args.p
-    )
+    rows = bounds_mod.unboundedness_statistic(kernel_fn, [args.delta], grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
     _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
                                 r.sigma_star2_log_n, r.error] for r in rows]])

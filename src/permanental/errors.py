@@ -29,7 +29,7 @@ class DimensionTooLarge(PermanentalError):
 
 
 class TruncationInfeasible(PermanentalError):
-    """Series truncation cannot be certified (Perron root too close to 1)."""
+    """A series truncation is uncertifiable or a loop-soup draw too long (Perron root near 1)."""
 
 
 class PreconditionViolated(PermanentalError):

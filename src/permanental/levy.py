@@ -188,10 +188,6 @@ def log_power_model(
     return LevyModel(beta=beta, p=p, q=q, g=profile, support_min=cut)
 
 
-def tabulated_model(beta: float, p: float, q: float, g, support_min: float = 0.0) -> LevyModel:
-    return LevyModel(beta=beta, p=p, q=q, g=g, support_min=support_min)
-
-
 # ---------------------------------------------------------------- psi
 
 
@@ -436,14 +432,9 @@ def _psi_block(model: LevyModel, lam: np.ndarray, hi_tail: float):
     return re, im, err
 
 
-def psi(model: LevyModel, lam):
-    """Characteristic exponent at lam; psi(-lam) = conj(psi(lam)), psi(0) = 0."""
-    value, _ = psi_with_error(model, lam)
-    return value
-
-
 def psi_with_error(model: LevyModel, lam):
-    """psi at lam (a number or an array) and a computed error bound.
+    """psi at lam (a number or an array) and a computed error bound;
+    psi(-lam) = conj(psi(lam)) and psi(0) = 0.
 
     Arrays are evaluated in blocks of _PSI_BLOCK values, so memory does not
     grow with the batch; a number is a batch of one.
@@ -478,8 +469,8 @@ def psi_with_error(model: LevyModel, lam):
 class SpectralFns:
     """Evaluators for R = Re 1/(beta+psi) and I = Im 1/(beta+psi).
 
-    R, I and ``resolvent`` take a number or an array of lam and evaluate
-    psi once for all of it.  The asymptotic surrogate replaces psi by its
+    ``resolvent`` takes a number or an array of lam and evaluates psi once
+    for all of it.  The asymptotic surrogate replaces psi by its
     leading form (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail``
     integrates the drift-corrected surrogate over (Lam, infinity).  The
     drift fit, the spectral table and u(0) are computed on first use.
@@ -492,7 +483,8 @@ class SpectralFns:
         self._table: _Panels | None = None
         self._u0: tuple[float, float] | None = None
         w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
-        self._G = _Antiderivative(model.g_of_log, w_cut)
+        # G_log(w): integral of g(s)/s from the support edge to e^w, elementwise
+        self.G_log = _Antiderivative(model.g_of_log, w_cut)
         self._certify_integrability()
 
     # -- exact evaluators ------------------------------------------------
@@ -504,19 +496,7 @@ class SpectralFns:
         i = 0.0 * inv.real if self.model.symmetric else inv.imag
         return inv.real, i, err * np.abs(inv) ** 2
 
-    def R(self, lam):
-        return self.resolvent(lam)[0]
-
-    def I(self, lam):
-        if self.model.symmetric:
-            return np.zeros(np.shape(lam)) if np.ndim(lam) else 0.0
-        return self.resolvent(lam)[1]
-
     # -- asymptotic surrogate in w = log(lam) space ----------------------
-    def G_log(self, w):
-        """Integral of g(s)/s from the support edge to e^w, elementwise."""
-        return self._G(w)
-
     def _asym_parts(self, w):
         re = self.beta * np.exp(-w) + (math.pi / 2.0) * self.model.g_of_log(w)
         im = 0.0 if self.model.symmetric else (self.model.p - self.model.q) * self.G_log(w)

@@ -1,10 +1,15 @@
 """Exact simulation of alpha-permanental vectors and Monte Carlo validation.
 
-A draw first realizes the latent index vector Z by inverse CDF over its
-enumerated masses, then independent gamma coordinates with shape
-alpha + Z_i and scale a_i.  With coupling enabled the gamma coordinate is
-built as a_i^{-1} xi_{alpha,1} + xi_{Z_i, a_i}, so the coordinatewise lower
-bound holds pathwise by construction (xi_{0,.} := 0).
+Z is drawn as the visit counts of a Poisson loop soup of intensity alpha for
+B~ = D^-1 B, whose pgf is det(I - B~)^alpha / det(I - S B~)^alpha (Le Jan,
+*Markov paths, loops and fields*, LNM 2026, 2011).  Rooting each loop at its
+smallest state x, the loops rooted at x make N_x ~ NegBin(alpha, 1 - r_x)
+excursions from x on {x..n-1}, each the walk conditioned to return to x,
+and every visit to y adds one to Z_y: E sum_i Z_i = alpha sum_i (a_ii K_ii - 1)
+walker steps per draw.  The coordinates are then independent gammas with
+shape alpha + Z_i and scale a_i; with coupling the gamma coordinate is
+a_i^{-1} xi_{alpha,1} + xi_{Z_i, a_i}, so the coordinatewise lower bound
+holds pathwise by construction (xi_{0,.} := 0).
 
 Batches are sharded into fixed-size chunks, one substream per chunk.  The
 output arrays are allocated once and each chunk writes its own rows in
@@ -22,11 +27,10 @@ import numpy as np
 
 from .errors import TruncationInfeasible
 from .gamma_tails import gamma_tail_exact
-from .model import PermanentalSpec, ZDistribution, _as_s_vector, z_masses
+from .model import PermanentalSpec, _as_s_vector, _b_tilde
 
 _CHUNK = 262_144
-_Z_TARGET = 1.0 - 1e-9
-_MAX_ESCALATIONS = 5
+_MAX_MEAN_VISITS = 1e3  # E sum_i Z_i, the mean walker steps per draw, refused above
 # fixed substream tags so distinct draw purposes never share a stream
 _TAG_IID = 1_000_003
 
@@ -62,35 +66,58 @@ def sample_gamma(u: float, v: float, rng, size=None):
     return g.standard_gamma(u, size=size) / v
 
 
-def _z_lookup(zdist: ZDistribution, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse-CDF lookup of uniforms into ``out`` (a new int64 array if
-    None); re-enumerates one order deeper when a uniform lands in the
-    residual tail mass."""
-    current = zdist
-    for _ in range(_MAX_ESCALATIONS + 1):
-        idx = np.searchsorted(current.cum, u, side="right")
-        if idx.max() < len(current.index):
-            # indices are checked above, so clip mode skips take's buffered copy
-            return np.take(np.asarray(current.index, dtype=np.int64), idx, axis=0,
-                           out=out, mode="clip")
-        current = current.extended(1)
-    raise TruncationInfeasible(
-        f"a Z draw stayed in the tail after {_MAX_ESCALATIONS} re-enumerations"
-    )
+def _excursion_laws(bt: np.ndarray) -> list[tuple[int, float, np.ndarray]]:
+    """(x, r_x, hit) for each root x of loops of positive weight: hit holds
+    the weights of the paths on {x..n-1} that hit x, and r_x those of the
+    excursions from x, read off G = (I - B~[x:, x:])^-1 as it grows by one
+    border per root.  Weights are invariant under the diagonal similarity
+    to the substochastic chain diag(h)^-1 B~ diag(h), h = K D 1, so r_x < 1.
+    """
+    n = bt.shape[0]
+    green = np.zeros((0, 0))
+    laws = []
+    for x in range(n - 1, -1, -1):
+        col = green @ bt[x + 1:, x]
+        row = bt[x, x + 1:] @ green
+        hit = np.concatenate(([1.0], col))  # G[x:, x] / G[x, x]
+        r = float(bt[x, x:] @ hit)  # 1 - 1 / G[x, x]
+        s = 1.0 - r
+        green = np.block([[1.0, row], [col[:, None], np.outer(col, row) + s * green]]) / s
+        if r > 0.0:
+            laws.append((x, r, hit))
+    return laws[::-1]
 
 
-def sample_z(zdist: ZDistribution, rng, size=None):
-    """Draw multi-indices from the enumerated Z distribution."""
-    if zdist.covered_mass < 1.0 - 1e-9:
-        raise TruncationInfeasible(
-            f"resolve the tail first: covered mass {zdist.covered_mass} < 1 - 1e-9"
-        )
-    g = _generator(rng)
-    m = 1 if size is None else int(size)
-    karr = _z_lookup(zdist, g.random(m))
-    if size is None:
-        return tuple(int(x) for x in karr[0])
-    return karr
+def _add_soup_visits(z: np.ndarray, bt: np.ndarray, laws, alpha: float,
+                     g: np.random.Generator) -> None:
+    """Add one loop soup's visit counts to each row of ``z``, roots in index
+    order, walking at most _CHUNK excursions at a time.  A step from y goes
+    to w with weight B~[y, w] hit[w]; row y of ``flat`` is y plus its
+    cumulative law, so a key y + u picks a step by one search, and ``last``
+    (a row's last positive column) catches keys rounded up to y + 1."""
+    for x, r, hit in laws:
+        counts = g.negative_binomial(alpha, 1.0 - r, size=z.shape[0])
+        z[:, x] += counts
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total == 0:
+            continue
+        m = hit.size
+        w = bt[x:, x:] * hit
+        w[~(w.sum(axis=1) > 0.0), 0] = 1.0
+        cum = np.cumsum(w, axis=1)
+        flat = (cum / cum[:, -1:] + np.arange(m)[:, None]).ravel()
+        last = m - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
+        for first in range(0, total, _CHUNK):
+            owner = np.searchsorted(ends, np.arange(first, min(first + _CHUNK, total)),
+                                    side="right")
+            state = np.zeros(owner.size, dtype=np.int64)
+            while owner.size:
+                step = np.searchsorted(flat, state + g.random(state.size), side="right")
+                step = np.minimum(step - state * m, last[state])
+                away = step > 0
+                owner, state = owner[away], step[away]
+                np.add.at(z, (owner, state + x), 1)
 
 
 @dataclass(frozen=True)
@@ -114,27 +141,33 @@ def sample_permanental(
     n_draws: int,
     rng: RngStream,
     with_coupling: bool = False,
-    target_mass: float = _Z_TARGET,
     workers: int | None = None,
 ) -> SampleBatch:
-    """Draw n_draws exact alpha-permanental vectors."""
+    """Draw n_draws exact alpha-permanental vectors; a spec whose draw takes
+    more than _MAX_MEAN_VISITS walker steps on average is refused."""
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     if not isinstance(rng, RngStream):
         raise TypeError("sample_permanental needs an RngStream for reproducibility")
-    zdist = z_masses(spec, target_mass)
     a = spec.pair.diag_a
+    mean_visits = spec.alpha * float((a * np.diag(spec.pair.K) - 1.0).sum())
+    if mean_visits > _MAX_MEAN_VISITS:
+        raise TruncationInfeasible(f"a draw would take {mean_visits:.6g} loop-soup steps on "
+                                   f"average; the sampler stops at {_MAX_MEAN_VISITS:g}")
+    bt = _b_tilde(spec.pair)
+    laws = _excursion_laws(bt)
     n = spec.n
     draws = np.empty((n_draws, n))
     coupled = np.empty((n_draws, n)) if with_coupling else None
-    z_draws = np.empty((n_draws, n), dtype=np.int64)
+    z_draws = np.zeros((n_draws, n), dtype=np.int64)
     bounds = [(c, start, min(start + _CHUNK, n_draws))
               for c, start in enumerate(range(0, n_draws, _CHUNK))]
 
     def run_chunk(args):
         c, start, stop = args
         g = rng.generator(c)
-        z = _z_lookup(zdist, g.random(stop - start), out=z_draws[start:stop])
+        z = z_draws[start:stop]
+        _add_soup_visits(z, bt, laws, spec.alpha, g)
         x = draws[start:stop]
         if with_coupling:
             lower = coupled[start:stop]

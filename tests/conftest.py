@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from permanental import markov, sampler
-from permanental.model import PermanentalSpec, z_masses
+from permanental.model import PermanentalSpec, _b_tilde
 
 
 def make_corpus(count: int, n_values, kill_min: float = 0.75, seed0: int = 1000,
@@ -73,22 +73,20 @@ def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
     return math.fsum(prods * alpha**cycles)
 
 
-def oracle_sample(spec, n_draws, rng, with_coupling=False, target_mass=1 - 1e-9,
-                  workers=None) -> sampler.SampleBatch:
+def oracle_sample(spec, n_draws, rng, with_coupling=False, workers=None) -> sampler.SampleBatch:
     """The sampler's draws by its former layout: each chunk of
     ``sampler._CHUNK`` rows draws arrays of its own from substream c, in the
-    order uniforms, lower gammas, upper gammas, and the chunks are
+    order loop-soup Z, lower gammas, upper gammas, and the chunks are
     concatenated.  ``workers`` is ignored (chunks run in order)."""
-    zd = z_masses(spec, target_mass)
-    index = np.asarray(zd.index, dtype=np.int64)
+    bt = _b_tilde(spec.pair)
+    laws = sampler._excursion_laws(bt)
     a = spec.pair.diag_a
     parts = []
     for c, start in enumerate(range(0, n_draws, sampler._CHUNK)):
         m = min(sampler._CHUNK, n_draws - start)
         g = rng.generator(c)
-        idx = np.searchsorted(zd.cum, g.random(m), side="right")
-        assert idx.max() < len(index), "a uniform fell in the tail"
-        z = index[idx]
+        z = np.zeros((m, spec.n), dtype=np.int64)
+        sampler._add_soup_visits(z, bt, laws, spec.alpha, g)
         if with_coupling:
             lower = g.standard_gamma(spec.alpha, size=(m, spec.n)) / a
             x = lower + g.standard_gamma(z.astype(float)) / a

@@ -227,6 +227,28 @@ def test_acyclic_spec_is_answered(tmp_path):
     assert len(rows) == 20 and all(r.endswith(",0,0,0") for r in rows)
 
 
+def test_sample_answers_a_spec_past_the_z_grid_cap(tmp_path):
+    kernel, spec = tmp_path / "k6.json", tmp_path / "spec6.json"
+    out = run_cli("gen-kernel", "--n", 6, "--seed", 3, "--kill-min", 0.3, "--out", kernel)
+    assert out.returncode == 0, out.stderr
+    matio.save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
+    out = run_cli("z-dist", "--spec", spec)
+    assert out.returncode == 2 and "exceeds cap" in out.stderr
+    draws = tmp_path / "draws.csv"
+    out = run_cli("sample", "--spec", spec, "--n", 1000, "--seed", 4, "--out", draws)
+    assert out.returncode == 0, out.stderr
+    assert len(draws.read_text().splitlines()) == 1001
+
+
+def test_sample_refuses_a_spec_past_the_mean_visit_cap(tmp_path):
+    # K_ii = 1 / (1 - 0.9995^2), about 1000, so E sum Z = 2 (K_ii - 1) is about 2000
+    spec = tmp_path / "near.json"
+    matio.save_spec_file(str(spec), 1.0, a_matrix=[[1.0, -0.9995], [-0.9995, 1.0]])
+    out = run_cli("sample", "--spec", spec, "--n", 10, "--seed", 1)
+    assert out.returncode == 2
+    assert "loop-soup steps" in out.stderr and out.stdout == ""
+
+
 def test_gamma_tail_with_bounds():
     out = run_cli("gamma-tail", "--u", 2, "--v", 1, "--t", 5, "--bounds")
     payload = json.loads(out.stdout)
@@ -278,6 +300,13 @@ def test_unbounded_scan_csv():
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "delta,n,psi_star,log_n_over_psi_star,sigma_star2_log_n,error"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("model, n, delta", [("log-smooth", 3, 1.5), ("loglog-smooth", 4, 2.0)])
+def test_unbounded_scan_refuses_lags_outside_the_kernel_domain(model, n, delta):
+    out = run_cli("unbounded-scan", "--kernel-model", model, "--n", n, "--delta", delta)
+    assert out.returncode == 2
+    assert "largest lag" in out.stderr and out.stdout == ""
 
 
 def test_classify_command():

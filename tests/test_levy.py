@@ -15,7 +15,7 @@ from permanental.markov import validate_appendix_lemma
 ASYM = levy.log_power_model(1.0, 0.8, 0.2, -0.5, 0.0)   # p != q, g = (log)^(-1/2)
 MILD = levy.log_power_model(1.0, 0.6, 0.4, -0.5, 0.0)
 SYM2 = levy.log_power_model(1.0, 0.5, 0.5, 2.0, 0.0)    # p = q, g = (log)^2
-FLAT = levy.tabulated_model(1.0, 0.5, 0.5, lambda y: 1.0, 0.0)  # g == 1
+FLAT = levy.LevyModel(1.0, 0.5, 0.5, lambda y: 1.0, 0.0)  # g == 1
 LOGLOG = levy.log_power_model(1.0, 0.8, 0.2, 0.0, 3.0)  # g = (log log)^3
 SYM1 = levy.log_power_model(1.0, 0.5, 0.5, 1.0, 2.0)    # p = q, g = log (log log)^2
 SYM15 = levy.log_power_model(1.0, 0.5, 0.5, 1.5, 0.0)   # p = q, g = (log)^1.5
@@ -71,7 +71,7 @@ def oracle_r_part(sf, z, n_half=60):
     def panels(edges):
         mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
         lam = mid[:, None] + half[:, None] * t
-        return (np.cos(lam * z) * sf.R(lam)) @ w * half
+        return (np.cos(lam * z) * sf.resolvent(lam)[0]) @ w * half
 
     period = math.pi / z
     head = panels(np.concatenate([[0.0], np.geomspace(1.0, period, 12)])).sum()
@@ -120,7 +120,7 @@ def oracle_u_zero(sf):
     edges = np.concatenate([[0.0], np.arange(1.0, 2e4, 32.0),
                             np.minimum(2e4 * 2.0 ** (0.5 * np.arange(28)), 2e8)])
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
-    head = (sf.R(mid[:, None] + half[:, None] * t) @ w * half).sum()
+    head = (sf.resolvent(mid[:, None] + half[:, None] * t)[0] @ w * half).sum()
     return (head + oracle_l1_tail(sf, 2e8)) / math.pi
 
 
@@ -129,36 +129,36 @@ def oracle_u_zero(sf):
 
 def test_psi_flat_profile_is_exactly_linear():
     for lam in (0.5, 3.0, 47.0):
-        value = levy.psi(FLAT, lam)
+        value = levy.psi_with_error(FLAT, lam)[0]
         assert value.real == pytest.approx((math.pi / 2) * lam, rel=1e-6)
         assert value.imag == 0.0
 
 
 def test_psi_hermitian_symmetry():
     for lam in (0.7, 12.0, 3000.0):
-        plus = levy.psi(ASYM, lam)
-        minus = levy.psi(ASYM, -lam)
+        plus = levy.psi_with_error(ASYM, lam)[0]
+        minus = levy.psi_with_error(ASYM, -lam)[0]
         assert minus == plus.conjugate()
-    assert levy.psi(ASYM, 0.0) == 0.0
+    assert levy.psi_with_error(ASYM, 0.0)[0] == 0.0
 
 
 def test_psi_log_profile_real_ratio_at_1e4():
     model = levy.log_power_model(1.0, 0.8, 0.2, 1.0, 0.0)  # g = log
-    value = levy.psi(model, 1e4)
+    value = levy.psi_with_error(model, 1e4)[0]
     target = (math.pi / 2) * 1e4 * model.g(1e4)
     assert abs(value.real / target - 1.0) <= 0.10
 
 
 def test_psi_log_profile_imag_ratio_at_1e4():
     model = levy.log_power_model(1.0, 0.8, 0.2, 1.0, 0.0)
-    value = levy.psi(model, 1e4)
+    value = levy.psi_with_error(model, 1e4)[0]
     sf = levy.spectral(model)
     target = (0.8 - 0.2) * 1e4 * sf.G_log(math.log(1e4))
     assert abs(value.imag / target - 1.0) <= 0.10
 
 
 def test_psi_symmetric_model_is_real():
-    assert levy.psi(SYM2, 123.4).imag == 0.0
+    assert levy.psi_with_error(SYM2, 123.4)[0].imag == 0.0
 
 
 @pytest.mark.parametrize("model", [ASYM, LOGLOG], ids=["gamma-0.5", "delta3"])
@@ -218,10 +218,10 @@ def test_spectral_not_integrable_symmetric_small_gamma():
 def test_spectral_r_positive_and_i_sign():
     sf = levy.spectral(ASYM)
     for lam in (0.1, 10.0, 1e4):
-        assert sf.R(lam) > 0.0
-        assert sf.I(lam) < 0.0  # p > q makes Im psi positive
-    assert sf.R(0.0) == pytest.approx(1.0)
-    assert sf.I(0.0) == 0.0
+        assert sf.resolvent(lam)[0] > 0.0
+        assert sf.resolvent(lam)[1] < 0.0  # p > q makes Im psi positive
+    assert sf.resolvent(0.0)[0] == pytest.approx(1.0)
+    assert sf.resolvent(0.0)[1] == 0.0
 
 
 def test_spectral_cache_is_bounded():
@@ -234,18 +234,18 @@ def test_spectral_cache_is_bounded():
 def test_spectral_arrays_match_scalars():
     sf = levy.spectral(ASYM)
     lams = np.array([0.0, 0.3, 10.0, 1e4])
-    r, i = sf.R(lams), sf.I(lams)
+    r, i, _ = sf.resolvent(lams)
     assert r.shape == i.shape == lams.shape
     for k, lam in enumerate(lams):
-        assert r[k] == pytest.approx(sf.R(lam), rel=1e-13)
-        assert i[k] == pytest.approx(sf.I(lam), rel=1e-13, abs=1e-300)
+        assert r[k] == pytest.approx(sf.resolvent(lam)[0], rel=1e-13)
+        assert i[k] == pytest.approx(sf.resolvent(lam)[1], rel=1e-13, abs=1e-300)
 
 
 def test_spectral_large_beta_limit():
     model = levy.log_power_model(1e8, 0.5, 0.5, 2.0, 0.0)
     sf = levy.spectral(model)
     for lam in (0.5, 5.0, 50.0):
-        assert sf.R(lam) == pytest.approx(1e-8, rel=1e-4)
+        assert sf.resolvent(lam)[0] == pytest.approx(1e-8, rel=1e-4)
 
 
 def test_spectral_tail_vs_asymptotic_formula():
@@ -277,15 +277,15 @@ def test_G_log_matches_closed_form():
 
 def test_tabulated_profile_matches_log_power_G():
     # the same profile as ASYM given pointwise: same panels, same G
-    tab = levy.spectral(levy.tabulated_model(1.0, 0.8, 0.2, ASYM.g, math.e**2))
+    tab = levy.spectral(levy.LevyModel(1.0, 0.8, 0.2, ASYM.g, math.e**2))
     w = np.array([2.5, 30.0, 1e4])
     assert np.allclose(tab.G_log(w), levy.spectral(ASYM).G_log(w), rtol=1e-15, atol=0.0)
 
 
 def test_tabulated_profile_refusals():
     with pytest.raises(OutOfRange):  # integral of 1/y over (0, 1) diverges
-        levy.tabulated_model(1.0, 0.5, 0.5, lambda y: 1.0 / y)
-    levy.tabulated_model(1.0, 0.5, 0.5, lambda y: y**-0.5)  # integrable
+        levy.LevyModel(1.0, 0.5, 0.5, lambda y: 1.0 / y, 0.0)
+    levy.LevyModel(1.0, 0.5, 0.5, lambda y: y**-0.5, 0.0)  # integrable
     with pytest.raises(NotIntegrable):  # g == 1 makes R ~ 2/(pi lam)
         levy.spectral(FLAT)
 
@@ -643,5 +643,5 @@ def test_kernel_matrix_costs_the_table_and_one_panel_per_lag(monkeypatch):
 def test_spectral_parity_even_odd():
     sf = levy.spectral(ASYM)
     for lam in (3.0, 250.0):
-        assert sf.R(-lam) == pytest.approx(sf.R(lam), rel=1e-12)
-        assert sf.I(-lam) == pytest.approx(-sf.I(lam), rel=1e-12)
+        assert sf.resolvent(-lam)[0] == pytest.approx(sf.resolvent(lam)[0], rel=1e-12)
+        assert sf.resolvent(-lam)[1] == pytest.approx(-sf.resolvent(lam)[1], rel=1e-12)

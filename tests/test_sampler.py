@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 import scipy.stats
 
 from permanental import markov, sampler
-from permanental.errors import TruncationInfeasible
+from permanental.errors import DimensionTooLarge
 from permanental.gamma_tails import gamma_tail_exact
 from permanental.model import PermanentalSpec, direct_laplace, z_masses
 from permanental.sampler import (
@@ -16,7 +17,6 @@ from permanental.sampler import (
     empirical_laplace,
     sample_gamma,
     sample_permanental,
-    sample_z,
 )
 
 from conftest import make_corpus, oracle_sample
@@ -57,51 +57,72 @@ def test_gamma_invalid_shape():
 # ---------------------------------------------------------------- Z draws
 
 
+# Z specs: unit and non-unit diagonals, alpha 1, 0.5 and 2.3; the first row
+# of ROWSUM's B~ = D^-1 B sums to 1.2 (its Perron root is 0.54)
+ROWSUM = PermanentalSpec.from_m_matrix(
+    np.diag([2.0, 1.0, 0.5]) @ (np.eye(3) - np.array([[0.0, 0.7, 0.5],
+                                                     [0.2, 0.0, 0.1],
+                                                     [0.1, 0.3, 0.0]])), 2.3)
+Z_SPECS = (SPEC2, make_corpus(1, (3,), kill_min=0.1, seed0=1002, alphas=(0.5,))[0], ROWSUM)
+
+
 def test_sample_z_diagonal_always_zero():
     spec = PermanentalSpec.from_m_matrix(np.diag([2.0, 3.0]), 1.0)
-    zd = z_masses(spec, 1 - 1e-9)
-    draws = sample_z(zd, RngStream(21), size=1000)
-    assert (draws == 0).all()
-
-
-def test_sample_z_single_draw_is_tuple():
-    zd = z_masses(SPEC2, 1 - 1e-9)
-    k = sample_z(zd, RngStream(22))
-    assert isinstance(k, tuple) and len(k) == 2
+    batch = sample_permanental(spec, 1000, RngStream(21), with_coupling=True)
+    assert (batch.z_draws == 0).all()
 
 
 def test_sample_z_zero_mass_frequency():
-    zd = z_masses(SPEC2, 1 - 1e-9)
-    draws = sample_z(zd, RngStream(23), size=200_000)
-    freq = (draws.sum(axis=1) == 0).mean()
-    se = math.sqrt(0.75 * 0.25 / 200_000)
-    assert freq == pytest.approx(0.75, abs=4 * se)
-
-
-def test_sample_z_requires_resolved_tail():
-    zd = z_masses(SPEC2, 0.99)
-    with pytest.raises(TruncationInfeasible):
-        sample_z(zd, RngStream(24), size=10)
+    n_draws = 200_000
+    for seed, spec in enumerate(Z_SPECS, 23):
+        bt = spec.pair.B / spec.pair.diag_a[:, None]
+        want = np.linalg.det(np.eye(spec.n) - bt) ** spec.alpha
+        draws = sample_permanental(spec, n_draws, RngStream(seed)).z_draws
+        freq = (draws.sum(axis=1) == 0).mean()
+        se = math.sqrt(want * (1 - want) / n_draws)
+        assert freq == pytest.approx(want, abs=4 * se)
 
 
 def test_sample_z_histogram_chi_square():
-    zd = z_masses(SPEC2, 1 - 1e-9)
     n_draws = 200_000
-    draws = sample_z(zd, RngStream(25), size=n_draws)
-    keys = [k for k in zd.index if zd.masses[k] * n_draws >= 10]
-    observed = []
-    expected = []
-    for k in keys:
-        observed.append(int(((draws == np.array(k)).all(axis=1)).sum()))
-        expected.append(zd.masses[k] * n_draws)
-    rest_obs = n_draws - sum(observed)
-    rest_exp = n_draws - sum(expected)
-    if rest_exp > 5:
-        observed.append(rest_obs)
-        expected.append(rest_exp)
-    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    p_value = scipy.stats.chi2.sf(stat, df=len(observed) - 1)
-    assert p_value > 0.001
+    for seed, spec in enumerate(Z_SPECS, 26):
+        zd = z_masses(spec, 1 - 1e-9)
+        draws = sample_permanental(spec, n_draws, RngStream(seed)).z_draws
+        counts = collections.Counter(map(tuple, draws.tolist()))
+        keys = [k for k, m in zd.masses.items() if m * n_draws >= 10]
+        observed = [counts[k] for k in keys]
+        expected = [zd.masses[k] * n_draws for k in keys]
+        rest_obs = n_draws - sum(observed)
+        rest_exp = n_draws - sum(expected)
+        if rest_exp > 5:
+            observed.append(rest_obs)
+            expected.append(rest_exp)
+        stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        p_value = scipy.stats.chi2.sf(stat, df=len(observed) - 1)
+        assert p_value > 0.001, (spec.n, spec.alpha)
+
+
+def test_walker_slices_keep_the_z_law(monkeypatch):
+    # r_0 = 0.81: a chunk of 64 rows makes about 270 excursions from state 0,
+    # walked in slices of at most 64 walkers
+    monkeypatch.setattr(sampler, "_CHUNK", 64)
+    spec = PermanentalSpec.from_m_matrix([[1.0, -0.9], [-0.9, 1.0]], 1.0)
+    z = sample_permanental(spec, 20_000, RngStream(39)).z_draws
+    want = spec.alpha * (spec.pair.diag_a * np.diag(spec.pair.K) - 1.0)
+    se = z.std(ddof=1, axis=0) / math.sqrt(z.shape[0])
+    assert np.all(np.abs(z.mean(axis=0) - want) <= 5 * se)
+    zero = (z.sum(axis=1) == 0).mean()  # P(Z = 0) = det(I - B~) = 0.19
+    assert zero == pytest.approx(0.19, abs=4 * math.sqrt(0.19 * 0.81 / z.shape[0]))
+
+
+def test_eight_dimensional_spec_samples():
+    spec = make_corpus(1, (8,), kill_min=0.5, seed0=4343)[0]
+    with pytest.raises(DimensionTooLarge):  # past the Z enumeration's grid cap
+        z_masses(spec, 1 - 1e-9)
+    batch = sample_permanental(spec, 20_000, RngStream(38))
+    target = spec.alpha * np.diag(spec.pair.K)
+    se = batch.draws.std(ddof=1, axis=0) / math.sqrt(batch.n_draws)
+    assert np.all(np.abs(batch.draws.mean(axis=0) - target) <= 5 * se)
 
 
 # ---------------------------------------------------------------- batches
@@ -204,6 +225,22 @@ def test_empirical_laplace_markov_corpus_points():
         val, se = empirical_laplace(batch, s)
         want = direct_laplace(spec, s)
         good += abs(val - want) <= 4 * se
+    assert good >= 4
+
+
+def test_empirical_laplace_at_n32():
+    # far past the Z enumeration: B~ has Perron root 0.9, and E sum Z is about 8
+    q = np.random.default_rng(3232).random((32, 32)) + 0.05
+    np.fill_diagonal(q, 0.0)
+    spec = PermanentalSpec.from_m_matrix(np.eye(32) - q * (0.9 / max(abs(np.linalg.eigvals(q)))),
+                                         1.0)
+    batch = sample_permanental(spec, 50_000, RngStream(45))
+    rng = np.random.default_rng(46)
+    good = 0
+    for _ in range(5):
+        s = rng.random(32) * 0.2
+        val, se = empirical_laplace(batch, s)
+        good += abs(val - direct_laplace(spec, s)) <= 4 * se
     assert good >= 4
 
 
