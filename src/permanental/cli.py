@@ -22,7 +22,7 @@ from . import gamma_tails, levy, markov, matio
 from .errors import OutOfRange, PermanentalError
 from .linalg import alpha_permanent, alpha_permanent_rel_err, invert, validate_m_matrix
 from .model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
-from .sampler import RngStream, check_permanental_inequality, empirical_laplace, sample_permanental
+from .sampler import Moments, RngStream, _laplace_terms, check_permanental_inequality, sample_chunks
 
 _EXACT_REL_ERR = 1e-14  # nominal float-rounding scale for exact computations
 
@@ -125,7 +125,7 @@ def cmd_z_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    batch = sample_permanental(
+    chunks = sample_chunks(
         spec, args.n, RngStream(args.seed, args.stream_id),
         with_coupling=args.couple, workers=args.workers,
     )
@@ -134,44 +134,47 @@ def cmd_sample(args) -> int:
     if args.couple:
         header += [f"L_{i+1}" for i in range(n)]
     header += [f"Z_{i+1}" for i in range(n)]
-    _write_csv(args, header, _sample_blocks(batch))
+    _write_csv(args, header, _sample_blocks(chunks))
     return 0
 
 
-_CSV_BLOCK = 2048  # rows of a sample batch formatted per write
+_CSV_BLOCK = 2048  # rows of a sample chunk formatted per write
 
 
-def _sample_blocks(batch):
-    """The CSV rows of a batch (X, then L if coupled, then Z), _CSV_BLOCK rows
-    at a time."""
-    floats = [batch.draws] if batch.coupled_lower is None else [batch.draws, batch.coupled_lower]
-    for start in range(0, batch.n_draws, _CSV_BLOCK):
-        rows = slice(start, start + _CSV_BLOCK)
-        yield map(list.__add__, np.hstack([f[rows] for f in floats]).tolist(),
-                  batch.z_draws[rows].tolist())
+def _sample_blocks(chunks):
+    """The CSV rows of each chunk (X, then L if coupled, then Z) as it
+    arrives, _CSV_BLOCK rows at a time."""
+    for x, lower, z in chunks:
+        for start in range(0, len(x), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            floats = x[rows] if lower is None else np.hstack([x[rows], lower[rows]])
+            yield map(list.__add__, floats.tolist(), z[rows].tolist())
 
 
 def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
                 workers: int | None = None) -> dict:
     """Full pipeline check: empirical vs determinant Laplace transform on
     deterministic s-points, pathwise coupling violations, and the
-    increasing-functional margins."""
-    rng = RngStream(seed)
-    batch = sample_permanental(spec, n_draws, rng, with_coupling=True, workers=workers)
-    violations = int(np.sum(batch.draws - batch.coupled_lower < 0))
+    increasing-functional margins.  Draws are read one chunk at a time."""
     g = np.random.default_rng([seed, 555])
+    s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
+    moments = [Moments() for _ in s_list]
+    violations = 0
+    for x, lower, _ in sample_chunks(spec, n_draws, RngStream(seed), with_coupling=True,
+                                     workers=workers):
+        violations += int(np.sum(x - lower < 0))
+        for s, acc in zip(s_list, moments):
+            acc.add(_laplace_terms(x, s))
     points = []
     within = 0
-    for _ in range(s_points):
-        s = g.random(spec.n) * 2.0
-        emp, se = empirical_laplace(batch, s)
+    for s, acc in zip(s_list, moments):
+        emp, se = acc.mean, acc.se
         direct = direct_laplace(spec, s)
         zscore = (emp - direct) / se if se > 0 else 0.0
         if abs(zscore) <= 4.0:
             within += 1
         points.append({"s": [float(x) for x in s], "empirical": emp, "se": se,
                        "direct": direct, "z_score": zscore})
-    del batch  # the inequality check draws a batch of its own
     ineq = check_permanental_inequality(spec, max(n_draws, 10_000), RngStream(seed, 1))
     return {
         "n_draws": n_draws,
@@ -179,6 +182,7 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
         "points": points,
         "points_within_4se": within,
         "inequality": {
+            "n_draws": ineq.n_draws,
             "diff_mean": ineq.diff_mean,
             "diff_se": ineq.diff_se,
             "tails": [dataclasses.asdict(t) for t in ineq.tails],

@@ -11,16 +11,19 @@ shape alpha + Z_i and scale a_i; with coupling the gamma coordinate is
 a_i^{-1} xi_{alpha,1} + xi_{Z_i, a_i}, so the coordinatewise lower bound
 holds pathwise by construction (xi_{0,.} := 0).
 
-Batches are sharded into fixed-size chunks, one substream per chunk.  The
-output arrays are allocated once and each chunk writes its own rows in
-place, so a batch costs its draw bytes plus one chunk of temporaries, and
-results are bit-for-bit reproducible for a given (seed, stream_id)
-regardless of the worker count.
+Draws come from one source, ``sample_chunks``: chunk c holds the next
+_CHUNK rows and is drawn from substream c, so a consumer that reads the
+chunks as they arrive holds one chunk per worker, whatever the draw count,
+and results are bit-for-bit reproducible for a given (seed, stream_id)
+regardless of the worker count.  Means and standard errors over a stream
+are merged chunk by chunk (``Moments``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,8 @@ from .errors import TruncationInfeasible
 from .gamma_tails import gamma_tail_exact
 from .model import PermanentalSpec, _as_s_vector, _b_tilde
 
-_CHUNK = 262_144
+_CHUNK = 16_384  # rows per chunk, one substream each
+_WALKERS = 262_144  # excursions walked at a time within a chunk
 _MAX_MEAN_VISITS = 1e3  # E sum_i Z_i, the mean walker steps per draw, refused above
 # fixed substream tags so distinct draw purposes never share a stream
 _TAG_IID = 1_000_003
@@ -44,26 +48,6 @@ class RngStream:
 
     def generator(self, *extra: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id, *extra])
-
-
-def _generator(rng, *extra: int) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator(*extra)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
-
-
-def sample_gamma(u: float, v: float, rng, size=None):
-    """Draw from the gamma law with shape u and scale parameter v.
-
-    Constructed as standard_gamma(u) / v, so draws at (u, v) are exactly
-    1/v times the draws at (u, 1) under the same stream.
-    """
-    if u <= 0 or v <= 0:
-        raise ValueError("shape and scale must be positive")
-    g = _generator(rng)
-    return g.standard_gamma(u, size=size) / v
 
 
 def _excursion_laws(bt: np.ndarray) -> list[tuple[int, float, np.ndarray]]:
@@ -91,7 +75,7 @@ def _excursion_laws(bt: np.ndarray) -> list[tuple[int, float, np.ndarray]]:
 def _add_soup_visits(z: np.ndarray, bt: np.ndarray, laws, alpha: float,
                      g: np.random.Generator) -> None:
     """Add one loop soup's visit counts to each row of ``z``, roots in index
-    order, walking at most _CHUNK excursions at a time.  A step from y goes
+    order, walking at most _WALKERS excursions at a time.  A step from y goes
     to w with weight B~[y, w] hit[w]; row y of ``flat`` is y plus its
     cumulative law, so a key y + u picks a step by one search, and ``last``
     (a row's last positive column) catches keys rounded up to y + 1."""
@@ -108,8 +92,8 @@ def _add_soup_visits(z: np.ndarray, bt: np.ndarray, laws, alpha: float,
         cum = np.cumsum(w, axis=1)
         flat = (cum / cum[:, -1:] + np.arange(m)[:, None]).ravel()
         last = m - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
-        for first in range(0, total, _CHUNK):
-            owner = np.searchsorted(ends, np.arange(first, min(first + _CHUNK, total)),
+        for first in range(0, total, _WALKERS):
+            owner = np.searchsorted(ends, np.arange(first, min(first + _WALKERS, total)),
                                     side="right")
             state = np.zeros(owner.size, dtype=np.int64)
             while owner.size:
@@ -118,6 +102,70 @@ def _add_soup_visits(z: np.ndarray, bt: np.ndarray, laws, alpha: float,
                 away = step > 0
                 owner, state = owner[away], step[away]
                 np.add.at(z, (owner, state + x), 1)
+
+
+def sample_chunks(
+    spec: PermanentalSpec,
+    n_draws: int,
+    rng: RngStream,
+    with_coupling: bool = False,
+    workers: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+    """Draw n_draws exact alpha-permanental vectors as an iterator of chunks
+    (X, L, Z), in chunk order; L is None without coupling.  Chunk c holds
+    _CHUNK rows (the last one the rest) drawn from substream c: loop-soup Z,
+    then the lower gammas, then the upper gammas.  With more than one
+    worker, at most ``workers`` chunks are being drawn or waiting to be
+    read.  A spec whose draw takes more than _MAX_MEAN_VISITS walker steps
+    on average is refused here, before any chunk is drawn."""
+    if n_draws < 1:
+        raise ValueError("n_draws must be at least 1")
+    if not isinstance(rng, RngStream):
+        raise TypeError("the sampler needs an RngStream for reproducibility")
+    a = spec.pair.diag_a
+    mean_visits = spec.alpha * float((a * np.diag(spec.pair.K) - 1.0).sum())
+    if mean_visits > _MAX_MEAN_VISITS:
+        raise TruncationInfeasible(f"a draw would take {mean_visits:.6g} loop-soup steps on "
+                                   f"average; the sampler stops at {_MAX_MEAN_VISITS:g}")
+    bt = _b_tilde(spec.pair)
+    laws = _excursion_laws(bt)
+    n_chunks = -(-n_draws // _CHUNK)
+
+    def run_chunk(c):
+        g = rng.generator(c)
+        z = np.zeros((min(_CHUNK, n_draws - c * _CHUNK), spec.n), dtype=np.int64)
+        _add_soup_visits(z, bt, laws, spec.alpha, g)
+        if with_coupling:
+            lower = g.standard_gamma(spec.alpha, size=z.shape)
+            lower /= a
+            x = z.astype(float)
+        else:
+            lower = None
+            x = z + spec.alpha
+        # x holds the gamma shapes; each is read just before its draw replaces it
+        g.standard_gamma(x, out=x)
+        x /= a
+        if with_coupling:
+            x += lower
+        return x, lower, z
+
+    def chunks():
+        if not (workers and workers > 1 and n_chunks > 1):
+            for c in range(n_chunks):
+                yield run_chunk(c)
+            return
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
+            for c in range(n_chunks):
+                pending.append(pool.submit(run_chunk, c))
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+
+    return chunks()
 
 
 @dataclass(frozen=True)
@@ -143,54 +191,19 @@ def sample_permanental(
     with_coupling: bool = False,
     workers: int | None = None,
 ) -> SampleBatch:
-    """Draw n_draws exact alpha-permanental vectors; a spec whose draw takes
-    more than _MAX_MEAN_VISITS walker steps on average is refused."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
-    if not isinstance(rng, RngStream):
-        raise TypeError("sample_permanental needs an RngStream for reproducibility")
-    a = spec.pair.diag_a
-    mean_visits = spec.alpha * float((a * np.diag(spec.pair.K) - 1.0).sum())
-    if mean_visits > _MAX_MEAN_VISITS:
-        raise TruncationInfeasible(f"a draw would take {mean_visits:.6g} loop-soup steps on "
-                                   f"average; the sampler stops at {_MAX_MEAN_VISITS:g}")
-    bt = _b_tilde(spec.pair)
-    laws = _excursion_laws(bt)
-    n = spec.n
-    draws = np.empty((n_draws, n))
-    coupled = np.empty((n_draws, n)) if with_coupling else None
-    z_draws = np.zeros((n_draws, n), dtype=np.int64)
-    bounds = [(c, start, min(start + _CHUNK, n_draws))
-              for c, start in enumerate(range(0, n_draws, _CHUNK))]
-
-    def run_chunk(args):
-        c, start, stop = args
-        g = rng.generator(c)
-        z = z_draws[start:stop]
-        _add_soup_visits(z, bt, laws, spec.alpha, g)
-        x = draws[start:stop]
+    """The chunks of ``sample_chunks`` gathered into one batch."""
+    chunks = sample_chunks(spec, n_draws, rng, with_coupling, workers)
+    draws = np.empty((n_draws, spec.n))
+    coupled = np.empty((n_draws, spec.n)) if with_coupling else None
+    z_draws = np.empty((n_draws, spec.n), dtype=np.int64)
+    start = 0
+    for x, lower, z in chunks:
+        rows = slice(start, start + len(x))
+        draws[rows] = x
+        z_draws[rows] = z
         if with_coupling:
-            lower = coupled[start:stop]
-            g.standard_gamma(spec.alpha, size=lower.shape, out=lower)
-            lower /= a
-            x[...] = z
-        else:
-            np.add(z, spec.alpha, out=x)
-        # x holds the gamma shapes; each is read just before its draw replaces it
-        g.standard_gamma(x, out=x)
-        x /= a
-        if with_coupling:
-            x += lower
-
-    if workers and workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, bounds))
-    else:
-        for b in bounds:
-            run_chunk(b)
-
+            coupled[rows] = lower
+        start = rows.stop
     return SampleBatch(
         spec=spec,
         draws=draws,
@@ -201,14 +214,53 @@ def sample_permanental(
     )
 
 
+@dataclass
+class Moments:
+    """Count, mean and sum of squared deviations (M2) of a stream of values,
+    merged one chunk at a time by the update of Chan, Golub and LeVeque.
+    A single chunk gives the bits of ``np.mean`` and ``np.std(ddof=1)``."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        m = values.size
+        mean = float(values.mean())
+        d = values - mean
+        m2 = float((d * d).sum())
+        if self.count == 0:
+            self.count, self.mean, self.m2 = m, mean, m2
+            return
+        total = self.count + m
+        delta = mean - self.mean
+        self.mean += delta * m / total
+        self.m2 += m2 + delta * delta * self.count * m / total
+        self.count = total
+
+    @property
+    def se(self) -> float:
+        """Standard error of the mean, from the ddof=1 standard deviation."""
+        if self.count < 2:
+            return 0.0
+        return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+
+
+def _laplace_terms(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """exp(-<s, X>) for each row of a chunk of draws."""
+    return np.exp(-(x @ sv))
+
+
 def empirical_laplace(batch: SampleBatch, s) -> tuple[float, float]:
-    """Empirical E exp(-<s, X>) over the batch, with its standard error."""
+    """Empirical E exp(-<s, X>) over the batch, with its standard error,
+    merged over the batch's chunks as a streaming consumer merges them."""
     if batch.n_draws < 1:
         raise ValueError("empty batch")
     sv = _as_s_vector(s, batch.spec.n)
-    w = np.exp(-(batch.draws @ sv))
-    se = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
-    return float(w.mean()), se
+    acc = Moments()
+    for start in range(0, batch.n_draws, _CHUNK):
+        acc.add(_laplace_terms(batch.draws[start:start + _CHUNK], sv))
+    return acc.mean, acc.se
 
 
 @dataclass(frozen=True)
@@ -240,23 +292,21 @@ def check_permanental_inequality(
     p_values=(1, 2),
 ) -> InequalityReport:
     """Empirical check that E max(a_i X_i) dominates E max of iid xi_{alpha,1},
-    and the rearranged tail version on a lambda grid."""
+    and the rearranged tail version on a lambda grid, one chunk at a time."""
     if n_draws < 10_000:
         raise ValueError("needs at least 1e4 draws")
-    batch = sample_permanental(spec, n_draws, rng)
     a = spec.pair.diag_a
-    scaled_max = (batch.draws * a).max(axis=1)
     g = rng.generator(_TAG_IID)
-    iid = g.standard_gamma(spec.alpha, size=(n_draws, spec.n))
-    iid_max = iid.max(axis=1)
-    diff = float(scaled_max.mean() - iid_max.mean())
-    diff_se = float(
-        math.hypot(
-            scaled_max.std(ddof=1) / math.sqrt(n_draws),
-            iid_max.std(ddof=1) / math.sqrt(n_draws),
-        )
-    )
-    raw_max = batch.draws.max(axis=1)
+    scaled_max, iid_max = Moments(), Moments()
+    hits = [Moments() for _ in lambdas]
+    for x, _, _ in sample_chunks(spec, n_draws, rng):
+        scaled_max.add((x * a).max(axis=1))
+        iid_max.add(g.standard_gamma(spec.alpha, size=x.shape).max(axis=1))
+        raw_max = x.max(axis=1)
+        for lam, acc in zip(lambdas, hits):
+            acc.add(raw_max >= lam)
+    diff = scaled_max.mean - iid_max.mean
+    diff_se = math.hypot(scaled_max.se, iid_max.se)
     a_sorted = np.sort(a)
     tails = []
     for p in p_values:
@@ -264,20 +314,17 @@ def check_permanental_inequality(
         if m < 1:
             continue
         a_star = float(a_sorted[m - 1])
-        for lam in lambdas:
-            hits = raw_max >= lam
-            prob = float(hits.mean())
-            se = float(hits.std(ddof=1) / math.sqrt(n_draws))
+        for lam, acc in zip(lambdas, hits):
             tail1 = gamma_tail_exact(spec.alpha, 1.0, a_star * lam)
             exact = -math.expm1(m * math.log1p(-min(tail1, 1.0 - 1e-16)))
             tails.append(
                 TailComparison(
                     p=p,
                     lam=float(lam),
-                    prob_perm=prob,
-                    se=se,
+                    prob_perm=acc.mean,
+                    se=acc.se,
                     prob_iid_exact=exact,
-                    margin=prob - exact,
+                    margin=acc.mean - exact,
                 )
             )
     return InequalityReport(n_draws=n_draws, diff_mean=diff, diff_se=diff_se, tails=tails)

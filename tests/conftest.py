@@ -73,15 +73,14 @@ def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
     return math.fsum(prods * alpha**cycles)
 
 
-def oracle_sample(spec, n_draws, rng, with_coupling=False, workers=None) -> sampler.SampleBatch:
-    """The sampler's draws by its former layout: each chunk of
+def oracle_chunks(spec, n_draws, rng, with_coupling=False, workers=None):
+    """The sampler's chunks by their former layout: each chunk of
     ``sampler._CHUNK`` rows draws arrays of its own from substream c, in the
-    order loop-soup Z, lower gammas, upper gammas, and the chunks are
-    concatenated.  ``workers`` is ignored (chunks run in order)."""
+    order loop-soup Z, lower gammas, upper gammas, and yields (X, L, Z).
+    ``workers`` is ignored (chunks run in order)."""
     bt = _b_tilde(spec.pair)
     laws = sampler._excursion_laws(bt)
     a = spec.pair.diag_a
-    parts = []
     for c, start in enumerate(range(0, n_draws, sampler._CHUNK)):
         m = min(sampler._CHUNK, n_draws - start)
         g = rng.generator(c)
@@ -93,7 +92,12 @@ def oracle_sample(spec, n_draws, rng, with_coupling=False, workers=None) -> samp
         else:
             lower = None
             x = g.standard_gamma(spec.alpha + z.astype(float)) / a
-        parts.append((x, lower, z))
+        yield x, lower, z
+
+
+def oracle_sample(spec, n_draws, rng, with_coupling=False, workers=None) -> sampler.SampleBatch:
+    """The chunks of ``oracle_chunks`` concatenated into one batch."""
+    parts = list(oracle_chunks(spec, n_draws, rng, with_coupling))
     return sampler.SampleBatch(
         spec=spec,
         draws=np.concatenate([p[0] for p in parts]),

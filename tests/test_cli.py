@@ -11,9 +11,9 @@ import pytest
 from permanental import bounds, cli, gamma_tails, levy, markov, matio, sampler
 from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
-from permanental.sampler import RngStream, sample_permanental
+from permanental.sampler import RngStream, empirical_laplace, sample_chunks, sample_permanental
 
-from conftest import naive_alpha_permanent, oracle_sample
+from conftest import naive_alpha_permanent, oracle_chunks, oracle_sample
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -168,10 +168,23 @@ def test_mc_validate_json_bytes_match_concatenating_sampler(spec_file, monkeypat
             "--s-points", "3", "--workers", "2"]
     assert cli.main(argv) == 0
     got = capsys.readouterr().out
-    monkeypatch.setattr(cli, "sample_permanental", oracle_sample)
-    monkeypatch.setattr(sampler, "sample_permanental", oracle_sample)
+    monkeypatch.setattr(cli, "sample_chunks", oracle_chunks)
+    monkeypatch.setattr(sampler, "sample_chunks", oracle_chunks)
     assert cli.main(argv) == 0
     assert got == capsys.readouterr().out
+
+
+def test_mc_validate_prints_empirical_laplace_of_the_oracle_batch(spec_file, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr(sampler, "_CHUNK", 1000)
+    argv = ["mc-validate", "--spec", spec_file, "--n", "4500", "--seed", "5",
+            "--s-points", "3"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    batch = oracle_sample(cli._load_spec(spec_file), 4500, RngStream(5), with_coupling=True)
+    assert report["inequality"]["n_draws"] == 10_000
+    for point in report["points"]:
+        assert empirical_laplace(batch, point["s"]) == (point["empirical"], point["se"])
 
 
 def test_csv_writer_peak_is_one_block_not_the_batch(tmp_path):
@@ -180,16 +193,53 @@ def test_csv_writer_peak_is_one_block_not_the_batch(tmp_path):
     args = argparse.Namespace(out=str(tmp_path / "peak.csv"))
 
     def traced_peak(n_draws):
-        batch = sample_permanental(spec, n_draws, RngStream(62), with_coupling=True)
+        chunks = list(sample_chunks(spec, n_draws, RngStream(62), with_coupling=True))
         tracemalloc.start()
         try:
-            cli._write_csv(args, ["c"] * 15, cli._sample_blocks(batch))
+            cli._write_csv(args, ["c"] * 15, cli._sample_blocks(chunks))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     few, many = traced_peak(2 * cli._CSV_BLOCK), traced_peak(12 * cli._CSV_BLOCK)
     assert many <= 1.25 * few
+
+
+def _stream_argv(command, spec_file, n_draws, workers, out):
+    extra = ["--couple"] if command == "sample" else ["--s-points", "3"]
+    return [command, "--spec", spec_file, "--n", str(n_draws), "--seed", "11",
+            "--workers", str(workers), "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-validate"])
+def test_streaming_peak_does_not_grow_with_the_draw_count(spec_file, tmp_path, monkeypatch,
+                                                          command):
+    chunk = 4096
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+
+    def traced_peak(chunks):
+        argv = _stream_argv(command, spec_file, chunks * chunk, 1, tmp_path / "out")
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(4)  # first-call allocations
+    few, many = traced_peak(4), traced_peak(16)
+    assert abs(many - few) < 0.1 * few
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-validate"])
+def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(sampler, "_CHUNK", 1000)  # four chunks; the inequality check has ten
+    outs = []
+    for workers in (1, 2, 4):
+        path = tmp_path / f"w{workers}"
+        assert cli.main(_stream_argv(command, spec_file, 3500, workers, path)) == 0
+        outs.append(path.read_bytes())
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_scan_csv_matches_loop_formatter():

@@ -14,44 +14,56 @@ from permanental.model import PermanentalSpec, direct_laplace, z_masses
 from permanental.sampler import (
     RngStream,
     check_permanental_inequality,
+    Moments,
     empirical_laplace,
-    sample_gamma,
+    sample_chunks,
     sample_permanental,
 )
 
-from conftest import make_corpus, oracle_sample
+from conftest import make_corpus, oracle_chunks, oracle_sample
 
 SPEC2 = PermanentalSpec.from_m_matrix([[2.0, -1.0], [-1.0, 2.0]], 1.0)
 
 
 # ---------------------------------------------------------------- gamma draws
 
+# A diagonal A has B~ = 0, so Z = 0 and no loop soup draws precede the
+# gammas: coordinate i is standard_gamma(alpha) / a_i from substream 0.
+
+
+def _diagonal(alpha, scales):
+    return PermanentalSpec.from_m_matrix(np.diag(scales), alpha)
+
 
 def test_gamma_mean_exponential():
-    draws = sample_gamma(1.0, 1.0, RngStream(11), size=10**6)
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
+    draws = sample_permanental(_diagonal(1.0, [1.0, 1.0]), 5 * 10**5, RngStream(11)).draws
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert draws.mean() == pytest.approx(1.0, abs=4 * se)
 
 
 def test_gamma_scaling_law_exact():
     a = 2.7
-    at_scale = sample_gamma(0.9, a, RngStream(12), size=1000)
-    at_unit = sample_gamma(0.9, 1.0, RngStream(12), size=1000)
-    np.testing.assert_array_equal(at_scale, at_unit / a)
+    at_scale = sample_permanental(_diagonal(0.9, [a, 1.0]), 1000, RngStream(12)).draws
+    at_unit = sample_permanental(_diagonal(0.9, [1.0, 1.0]), 1000, RngStream(12)).draws
+    np.testing.assert_array_equal(at_scale, at_unit / [a, 1.0])
+    want = RngStream(12).generator(0).standard_gamma(0.9, size=(1000, 2)) / [a, 1.0]
+    assert at_scale.tobytes() == want.tobytes()
 
 
 def test_gamma_tail_frequency_vs_exact():
-    draws = sample_gamma(2.0, 1.0, RngStream(13), size=10**6)
+    draws = sample_permanental(_diagonal(2.0, [1.0, 1.0]), 5 * 10**5, RngStream(13)).draws
     hits = (draws >= 5.0).mean()
     want = gamma_tail_exact(2.0, 1.0, 5.0)
     assert want == pytest.approx(6 * math.exp(-5.0), rel=1e-12)
-    se = math.sqrt(want * (1 - want) / len(draws))
+    se = math.sqrt(want * (1 - want) / draws.size)
     assert hits == pytest.approx(want, abs=4 * se)
 
 
-def test_gamma_invalid_shape():
-    with pytest.raises(ValueError):
-        sample_gamma(0.0, 1.0, RngStream(1))
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_spec_refuses_a_gamma_shape_that_is_not_positive(alpha):
+    # every gamma shape the sampler draws is alpha or alpha + Z_i
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        _diagonal(alpha, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------- Z draws
@@ -106,6 +118,7 @@ def test_walker_slices_keep_the_z_law(monkeypatch):
     # r_0 = 0.81: a chunk of 64 rows makes about 270 excursions from state 0,
     # walked in slices of at most 64 walkers
     monkeypatch.setattr(sampler, "_CHUNK", 64)
+    monkeypatch.setattr(sampler, "_WALKERS", 64)
     spec = PermanentalSpec.from_m_matrix([[1.0, -0.9], [-0.9, 1.0]], 1.0)
     z = sample_permanental(spec, 20_000, RngStream(39)).z_draws
     want = spec.alpha * (spec.pair.diag_a * np.diag(spec.pair.K) - 1.0)
@@ -154,7 +167,7 @@ def test_chunks_filled_in_place_match_concatenated_chunks(monkeypatch, couple):
     spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
     want = oracle_sample(spec, 5000, RngStream(36, 2), with_coupling=couple)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads fill their slices of shared arrays
+    sys.setswitchinterval(1e-6)  # threads draw chunks while the batch gathers them
     try:
         batches = [sample_permanental(spec, 5000, RngStream(36, 2), with_coupling=couple,
                                       workers=workers) for workers in (1, 4)]
@@ -242,6 +255,55 @@ def test_empirical_laplace_at_n32():
         val, se = empirical_laplace(batch, s)
         good += abs(val - direct_laplace(spec, s)) <= 4 * se
     assert good >= 4
+
+
+# ---------------------------------------------------------------- chunk stream
+
+
+def test_chunks_arrive_in_order_one_substream_each(monkeypatch):
+    monkeypatch.setattr(sampler, "_CHUNK", 300)
+    spec = make_corpus(1, (3,), kill_min=0.6, seed0=98)[0]
+    want = list(oracle_chunks(spec, 1000, RngStream(57), with_coupling=True))
+    got = list(sample_chunks(spec, 1000, RngStream(57), with_coupling=True, workers=3))
+    assert [len(x) for x, _, _ in got] == [300, 300, 300, 100]
+    for chunk, ref in zip(got, want, strict=True):
+        for a, b in zip(chunk, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_chunks_in_flight_are_bounded_by_workers(monkeypatch):
+    monkeypatch.setattr(sampler, "_CHUNK", 100)
+    started = []
+    soup = sampler._add_soup_visits
+
+    def counted(*args):
+        started.append(None)  # list.append is atomic under the interpreter lock
+        soup(*args)
+
+    monkeypatch.setattr(sampler, "_add_soup_visits", counted)
+    workers = 3
+    for k, _ in enumerate(sample_chunks(SPEC2, 1000, RngStream(58), workers=workers)):
+        assert len(started) <= k + workers
+    assert len(started) == 10
+
+
+def test_moments_of_one_chunk_are_numpy_mean_and_std():
+    w = np.random.default_rng(47).random(12_345)
+    acc = Moments()
+    acc.add(w)
+    assert acc.mean == np.mean(w)
+    assert acc.se == np.std(w, ddof=1) / math.sqrt(w.size)
+
+
+def test_merged_laplace_moments_match_numpy_on_the_oracle_batch(monkeypatch):
+    monkeypatch.setattr(sampler, "_CHUNK", 1000)
+    spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
+    batch = oracle_sample(spec, 10_500, RngStream(48))  # 11 chunks, the last one short
+    for s in np.random.default_rng(49).random((5, 4)) * 2:
+        w = np.exp(-(batch.draws @ s))
+        val, se = empirical_laplace(batch, s)
+        assert val == pytest.approx(np.mean(w), rel=1e-14, abs=0)
+        assert se == pytest.approx(np.std(w, ddof=1) / math.sqrt(w.size), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------- inequality
