@@ -222,8 +222,7 @@ class ScanRow:
     error: str | None
 
 
-def unboundedness_statistic(kernel_fn, deltas, n_grid, p: int = 1,
-                            m_matrix_tol: float = 1e-10) -> list[ScanRow]:
+def unboundedness_statistic(kernel_fn, deltas, n_grid, p: int = 1) -> list[ScanRow]:
     """Diagnostic scan of log n / a*_{[n/p]} on equally spaced configurations.
 
     A diverging column is numerical evidence for the unboundedness
@@ -238,7 +237,7 @@ def unboundedness_statistic(kernel_fn, deltas, n_grid, p: int = 1,
             sm = sigma_matrix(config.kernel_values)
             logn = math.log(n)
             try:
-                a_star = psi_star(config, p=p, m_matrix_tol=m_matrix_tol)
+                a_star = psi_star(config, p=p)
             except Exception as exc:  # noqa: BLE001 - reported per row
                 rows.append(ScanRow(delta, n, None, None,
                                     sm.sigma_star2 * logn, f"{type(exc).__name__}: {exc}"))

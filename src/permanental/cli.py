@@ -156,6 +156,8 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
     """Full pipeline check: empirical vs determinant Laplace transform on
     deterministic s-points, pathwise coupling violations, and the
     increasing-functional margins.  Draws are read one chunk at a time."""
+    if s_points < 0:
+        raise ValueError(f"s_points must be nonnegative, got {s_points}")
     g = np.random.default_rng([seed, 555])
     s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
     moments = [Moments() for _ in s_list]
@@ -254,7 +256,9 @@ _MAX_LAG = {"brownian": math.inf, "log-smooth": 1.0, "loglog-smooth": 1.0 / math
 
 def cmd_unbounded_scan(args) -> int:
     grid = _parse_ints(args.n)
-    n_max = max(grid, default=1)
+    if min(grid, default=0) < 2:
+        raise OutOfRange(f"every grid size n must be at least 2, got {args.n!r}")
+    n_max = max(grid)
     lag = n_max * args.delta / n_max - args.delta / n_max  # as the scan's points give it
     if not lag < _MAX_LAG[args.kernel_model]:
         raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
@@ -297,7 +301,7 @@ def cmd_levy(args) -> int:
     q = args.q if args.q is not None else 1.0 - args.p
     if args.scan_thm16:
         rows = levy.check_thm16_integrals(
-            args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16)
+            args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16), cut=args.eps_cut
         )
         _write_csv(args, ["n", "statistic", "log_n", "ratio"],
                    [[[r.n, r.statistic, r.log_n, r.ratio] for r in rows]])
@@ -312,7 +316,11 @@ def cmd_levy(args) -> int:
         return 0
     if args.kernel:
         with open(args.kernel) as fh:
-            points = json.load(fh)["points"]
+            obj = json.load(fh)
+        points = obj.get("points") if isinstance(obj, dict) else None
+        if not (isinstance(points, list) and all(
+                type(t) in (int, float) and math.isfinite(t) for t in points)):
+            raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
         config, err = levy.kernel_matrix(model, points)
         _emit(args, {"points": list(config.points),
                      "kernel": matio.matrix_to_json_obj(config.kernel_values),

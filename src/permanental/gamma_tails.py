@@ -75,10 +75,10 @@ def _tail(u: float, v: float, t: float) -> tuple[float, float]:
     * x = v t rounds once, which moves Q by x |Q'(x)| u = (x^u e^-x / Gamma(u)) u.
     A tail that underflows to below the smallest normal float gets 1.
     """
-    if u <= 0 or v <= 0:
-        raise ValueError("shape and scale must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (0 < u < math.inf and 0 < v < math.inf):
+        raise ValueError("shape and scale must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0.0:
         return 1.0, 0.0
     x = v * t

@@ -747,6 +747,8 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
 
     u(0) is the model's (``SpectralFns.u_zero``); the lag integrates only
     cos(lam z) R and, for p != q, sin(lam z) I."""
+    if not math.isfinite(z):
+        raise OutOfRange(f"lag z = {z} is not finite")
     sf = spectral(model)
     z = abs(z)
     u0, u0_err = sf.u_zero()
@@ -922,12 +924,14 @@ class Thm16Row:
     err: float
 
 
-def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid) -> list[Thm16Row]:
+def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid, *,
+                          cut: float = DEFAULT_CUT) -> list[Thm16Row]:
     """The integral criterion against log n on the grid, with the error of
     each statistic: the integral of g(s)/s up to n for p != q, or the
-    reciprocal of the integral of 1/g(e^w) over w > log n for p = q."""
+    reciprocal of the integral of 1/g(e^w) over w > log n for p = q; g is
+    supported on (cut, inf)."""
     classify_example11(gamma, delta, p, q)  # validates the parameter ranges
-    profile = LogPowerProfile(gamma=gamma, delta=delta)
+    profile = LogPowerProfile(gamma=gamma, delta=delta, cut=cut)
     w_cut = math.log(profile.cut)
     big_g = _Antiderivative(profile.of_log, w_cut) if p != q else None
     rows = []

@@ -22,6 +22,8 @@ def matrix_to_json_obj(m) -> dict:
 
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
+    if not (isinstance(obj, dict) and isinstance(obj.get("rows"), list)):
+        raise ValueError('a matrix must be a JSON object with a "rows" list')
     a = as_square_matrix(obj["rows"])
     if "n" in obj and int(obj["n"]) != a.shape[0]:
         raise ValueError(f"declared n = {obj['n']} does not match {a.shape[0]} rows")
@@ -57,7 +59,12 @@ def load_spec_file(path: str) -> tuple[float, np.ndarray | None, np.ndarray | No
     """Return (alpha, K, A) from a spec file; exactly one of K, A is set."""
     with open(path) as fh:
         obj = json.load(fh)
-    alpha = float(obj["alpha"])
+    if not isinstance(obj, dict):
+        raise ValueError("a spec must be a JSON object")
+    alpha = obj.get("alpha")
+    if type(alpha) not in (int, float):
+        raise ValueError(f"spec alpha must be a number, got {alpha!r}")
+    alpha = float(alpha)
     kernel = obj.get("kernel")
     a_mat = obj.get("A")
     if (kernel is None) == (a_mat is None):

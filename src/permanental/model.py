@@ -7,13 +7,16 @@ certified Chernoff tail bound, which also normalizes the mixing
 distribution of the latent index vector Z.  Per series matrix B~ = D^-1 B
 the bound comes from one Perron root and one batched ``slogdet`` over a
 fixed t grid, as a table over all truncation orders.
+
+The enumeration of the Z law serves ``z-dist`` and the tests only: the
+sampler draws Z from the loop soup, and E f(X) is a ``Moments`` mean over
+``sampler.sample_chunks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,20 +47,20 @@ class PermanentalSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def n(self) -> int:
         return self.pair.n
 
     @classmethod
-    def from_m_matrix(cls, a, alpha: float, **tol) -> "PermanentalSpec":
-        return cls(validate_m_matrix(a, **tol), float(alpha))
+    def from_m_matrix(cls, a, alpha: float) -> "PermanentalSpec":
+        return cls(validate_m_matrix(a), float(alpha))
 
     @classmethod
-    def from_kernel(cls, k, alpha: float, **tol) -> "PermanentalSpec":
-        return cls(validate_m_matrix(invert(as_square_matrix(k)), **tol), float(alpha))
+    def from_kernel(cls, k, alpha: float) -> "PermanentalSpec":
+        return cls(validate_m_matrix(invert(as_square_matrix(k))), float(alpha))
 
 
 def _as_s_vector(s, n: int) -> np.ndarray:
@@ -178,25 +181,24 @@ class ZDistribution:
         return _z_masses_to_order(self.spec, self.max_order + extra_orders)
 
 
-def _z_prefactor(spec: PermanentalSpec) -> float:
+def _series_parts(spec: PermanentalSpec, sv: np.ndarray | None = None,
+                  max_order: int = _MAX_ORDER):
+    """B~ = (D + S)^-1 B, its Perron root, the prefactor |A|^alpha / |D + S|^alpha
+    and the log tail bounds for orders 0..max_order; S = 0 when ``sv`` is None."""
+    bt = _b_tilde(spec.pair, sv)
+    rho = spectral_radius_nonneg(bt)
     sign, logdet_a = np.linalg.slogdet(spec.pair.A)
     if sign <= 0:
         raise ValueError("nonpositive determinant")
-    return math.exp(spec.alpha * (logdet_a - np.log(spec.pair.diag_a).sum()))
-
-
-def _z_series_parts(spec: PermanentalSpec, max_order: int):
-    """B~, its Perron root, the mass prefactor and the log tail bounds for
-    orders 0..max_order."""
-    bt = _b_tilde(spec.pair)
-    rho = spectral_radius_nonneg(bt)
-    return bt, rho, _z_prefactor(spec), _log_tail_bounds(bt, spec.alpha, rho, max_order)
+    scale = spec.pair.diag_a if sv is None else spec.pair.diag_a + sv
+    pref = math.exp(spec.alpha * (logdet_a - np.log(scale).sum()))
+    return bt, rho, pref, _log_tail_bounds(bt, spec.alpha, rho, max_order)
 
 
 def _z_masses_to_order(spec: PermanentalSpec, order: int, parts=None) -> ZDistribution:
-    """Masses up to ``order``; ``parts`` is ``_z_series_parts(spec, m)`` for
-    some m >= order when the caller has it already."""
-    bt, rho, pref, log_tails = parts or _z_series_parts(spec, order)
+    """Masses up to ``order``; ``parts`` is ``_series_parts(spec, max_order=m)``
+    for some m >= order when the caller has it already."""
+    bt, rho, pref, log_tails = parts or _series_parts(spec, max_order=order)
     coeffs = _series_coefficients_box(bt, spec.alpha, order, rho)
     masses = {k: pref * max(float(coeffs[k]), 0.0)
               for j in range(order + 1) for k in compositions(j, spec.n)}
@@ -216,7 +218,7 @@ def z_masses(spec: PermanentalSpec, target_mass: float) -> ZDistribution:
     is at most 1 - target_mass (hence covered mass >= target_mass)."""
     if not 0.0 < target_mass < 1.0 - 1e-12:
         raise ValueError("target_mass must lie in (0, 1 - 1e-12)")
-    parts = _z_series_parts(spec, _MAX_ORDER)
+    parts = _series_parts(spec)
     _, rho, pref, log_tails = parts
     if rho >= RHO_CEILING:
         raise TruncationInfeasible(
@@ -249,20 +251,11 @@ def series_laplace_report(spec: PermanentalSpec, s, rel_tol: float = 1e-8) -> Se
     """
     if not 1e-14 < rel_tol < 1e-2:
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
-    sv = _as_s_vector(s, spec.n)
-    bt = _b_tilde(spec.pair, sv)
-    rho = spectral_radius_nonneg(bt)
+    bt, rho, pref, log_tails = _series_parts(spec, _as_s_vector(s, spec.n))
     if rho >= RHO_CEILING:
         raise TruncationInfeasible(
             f"Perron root {rho:.8f} of the shifted series matrix too close to 1"
         )
-    sign, logdet_a = np.linalg.slogdet(spec.pair.A)
-    if sign <= 0:
-        raise ValueError("nonpositive determinant")
-    pref = math.exp(
-        spec.alpha * (logdet_a - np.log(spec.pair.diag_a + sv).sum())
-    )
-    log_tails = _log_tail_bounds(bt, spec.alpha, rho, _MAX_ORDER)
     c = [1.0]
     partial = 1.0
     traces: list[float] = []
@@ -282,77 +275,3 @@ def series_laplace_report(spec: PermanentalSpec, s, rel_tol: float = 1e-8) -> Se
         )
         c.append(cj)
         partial += cj
-
-
-def coordinate_sum(x: np.ndarray) -> np.ndarray:
-    return x.sum(axis=-1)
-
-
-def coordinate_max(x: np.ndarray) -> np.ndarray:
-    return x.max(axis=-1)
-
-
-def max_indicator(lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(x: np.ndarray) -> np.ndarray:
-        return (x.max(axis=-1) >= lam).astype(float)
-
-    return f
-
-
-_FUNCTIONALS = {"sum": coordinate_sum, "max": coordinate_max}
-
-
-def _resolve_functional(f, lam):
-    if callable(f):
-        return f
-    if f in _FUNCTIONALS:
-        return _FUNCTIONALS[f]
-    if f == "max-indicator":
-        if lam is None:
-            raise ValueError("max-indicator needs lam")
-        return max_indicator(lam)
-    raise ValueError(f"unknown functional {f!r}; use sum, max, max-indicator or a callable")
-
-
-@dataclass(frozen=True)
-class MixtureEstimate:
-    value: float
-    se: float
-    mass_deficiency: float
-
-
-def mixture_expectation(
-    spec: PermanentalSpec,
-    f,
-    mc_per_term: int,
-    seed: int,
-    lam: float | None = None,
-    target_mass: float = 1.0 - 1e-6,
-) -> MixtureEstimate:
-    """E f(X) as a Z-mixture of per-term Monte Carlo gamma expectations.
-
-    The uncovered mixture mass is reported as ``mass_deficiency`` alongside
-    the Monte Carlo standard error.
-    """
-    if mc_per_term < 1_000:
-        raise ValueError("mc_per_term must be at least 1000")
-    func = _resolve_functional(f, lam)
-    zdist = z_masses(spec, target_mass)
-    a = spec.pair.diag_a
-    total = 0.0
-    var = 0.0
-    for term, (k, mass) in enumerate(zdist.masses.items()):
-        if mass == 0.0:
-            continue
-        g = np.random.default_rng([seed, 211, term])
-        draws = g.standard_gamma(
-            spec.alpha + np.asarray(k, dtype=float), size=(mc_per_term, spec.n)
-        ) / a
-        vals = np.asarray(func(draws), dtype=float)
-        total += mass * float(vals.mean())
-        var += (mass * float(vals.std(ddof=1)) / math.sqrt(mc_per_term)) ** 2
-    return MixtureEstimate(
-        value=total,
-        se=math.sqrt(var),
-        mass_deficiency=max(0.0, 1.0 - zdist.covered_mass),
-    )

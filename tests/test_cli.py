@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -62,6 +64,91 @@ def test_corrupted_spec_exits_2(tmp_path):
     out = run_cli("laplace", "--spec", str(spec), "--s", "1,1")
     assert out.returncode == 2
     assert "error" in out.stderr
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["permanent", "--alpha", 1, "--matrix"], "[[1, 0], [0, 1]]", '"rows" list'),
+    (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list'),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers"),
+    (["laplace", "--s", 1, "--spec"], '{"alpha": Infinity, "kernel": {"n": 1, "rows": [[1]]}}',
+     "alpha must be positive and finite"),
+    (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"],
+     '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}', "s_points must be nonnegative"),
+    (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite"),
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2"),
+], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
+        "mc-validate-s-points", "gamma-tail-t-nan", "levy-u-inf", "levy-u-nan",
+        "unbounded-scan-n-0"])
+def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
+    # the input file, if any, is the last argument
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = argv + [path]
+    out = run_cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and message in out.stderr
+
+
+# stdout sha256 of z-dist and of laplace by series and by determinant, on the
+# README spec, an n = 4 spec with Perron root 0.75 (whose coefficient grid
+# takes the eigenvalue branch) and an acyclic n = 3 spec; recorded before the
+# Z enumeration and the series transform shared their series parts
+_MODEL_SPECS = {  # name: (alpha, A); "readme" is gen-kernel --n 5 --seed 3, alpha 1
+    "rho75": (1.0, np.eye(4) - 0.25 * (np.ones((4, 4)) - np.eye(4))),
+    "acyclic": (1.5, [[1.0, -0.3, -0.2], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]]),
+}
+_MODEL_COMMANDS = {
+    "z-dist": ["z-dist", "--target-mass", 0.999],
+    "series": ["laplace", "--method", "series", "--rel-tol", 1e-10, "--s"],
+    "det": ["laplace", "--method", "det", "--s"],
+}
+_MODEL_SHA256 = {
+    ("readme", "z-dist"):
+        "ae107d86791959d2efcc50ab4c07661d30940d68bb5d5b1b44810113d16c2743",
+    ("readme", "series"):
+        "dfc1789640f49a501e010b3e1807a7bf81002226ea768dfaeb2df2ed5e90fd2c",
+    ("readme", "det"):
+        "b021064e30fb50b06cc130c581d26d1cddfef3c50f3a1209146e8cee2c7776a3",
+    ("rho75", "z-dist"):
+        "793f0b085858a071711d945b56c8895a05f61be8aab36847068c11c663fb623a",
+    ("rho75", "series"):
+        "86991c6266ac166027a49f4385bc20d3b3d16264b39787ecfe96e2631a18e885",
+    ("rho75", "det"):
+        "8d035a41ddf06bc5979b0464e935926423c9827e778e32865fd4c63c489c68e1",
+    ("acyclic", "z-dist"):
+        "fd03967c898774a55f486c847cc6bf9c2ee97470eaf34ab7de50d805379f4652",
+    ("acyclic", "series"):
+        "c99ab0a2cf6da4591bea66d335cf3a669544f2602a20ffe011e5f8cf942c9e65",
+    ("acyclic", "det"):
+        "cab949724b3164378f6683f6937de7ad4f39d9fbf31fee1144d414ba3ef7cb21",
+}
+
+
+def _model_stdout_sha256(name: str, command: str, tmp_path) -> str:
+    spec = tmp_path / "spec.json"
+    if name == "readme":
+        kernel = tmp_path / "kernel.json"
+        assert run_cli("gen-kernel", "--n", 5, "--seed", 3, "--out", kernel).returncode == 0
+        matio.save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
+        n = 5
+    else:
+        alpha, a = _MODEL_SPECS[name]
+        matio.save_spec_file(str(spec), alpha, a_matrix=a)
+        n = len(a)
+    args = _MODEL_COMMANDS[command]
+    if command != "z-dist":
+        args = args + [",".join(["0.7"] * n)]
+    out = run_cli(*args, "--spec", spec)
+    assert out.returncode == 0, out.stderr
+    return hashlib.sha256(out.stdout.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, command", sorted(_MODEL_SHA256))
+def test_model_outputs_keep_their_bytes(name, command, tmp_path):
+    assert _model_stdout_sha256(name, command, tmp_path) == _MODEL_SHA256[(name, command)]
 
 
 def test_laplace_methods_agree_within_printed_rel_err(spec_file):
@@ -370,6 +457,14 @@ def test_levy_scan_thm16_csv():
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "n,statistic,log_n,ratio"
     assert len(lines) == 3
+
+
+def test_levy_scan_thm16_honours_eps_cut():
+    # for gamma = -0.5 the statistic is G = 2 (sqrt(log n) - sqrt(log cut))
+    out = run_cli("levy", "--p", 0.8, "--gamma", -0.5, "--eps-cut", 30, "--scan-thm16", 100)
+    statistic = float(out.stdout.splitlines()[1].split(",")[1])
+    err = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [100], cut=30.0)[0].err
+    assert abs(statistic - 2 * (math.sqrt(math.log(100)) - math.sqrt(math.log(30)))) <= err
 
 
 def test_mc_validate_small(spec_file):

@@ -9,7 +9,6 @@ from permanental.model import (
     PermanentalSpec,
     compositions,
     direct_laplace,
-    mixture_expectation,
     series_laplace_report,
     z_masses,
 )
@@ -188,35 +187,6 @@ def test_series_oracle_grid(small_corpus):
             got = series_laplace_report(spec, s, rel_tol=1e-7).value
             want = direct_laplace(spec, s)
             assert got == pytest.approx(want, rel=2e-7)
-
-
-# ---------------------------------------------------------------- mixture
-
-
-def test_mixture_sum_diagonal_matches_gamma_means():
-    spec = PermanentalSpec.from_m_matrix(np.diag([2.0, 3.0]), 1.5)
-    est = mixture_expectation(spec, "sum", 40_000, seed=5)
-    expected = 1.5 / 2.0 + 1.5 / 3.0
-    assert est.value == pytest.approx(expected, abs=4 * max(est.se, 1e-3))
-    assert est.mass_deficiency <= 1e-6
-
-
-def test_mixture_sum_matches_kernel_trace():
-    # E sum X_i = alpha * trace(K); the sampler cross-checks this elsewhere
-    est = mixture_expectation(SPEC2, "sum", 50_000, seed=6)
-    expected = 1.0 * np.trace(SPEC2.pair.K)
-    assert expected == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert est.value == pytest.approx(expected, abs=4 * est.se + 1e-4)
-
-
-def test_mixture_max_indicator_at_zero_is_one():
-    est = mixture_expectation(SPEC2, "max-indicator", 5_000, seed=7, lam=0.0)
-    assert est.value == pytest.approx(1.0, abs=est.mass_deficiency + 1e-12)
-
-
-def test_mixture_rejects_small_mc():
-    with pytest.raises(ValueError):
-        mixture_expectation(SPEC2, "sum", 10, seed=1)
 
 
 def test_mean_identity_vs_laplace_gradient(small_corpus):

@@ -59,7 +59,7 @@ def test_gamma_tail_frequency_vs_exact():
     assert hits == pytest.approx(want, abs=4 * se)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
 def test_spec_refuses_a_gamma_shape_that_is_not_positive(alpha):
     # every gamma shape the sampler draws is alpha or alpha + Z_i
     with pytest.raises(ValueError, match="alpha must be positive"):
