@@ -39,32 +39,77 @@ def _json_default(obj):
 
 def _emit(args, payload) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    _write(args, [text])
+    _write(args, [text.encode()])
 
 
 def _write(args, parts) -> None:
-    """Write an iterable of strings, one at a time, to --out or stdout."""
+    """Write an iterable of bytes, one part at a time, to --out or stdout."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with open(args.out, "wb") as fh:
             for part in parts:
                 fh.write(part)
     else:
+        sys.stdout.flush()
         for part in parts:
-            sys.stdout.write(part)
+            sys.stdout.buffer.write(part)
+        sys.stdout.buffer.flush()
+
+
+def _repr_only(x):
+    """Where orjson's layout of a float is not repr's: nonzero values below
+    1e-4 or from 1e16 in magnitude (orjson writes 0.00005 and 1e16 for
+    repr's 5e-05 and 1e+16), inf and nan (orjson writes null)."""
+    a = np.abs(x)
+    return (x != 0) & ~((a >= 1e-4) & (a < 1e16))
+
+
+def _cell(v, texts):
+    """A Python cell as orjson should see it: v itself if orjson writes it as
+    repr would, else the placeholder "" with the cell's text put on texts."""
+    if type(v) is int or type(v) is float and not _repr_only(v):
+        return v
+    texts.append("" if v is None else v if type(v) is str else repr(v))
+    return ""
 
 
 def _write_csv(args, header, blocks) -> None:
-    """Write CSV: the header, then the rows of each block (lists of Python
-    cells, as from ``ndarray.tolist()``), one block at a time.
+    """Write CSV: the header, then the rows of each block, one block at a time.
 
-    A number is written by repr, so a float reads back exactly; a string is
-    written as it is and None as an empty cell.
+    A block is a list of rows of Python cells, or a pair (floats, ints) of
+    2-D arrays whose rows are written side by side.  A number is written as
+    repr writes it, so a float reads back exactly; a string is written as it
+    is and None as an empty cell.  One orjson call writes a block: its Ryu
+    kernel gives repr's shortest round-trip digits.  Every other cell (a
+    string, None, a float of ``_repr_only``) goes to orjson as the empty
+    string, and its text is written in place of that placeholder's quotes.
     """
+    import orjson
+
+    def encode(block):
+        texts = []  # the placeholders' texts, in row-major order
+        if isinstance(block, tuple):
+            floats, ints = block
+            cells = floats.tolist()
+            for i, j in zip(*np.nonzero(_repr_only(floats))):
+                texts.append(repr(cells[i][j]))
+                cells[i][j] = ""
+            rows = list(map(list.__add__, cells, ints.tolist()))
+        else:
+            rows = [[_cell(v, texts) for v in row] for row in block]
+        if not rows:
+            return
+        # the placeholders are the only strings, so no "],[" is inside one
+        pieces = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n").split(b'""', len(texts))
+        yield pieces[0]
+        for text, piece in zip(texts, pieces[1:]):
+            yield text.encode()
+            yield piece
+        yield b"\n"
+
     def parts():
-        yield ",".join(header) + "\n"
-        for rows in blocks:
-            yield "".join([",".join(["" if v is None else v if type(v) is str else repr(v)
-                                     for v in row]) + "\n" for row in rows])
+        yield (",".join(header) + "\n").encode()
+        for block in blocks:
+            yield from encode(block)
 
     _write(args, parts())
 
@@ -142,13 +187,13 @@ _CSV_BLOCK = 2048  # rows of a sample chunk formatted per write
 
 
 def _sample_blocks(chunks):
-    """The CSV rows of each chunk (X, then L if coupled, then Z) as it
-    arrives, _CSV_BLOCK rows at a time."""
+    """The CSV blocks of each chunk as it arrives, _CSV_BLOCK rows at a
+    time: the floats (X, then L if coupled) and the ints Z."""
     for x, lower, z in chunks:
         for start in range(0, len(x), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             floats = x[rows] if lower is None else np.hstack([x[rows], lower[rows]])
-            yield map(list.__add__, floats.tolist(), z[rows].tolist())
+            yield floats, z[rows]
 
 
 def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
@@ -158,6 +203,8 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
     increasing-functional margins.  Draws are read one chunk at a time."""
     if s_points < 0:
         raise ValueError(f"s_points must be nonnegative, got {s_points}")
+    if n_draws < 2:
+        raise OutOfRange(f"a standard error needs at least 2 draws, got n = {n_draws}")
     g = np.random.default_rng([seed, 555])
     s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
     moments = [Moments() for _ in s_list]

@@ -74,13 +74,15 @@ def test_corrupted_spec_exits_2(tmp_path):
      "alpha must be positive and finite"),
     (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"],
      '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}', "s_points must be nonnegative"),
+    (["mc-validate", "--n", 1, "--seed", 1, "--s-points", 1, "--spec"],
+     '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}', "at least 2 draws"),
     (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite"),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2"),
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
-        "mc-validate-s-points", "gamma-tail-t-nan", "levy-u-inf", "levy-u-nan",
-        "unbounded-scan-n-0"])
+        "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
+        "levy-u-nan", "unbounded-scan-n-0"])
 def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     # the input file, if any, is the last argument
     if text is not None:
@@ -290,6 +292,63 @@ def test_csv_writer_peak_is_one_block_not_the_batch(tmp_path):
 
     few, many = traced_peak(2 * cli._CSV_BLOCK), traced_peak(12 * cli._CSV_BLOCK)
     assert many <= 1.25 * few
+
+
+def _layout_edge_floats() -> list[float]:
+    """Floats at and around every place where orjson's layout and repr's part:
+    1e-5 (orjson's switch to an exponent), 1e-4 and 1e16 (repr's), the
+    subnormal and largest doubles, signed zeros, 2**53, inf and nan."""
+    edges = [1e-5, 1e-4, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             2.0 ** 53, 1e-7, 1e22, 123456789012345678.0, 1.0, 0.5]
+    near = [math.nextafter(e, to) for e in edges for to in (0.0, math.inf)]
+    values = edges + near + [9.999999999999999e-5, 9.999999999999998e15]
+    return values + [-v for v in values] + [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def _csv_bytes(tmp_path, header, blocks) -> bytes:
+    path = tmp_path / "w.csv"
+    cli._write_csv(argparse.Namespace(out=str(path)), header, blocks)
+    return path.read_bytes()
+
+
+def test_csv_writer_array_blocks_match_the_repr_oracle(tmp_path):
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2 ** 64, size=140_000, dtype=np.uint64).view(np.float64)
+    finite = bits[np.isfinite(bits)][:131_072]  # random exponents: every layout
+    # random digits where orjson's layout is repr's: 1e-4 <= |x| < 1e16
+    ryu = 10.0 ** rng.uniform(-4, 16, size=(4096, 16)) * rng.choice([-1.0, 1.0], (4096, 16))
+    edges = np.array(_layout_edge_floats())
+    blocks = [(finite.reshape(-1, 16), rng.integers(-2 ** 62, 2 ** 62, size=(8192, 3))),
+              (ryu, rng.integers(0, 100, size=(4096, 3))),
+              (np.resize(edges, (len(edges), 5)), np.arange(len(edges))[:, None]),
+              (np.full((3, 2), 5e-5), np.zeros((3, 1), dtype=np.int64))]
+    header = ["h"] * 19
+    want = oracle_csv_text(header, [row for floats, ints in blocks
+                                    for row in map(list.__add__, floats.tolist(),
+                                                   ints.tolist())])
+    assert _csv_bytes(tmp_path, header, blocks) == want.encode()
+
+
+def test_csv_writer_row_blocks_match_the_repr_oracle(tmp_path):
+    edges = _layout_edge_floats()
+    rows = [edges[i:i + 6] for i in range(0, len(edges), 6)]
+    rows += [[0.1, 8, None, 2.4665778017851725, 1e-05, "NotMMatrix: A[0,15] = 0.03"],
+             [0.1, 16, None, None, 1e+16, 'say "a\\b" ],["'],
+             [None, "", 'x""y', None, -0.0, 3]]
+    header = ["h"] * 6
+    blocks = [rows[:3], [], rows[3:]]
+    assert _csv_bytes(tmp_path, header, blocks) == oracle_csv_text(header, rows).encode()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("couple", [False, True], ids=["plain", "couple"])
+def test_sample_stdout_bytes_match_out_file(spec_file, tmp_path, couple, workers):
+    path = tmp_path / "s.csv"
+    argv = CLI + ["sample", "--spec", spec_file, "--n", str(cli._CSV_BLOCK + 1), "--seed", "6",
+                  "--workers", str(workers)] + ["--couple"] * couple
+    stdout = subprocess.run(argv, capture_output=True, check=True).stdout
+    subprocess.run(argv + ["--out", str(path)], capture_output=True, check=True)
+    assert stdout == path.read_bytes() and stdout.count(b"\n") == cli._CSV_BLOCK + 2
 
 
 def _stream_argv(command, spec_file, n_draws, workers, out):
@@ -526,11 +585,13 @@ def test_levy_kernel_points_command(tmp_path):
 
 
 # Runs the CLI in a fresh interpreter and reports, on the last stderr line,
-# which scipy modules were loaded after the import and after the command.
-_SCIPY_PROBE = """
+# which modules of one top-level package (the first argument) were loaded
+# after the import and after the command.
+_PROBE = """
 import sys
+top = sys.argv.pop(1)
 def loaded():
-    return ",".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    return ",".join(sorted(m for m in sys.modules if m.partition(".")[0] == top))
 from permanental.cli import main
 after_import = loaded()
 code = main(sys.argv[1:])
@@ -539,21 +600,19 @@ sys.exit(code)
 """
 
 
-def scipy_modules_loaded(*args):
-    """Exit code and the scipy modules loaded after import and after the command."""
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, args)],
+def modules_loaded(top, *args):
+    """Exit code and the modules of package `top` loaded after import and
+    after the command."""
+    out = subprocess.run([sys.executable, "-c", _PROBE, top, *map(str, args)],
                          capture_output=True, text=True)
     after_import, _, after_run = out.stderr.splitlines()[-1].partition(";")
     return out.returncode, after_import, after_run
 
 
-@pytest.mark.parametrize("case", ["classify", "gamma-tail", "laplace", "bounds",
-                                  "validate-kernel", "sample", "levy-kernel", "levy-u",
-                                  "levy-scan-thm16"])
-def test_short_commands_never_import_scipy(case, spec_file, kernel_file, tmp_path):
+def _probe_argv(case, spec_file, kernel_file, tmp_path):
     points = tmp_path / "points.json"
     points.write_text('{"points": [0.0, 0.3]}')
-    args = {
+    return {
         "classify": ["classify", "--gamma", -0.5, "--p", 0.8],
         "gamma-tail": ["gamma-tail", "--u", 2, "--t", 5, "--bounds"],
         "laplace": ["laplace", "--spec", spec_file, "--s", "1,1,1", "--method", "det"],
@@ -561,12 +620,34 @@ def test_short_commands_never_import_scipy(case, spec_file, kernel_file, tmp_pat
         "validate-kernel": ["validate-kernel", kernel_file],
         "sample": ["sample", "--spec", spec_file, "--n", 100, "--seed", 1, "--couple",
                    "--out", tmp_path / "s.csv"],
+        "mc-validate": ["mc-validate", "--spec", spec_file, "--n", 100, "--seed", 1,
+                        "--s-points", 2],
         "levy-kernel": ["levy", "--p", 0.8, "--gamma", -0.5, "--kernel", points],
         "levy-u": ["levy", "--p", 0.5, "--gamma", 2.0, "--u", 0.05],
         "levy-scan-thm16": ["levy", "--p", 0.5, "--gamma", 1.2, "--delta", -0.5,
                             "--scan-thm16", "100,1e4"],
     }[case]
-    assert scipy_modules_loaded(*args) == (0, "", "")
+
+
+@pytest.mark.parametrize("case", ["classify", "gamma-tail", "laplace", "bounds",
+                                  "validate-kernel", "sample", "mc-validate", "levy-kernel",
+                                  "levy-u", "levy-scan-thm16"])
+def test_short_commands_never_import_scipy(case, spec_file, kernel_file, tmp_path):
+    argv = _probe_argv(case, spec_file, kernel_file, tmp_path)
+    assert modules_loaded("scipy", *argv) == (0, "", "")
+
+
+@pytest.mark.parametrize("case", ["laplace", "bounds", "validate-kernel", "mc-validate",
+                                  "levy-kernel", "levy-u"])
+def test_commands_writing_no_csv_never_import_orjson(case, spec_file, kernel_file, tmp_path):
+    argv = _probe_argv(case, spec_file, kernel_file, tmp_path)
+    assert modules_loaded("orjson", *argv) == (0, "", "")
+
+
+def test_sample_imports_orjson_only_to_write_its_csv(spec_file, kernel_file, tmp_path):
+    argv = _probe_argv("sample", spec_file, kernel_file, tmp_path)
+    code, after_import, after_run = modules_loaded("orjson", *argv)
+    assert (code, after_import) == (0, "") and "orjson" in after_run.split(",")
 
 
 def test_scan_thm16_slowly_decaying_symmetric_tail_matches_mpmath():
