@@ -346,10 +346,12 @@ def cmd_validate_kernel(args) -> int:
 
 def cmd_levy(args) -> int:
     q = args.q if args.q is not None else 1.0 - args.p
-    if args.scan_thm16:
-        rows = levy.check_thm16_integrals(
-            args.gamma, args.delta, args.p, q, _parse_floats(args.scan_thm16), cut=args.eps_cut
-        )
+    if args.scan_thm16 is not None:
+        grid = _parse_floats(args.scan_thm16)
+        if not grid:
+            raise OutOfRange(f"--scan-thm16 needs at least one n, got {args.scan_thm16!r}")
+        rows = levy.check_thm16_integrals(args.gamma, args.delta, args.p, q, grid,
+                                          cut=args.eps_cut)
         _write_csv(args, ["n", "statistic", "log_n", "ratio"],
                    [[[r.n, r.statistic, r.log_n, r.ratio] for r in rows]])
         return 0
@@ -393,7 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="alpha-permanental vectors with M-matrix kernels: "
                     "simulation, Laplace transforms, bounds and Levy kernels",
     )
-    default_workers = int(os.environ.get("PERMANENTAL_WORKERS", "1"))
+    workers_env = os.environ.get("PERMANENTAL_WORKERS", "1")
+    try:
+        default_workers = int(workers_env)
+    except ValueError:
+        raise OutOfRange(
+            f"PERMANENTAL_WORKERS must be an integer, got {workers_env!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("permanent", help="exact alpha-permanent of a matrix")
@@ -503,9 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser is cyclic: bound here, it lives to the end of the command
+        # instead of waiting, as garbage, for whichever collection frees it
+        parser = build_parser()
+        args = parser.parse_args(argv)
         return args.func(args)
     except PermanentalError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -34,8 +34,8 @@ GRID_CAP = 40_000_000
 # Above this Perron root no truncation order can be certified at double precision.
 RHO_CEILING = 1.0 - 1e-6
 _MAX_ORDER = 400
-# Grid points per batch of complex n x n determinants: bounds the transient
-# memory of the coefficient grid (the matrices and det's copy of them).
+# Grid points per batch of complex n x n LU factorizations: bounds the
+# transient memory of the coefficient grid (the matrices and one update term).
 _GRID_CHUNK = 16_384
 
 
@@ -114,16 +114,19 @@ def _log_tail_bounds(
     return bounds.min(axis=1, initial=math.inf)
 
 
-def _series_coefficients_box(
-    b_tilde: np.ndarray, alpha: float, order: int, rho: float
-) -> np.ndarray:
+def _series_coefficients_box(b_tilde: np.ndarray, alpha: float, order: int) -> np.ndarray:
     """Coefficients F_k = |B~(k)|_alpha / k! for all k in {0..order}^n.
 
-    Extracts Taylor coefficients of det(I - Z B~)^{-alpha} by evaluating it
+    Extracts Taylor coefficients of det(I - X B~)^{-alpha} by evaluating it
     on the (order+1)-st roots-of-unity grid and applying an n-dimensional
     FFT.  At radius 1 the aliased mass is exactly the out-of-box mass,
-    which the caller's tail certificate already covers.  ``rho`` is the
-    Perron root of B~.
+    which the caller's tail certificate already covers.
+
+    The determinant is the product of the pivots of LU without pivoting.
+    Pivot k is 1 - g_k(X), where g_k generates the first returns to k
+    through states below k; its weights are nonnegative, so on the torus
+    |p_k - 1| <= g_k(1) < 1.  The product of principal powers p_k^{-alpha}
+    is then the analytic branch for every alpha and every Perron root.
     """
     n = b_tilde.shape[0]
     N = order + 1
@@ -132,25 +135,21 @@ def _series_coefficients_box(
         raise DimensionTooLarge(
             f"coefficient grid {N}^{n} = {total} exceeds cap {GRID_CAP}"
         )
-    # principal branch of det^? is the analytic continuation only while the
-    # accumulated argument cannot wrap; otherwise fall back to eigenvalues
-    principal_ok = n * math.asin(min(rho, 1.0)) < 0.999 * math.pi
     omega = np.exp(2j * np.pi * np.arange(N) / N)
-    eye = np.eye(n, dtype=complex)
-    flat = np.empty(total, dtype=complex)
+    flat = np.ones(total, dtype=complex)
     chunk = min(_GRID_CHUNK, total)
     shape = (N,) * n
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        digits = np.unravel_index(np.arange(start, stop), shape)
-        z = omega[np.stack(digits, axis=1)]
-        mats = eye[None, :, :] - z[:, :, None] * b_tilde[None, :, :]
-        if principal_ok:
-            flat[start:stop] = np.linalg.det(mats) ** (-alpha)
-        else:
-            mu = np.linalg.eigvals(mats - eye[None, :, :]) + 1.0
-            flat[start:stop] = np.exp(-alpha * np.log(mu).sum(axis=-1))
-    coeffs = np.fft.fftn(flat.reshape(shape)) / total
+        x = omega[np.stack(np.unravel_index(np.arange(start, stop), shape))]
+        # m[i, j] is entry (i, j) of I - X B~ over the chunk's points
+        m = -b_tilde[:, :, None] * x[:, None, :]
+        m[np.diag_indices(n)] += 1.0
+        for k in range(n):
+            flat[start:stop] *= m[k, k] ** -alpha
+            m[k + 1:, k + 1:] -= (m[k + 1:, k] / m[k, k])[:, None] * m[k, k + 1:]
+    coeffs = np.fft.fftn(flat.reshape(shape))
+    coeffs /= total
     return np.ascontiguousarray(coeffs.real)
 
 
@@ -163,7 +162,7 @@ def _b_tilde(pair: MMatrixPair, s: np.ndarray | None = None) -> np.ndarray:
 class ZDistribution:
     """Masses of the latent index vector Z, enumerated in graded order.
 
-    ``masses`` holds multi-indices by increasing order (lexicographic within
+    ``masses`` holds multi-indices graded by total order (lexicographic within
     an order).  ``covered_mass + tail_bound`` certifies the normalization.
     Each mass carries a nonnegative alias bias bounded by ``tail_bound``, so
     tight targets give tight per-mass accuracy.
@@ -198,8 +197,8 @@ def _series_parts(spec: PermanentalSpec, sv: np.ndarray | None = None,
 def _z_masses_to_order(spec: PermanentalSpec, order: int, parts=None) -> ZDistribution:
     """Masses up to ``order``; ``parts`` is ``_series_parts(spec, max_order=m)``
     for some m >= order when the caller has it already."""
-    bt, rho, pref, log_tails = parts or _series_parts(spec, max_order=order)
-    coeffs = _series_coefficients_box(bt, spec.alpha, order, rho)
+    bt, _, pref, log_tails = parts or _series_parts(spec, max_order=order)
+    coeffs = _series_coefficients_box(bt, spec.alpha, order)
     masses = {k: pref * max(float(coeffs[k]), 0.0)
               for j in range(order + 1) for k in compositions(j, spec.n)}
     covered = float(np.sum(list(masses.values())))

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -80,9 +81,13 @@ def test_corrupted_spec_exits_2(tmp_path):
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite"),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ""], None,
+     "--scan-thm16 needs at least one n"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ","], None,
+     "--scan-thm16 needs at least one n"),
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
-        "levy-u-nan", "unbounded-scan-n-0"])
+        "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma"])
 def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     # the input file, if any, is the last argument
     if text is not None:
@@ -94,10 +99,21 @@ def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     assert out.stderr.startswith("error: ") and message in out.stderr
 
 
+def test_bad_workers_variable_exits_2_naming_it():
+    # the variable sets the --workers default, so even commands without
+    # workers read it
+    out = run_cli("classify", "--p", 0.8, "--gamma", -0.5,
+                  env={**os.environ, "PERMANENTAL_WORKERS": "abc"})
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "PERMANENTAL_WORKERS" in out.stderr
+
+
 # stdout sha256 of z-dist and of laplace by series and by determinant, on the
-# README spec, an n = 4 spec with Perron root 0.75 (whose coefficient grid
-# takes the eigenvalue branch) and an acyclic n = 3 spec; recorded before the
-# Z enumeration and the series transform shared their series parts
+# README spec, an n = 4 spec with Perron root 0.75 (a 35^4-point coefficient
+# grid, with rho above sin(pi/n)) and an acyclic n = 3 spec; recorded before
+# the Z enumeration and the series transform shared their series parts, and
+# the readme and rho75 z-dist hashes again when the grid moved to LU pivots
+# (every mass within 1e-15 of before)
 _MODEL_SPECS = {  # name: (alpha, A); "readme" is gen-kernel --n 5 --seed 3, alpha 1
     "rho75": (1.0, np.eye(4) - 0.25 * (np.ones((4, 4)) - np.eye(4))),
     "acyclic": (1.5, [[1.0, -0.3, -0.2], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]]),
@@ -109,13 +125,13 @@ _MODEL_COMMANDS = {
 }
 _MODEL_SHA256 = {
     ("readme", "z-dist"):
-        "ae107d86791959d2efcc50ab4c07661d30940d68bb5d5b1b44810113d16c2743",
+        "4ad04db9fe4ed3d09d3ceed0ccb399c036c72142470e6fd2e80de831c87d3cc9",
     ("readme", "series"):
         "dfc1789640f49a501e010b3e1807a7bf81002226ea768dfaeb2df2ed5e90fd2c",
     ("readme", "det"):
         "b021064e30fb50b06cc130c581d26d1cddfef3c50f3a1209146e8cee2c7776a3",
     ("rho75", "z-dist"):
-        "793f0b085858a071711d945b56c8895a05f61be8aab36847068c11c663fb623a",
+        "4ba0e34f2ee49c32bb4ae1faebd6b2e47376d77d42fd4db29a4121b92f7f235f",
     ("rho75", "series"):
         "86991c6266ac166027a49f4385bc20d3b3d16264b39787ecfe96e2631a18e885",
     ("rho75", "det"):

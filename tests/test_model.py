@@ -7,6 +7,7 @@ from permanental.errors import TruncationInfeasible
 from permanental.linalg import alpha_permanent, block_expand
 from permanental.model import (
     PermanentalSpec,
+    _series_coefficients_box,
     compositions,
     direct_laplace,
     series_laplace_report,
@@ -201,8 +202,10 @@ def test_mean_identity_vs_laplace_gradient(small_corpus):
 
 
 def test_z_masses_eigenvalue_branch_matches_permanent_oracle():
-    # spectral radius above sin(pi/n) forces the eigenvalue fallback in the
-    # coefficient extraction; the masses must still match brute force
+    # a spectral radius above sin(pi/n) lets the n eigenvalue arguments of
+    # I - X B~, each up to asin(rho), sum past pi on the torus, where a
+    # principal power of det could leave the analytic branch; the masses
+    # must still match brute force
     rng = np.random.default_rng(31)
     P = rng.random((5, 5))
     np.fill_diagonal(P, 0.0)
@@ -223,6 +226,56 @@ def test_z_masses_eigenvalue_branch_matches_permanent_oracle():
             assert zd.masses[k] == pytest.approx(
                 expected, rel=1e-7, abs=zd.tail_bound * 1e-3 + 1e-12
             )
+
+
+def eigenvalue_coefficients_box(bt, alpha, order):
+    """Reference for the coefficient grid: det(I - X B~)^-alpha as the product
+    of principal powers of the eigenvalues mu of I - X B~, each in the disc
+    |mu - 1| <= rho < 1, then the same FFT."""
+    n = bt.shape[0]
+    shape = (order + 1,) * n
+    omega = np.exp(2j * np.pi * np.arange(order + 1) / (order + 1))
+    x = omega[np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)]
+    mu = np.linalg.eigvals(-x[:, :, None] * bt[None, :, :]) + 1.0
+    values = np.exp(-alpha * np.log(mu).sum(axis=-1))
+    return (np.fft.fftn(values.reshape(shape)) / values.size).real
+
+
+def _b_tilde_seed31():
+    # B~ of the n = 5 spec of test_z_masses_eigenvalue_branch_matches_permanent_oracle
+    rng = np.random.default_rng(31)
+    P = rng.random((5, 5))
+    np.fill_diagonal(P, 0.0)
+    return 0.65 * P / P.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_grid_takes_the_analytic_branch_on_three_two_cycles(alpha):
+    # 2-cycles (i, i + 3) of weight r: det(I - X B~) = prod_i (1 - x_i x_{i+3} r^2),
+    # whose arguments sum past pi on the torus.  The N-point grid aliases the
+    # series sum_m C(alpha + m - 1, m) r^2m (x_i x_{i+3})^m of each factor
+    r, N = 0.95, 8
+    bt = np.zeros((6, 6))
+    for i in range(3):
+        bt[i, i + 3] = bt[i + 3, i] = r
+    series = [binom(alpha, m) * r ** (2 * m) for m in range(1200)]
+    aliased = [math.fsum(series[j::N]) for j in range(N)]
+    want = np.zeros((N,) * 6)
+    for j in np.ndindex(N, N, N):
+        want[j + j] = math.prod(aliased[ji] for ji in j)
+    got = _series_coefficients_box(bt, alpha, N - 1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * want.max())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("bt, order", [
+    (0.25 * (np.ones((4, 4)) - np.eye(4)), 10),  # the rho75 spec of tests/test_cli.py
+    (_b_tilde_seed31(), 6),
+], ids=["rho75", "seed31-n5"])
+def test_grid_matches_eigenvalue_oracle(bt, order, alpha):
+    np.testing.assert_allclose(_series_coefficients_box(bt, alpha, order),
+                               eigenvalue_coefficients_box(bt, alpha, order),
+                               rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- acyclic and defective B~
