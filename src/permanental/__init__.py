@@ -23,9 +23,9 @@ from .errors import (
     SingularMatrix,
     TruncationInfeasible,
 )
-from .linalg import MMatrixPair, alpha_permanent, block_expand, validate_m_matrix
+from .linalg import MMatrixPair, alpha_permanent, validate_m_matrix
 from .model import (PermanentalSpec, ZDistribution, direct_laplace, series_laplace_report,
                     z_masses)
-from .sampler import RngStream, SampleBatch, sample_permanental
+from .sampler import RngStream
 
 __version__ = "0.1.0"

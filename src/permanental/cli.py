@@ -200,7 +200,8 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
                 workers: int | None = None) -> dict:
     """Full pipeline check: empirical vs determinant Laplace transform on
     deterministic s-points, pathwise coupling violations, and the
-    increasing-functional margins.  Draws are read one chunk at a time."""
+    increasing-functional margins, all read from one coupled stream of
+    draws, one chunk at a time."""
     if s_points < 0:
         raise ValueError(f"s_points must be nonnegative, got {s_points}")
     if n_draws < 2:
@@ -209,33 +210,32 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
     s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
     moments = [Moments() for _ in s_list]
     violations = 0
-    for x, lower, _ in sample_chunks(spec, n_draws, RngStream(seed), with_coupling=True,
-                                     workers=workers):
-        violations += int(np.sum(x - lower < 0))
-        for s, acc in zip(s_list, moments):
-            acc.add(_laplace_terms(x, s))
+
+    def tallied(chunks):  # each chunk on its way to the inequality check
+        nonlocal violations
+        for chunk in chunks:
+            x, lower, _ = chunk
+            violations += int(np.sum(x - lower < 0))
+            for s, acc in zip(s_list, moments):
+                acc.add(_laplace_terms(x, s))
+            yield chunk
+
+    rng = RngStream(seed)
+    ineq = check_permanental_inequality(
+        spec, tallied(sample_chunks(spec, n_draws, rng, with_coupling=True, workers=workers)),
+        rng)
     points = []
-    within = 0
     for s, acc in zip(s_list, moments):
         emp, se = acc.mean, acc.se
         direct = direct_laplace(spec, s)
-        zscore = (emp - direct) / se if se > 0 else 0.0
-        if abs(zscore) <= 4.0:
-            within += 1
         points.append({"s": [float(x) for x in s], "empirical": emp, "se": se,
-                       "direct": direct, "z_score": zscore})
-    ineq = check_permanental_inequality(spec, max(n_draws, 10_000), RngStream(seed, 1))
+                       "direct": direct, "z_score": (emp - direct) / se if se > 0 else 0.0})
     return {
         "n_draws": n_draws,
         "coupling_violations": violations,
         "points": points,
-        "points_within_4se": within,
-        "inequality": {
-            "n_draws": ineq.n_draws,
-            "diff_mean": ineq.diff_mean,
-            "diff_se": ineq.diff_se,
-            "tails": [dataclasses.asdict(t) for t in ineq.tails],
-        },
+        "points_within_4se": sum(abs(p["z_score"]) <= 4.0 for p in points),
+        "inequality": dataclasses.asdict(ineq),
     }
 
 
@@ -399,8 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     try:
         default_workers = int(workers_env)
     except ValueError:
+        default_workers = 0
+    if default_workers < 1:
         raise OutOfRange(
-            f"PERMANENTAL_WORKERS must be an integer, got {workers_env!r}") from None
+            f"PERMANENTAL_WORKERS must be a positive integer, got {workers_env!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("permanent", help="exact alpha-permanent of a matrix")
@@ -515,6 +517,8 @@ def main(argv=None) -> int:
         # instead of waiting, as garbage, for whichever collection frees it
         parser = build_parser()
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:  # PERMANENTAL_WORKERS is checked by the parser
+            raise OutOfRange(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except PermanentalError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -267,23 +267,6 @@ def alpha_permanent_rel_err(m, alpha: float, value: float) -> float:
     return err / abs(value)
 
 
-def block_expand(c, k) -> np.ndarray:
-    """Expand C to the |k| x |k| matrix C(k), replicating index i k_i times.
-
-    |k| = 0 is the caller's scalar-1 case and is rejected here.
-    """
-    C = as_square_matrix(c)
-    kv = np.asarray(k, dtype=int)
-    if kv.shape != (C.shape[0],):
-        raise ValueError(f"multi-index length {kv.shape} does not match n = {C.shape[0]}")
-    if (kv < 0).any():
-        raise ValueError("multi-index components must be nonnegative")
-    if kv.sum() < 1:
-        raise ValueError("block_expand requires |k| >= 1")
-    idx = np.repeat(np.arange(C.shape[0]), kv)
-    return C[np.ix_(idx, idx)]
-
-
 def spectral_radius_nonneg(m) -> float:
     """Perron root of an entrywise nonnegative matrix: its largest eigenvalue modulus.
 

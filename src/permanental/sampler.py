@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationInfeasible
 from .gamma_tails import gamma_tail_exact
-from .model import PermanentalSpec, _as_s_vector, _b_tilde
+from .model import PermanentalSpec, _b_tilde
 
 _CHUNK = 16_384  # rows per chunk, one substream each
 _WALKERS = 262_144  # excursions walked at a time within a chunk
@@ -168,52 +168,6 @@ def sample_chunks(
     return chunks()
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Seeded batch of permanental draws with optional coupled lower bounds."""
-
-    spec: PermanentalSpec
-    draws: np.ndarray
-    coupled_lower: np.ndarray | None
-    z_draws: np.ndarray
-    seed: int
-    stream_id: int
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
-
-
-def sample_permanental(
-    spec: PermanentalSpec,
-    n_draws: int,
-    rng: RngStream,
-    with_coupling: bool = False,
-    workers: int | None = None,
-) -> SampleBatch:
-    """The chunks of ``sample_chunks`` gathered into one batch."""
-    chunks = sample_chunks(spec, n_draws, rng, with_coupling, workers)
-    draws = np.empty((n_draws, spec.n))
-    coupled = np.empty((n_draws, spec.n)) if with_coupling else None
-    z_draws = np.empty((n_draws, spec.n), dtype=np.int64)
-    start = 0
-    for x, lower, z in chunks:
-        rows = slice(start, start + len(x))
-        draws[rows] = x
-        z_draws[rows] = z
-        if with_coupling:
-            coupled[rows] = lower
-        start = rows.stop
-    return SampleBatch(
-        spec=spec,
-        draws=draws,
-        coupled_lower=coupled,
-        z_draws=z_draws,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
-
-
 @dataclass
 class Moments:
     """Count, mean and sum of squared deviations (M2) of a stream of values,
@@ -251,18 +205,6 @@ def _laplace_terms(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return np.exp(-(x @ sv))
 
 
-def empirical_laplace(batch: SampleBatch, s) -> tuple[float, float]:
-    """Empirical E exp(-<s, X>) over the batch, with its standard error,
-    merged over the batch's chunks as a streaming consumer merges them."""
-    if batch.n_draws < 1:
-        raise ValueError("empty batch")
-    sv = _as_s_vector(s, batch.spec.n)
-    acc = Moments()
-    for start in range(0, batch.n_draws, _CHUNK):
-        acc.add(_laplace_terms(batch.draws[start:start + _CHUNK], sv))
-    return acc.mean, acc.se
-
-
 @dataclass(frozen=True)
 class TailComparison:
     p: int
@@ -286,27 +228,28 @@ class InequalityReport:
 
 def check_permanental_inequality(
     spec: PermanentalSpec,
-    n_draws: int,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray | None, np.ndarray]],
     rng: RngStream,
     lambdas=(0.5, 1.0, 2.0, 4.0),
     p_values=(1, 2),
 ) -> InequalityReport:
     """Empirical check that E max(a_i X_i) dominates E max of iid xi_{alpha,1},
-    and the rearranged tail version on a lambda grid, one chunk at a time."""
-    if n_draws < 10_000:
-        raise ValueError("needs at least 1e4 draws")
+    and the rearranged tail version on a lambda grid, one chunk at a time.
+    ``chunks`` are the (X, L, Z) triples of ``sample_chunks`` for ``spec``,
+    of which only X is read; the iid side is drawn from rng's _TAG_IID
+    substream."""
     a = spec.pair.diag_a
     g = rng.generator(_TAG_IID)
     scaled_max, iid_max = Moments(), Moments()
     hits = [Moments() for _ in lambdas]
-    for x, _, _ in sample_chunks(spec, n_draws, rng):
+    for x, _, _ in chunks:
         scaled_max.add((x * a).max(axis=1))
         iid_max.add(g.standard_gamma(spec.alpha, size=x.shape).max(axis=1))
         raw_max = x.max(axis=1)
         for lam, acc in zip(lambdas, hits):
             acc.add(raw_max >= lam)
-    diff = scaled_max.mean - iid_max.mean
-    diff_se = math.hypot(scaled_max.se, iid_max.se)
+    if scaled_max.count < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {scaled_max.count}")
     a_sorted = np.sort(a)
     tails = []
     for p in p_values:
@@ -317,14 +260,7 @@ def check_permanental_inequality(
         for lam, acc in zip(lambdas, hits):
             tail1 = gamma_tail_exact(spec.alpha, 1.0, a_star * lam)
             exact = -math.expm1(m * math.log1p(-min(tail1, 1.0 - 1e-16)))
-            tails.append(
-                TailComparison(
-                    p=p,
-                    lam=float(lam),
-                    prob_perm=acc.mean,
-                    se=acc.se,
-                    prob_iid_exact=exact,
-                    margin=acc.mean - exact,
-                )
-            )
-    return InequalityReport(n_draws=n_draws, diff_mean=diff, diff_se=diff_se, tails=tails)
+            tails.append(TailComparison(p=p, lam=float(lam), prob_perm=acc.mean, se=acc.se,
+                                        prob_iid_exact=exact, margin=acc.mean - exact))
+    return InequalityReport(n_draws=scaled_max.count, diff_mean=scaled_max.mean - iid_max.mean,
+                            diff_se=math.hypot(scaled_max.se, iid_max.se), tails=tails)

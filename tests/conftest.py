@@ -1,5 +1,7 @@
 """Shared fixtures: the Markov-generated kernel corpus used across tests, the
-brute-force alpha-permanent oracle and the concatenating sampler oracle."""
+brute-force alpha-permanent oracle, the block matrix C(k) of the series
+coefficients, the sampler's chunk oracle and the helpers that read a chunk
+stream whole."""
 
 from __future__ import annotations
 
@@ -73,6 +75,13 @@ def naive_alpha_permanent(m: np.ndarray, alpha: float) -> float:
     return math.fsum(prods * alpha**cycles)
 
 
+def block_expand(c, k) -> np.ndarray:
+    """C(k): C with index i repeated k_i times, whose alpha-permanent over
+    k! is the series coefficient of x^k."""
+    idx = np.repeat(np.arange(len(k)), k)
+    return np.asarray(c, dtype=float)[np.ix_(idx, idx)]
+
+
 def oracle_chunks(spec, n_draws, rng, with_coupling=False, workers=None):
     """The sampler's chunks by their former layout: each chunk of
     ``sampler._CHUNK`` rows draws arrays of its own from substream c, in the
@@ -95,14 +104,20 @@ def oracle_chunks(spec, n_draws, rng, with_coupling=False, workers=None):
         yield x, lower, z
 
 
-def oracle_sample(spec, n_draws, rng, with_coupling=False, workers=None) -> sampler.SampleBatch:
-    """The chunks of ``oracle_chunks`` concatenated into one batch."""
-    parts = list(oracle_chunks(spec, n_draws, rng, with_coupling))
-    return sampler.SampleBatch(
-        spec=spec,
-        draws=np.concatenate([p[0] for p in parts]),
-        coupled_lower=np.concatenate([p[1] for p in parts]) if with_coupling else None,
-        z_draws=np.concatenate([p[2] for p in parts]),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+def gather(chunks):
+    """The (X, L, Z) chunks of a draw stream concatenated into three arrays;
+    L is None without coupling."""
+    xs, lows, zs = zip(*chunks)
+    lower = None if lows[0] is None else np.concatenate(lows)
+    return np.concatenate(xs), lower, np.concatenate(zs)
+
+
+def laplace_means(chunks, s_points) -> list[tuple[float, float]]:
+    """Empirical E exp(-<s, X>) and its standard error at each s, merged over
+    the chunks of one pass as ``mc-validate`` merges them."""
+    s_points = [np.asarray(s, dtype=float) for s in s_points]
+    moments = [sampler.Moments() for _ in s_points]
+    for x, _, _ in chunks:
+        for s, acc in zip(s_points, moments):
+            acc.add(sampler._laplace_terms(x, s))
+    return [(acc.mean, acc.se) for acc in moments]

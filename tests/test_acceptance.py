@@ -24,14 +24,9 @@ from permanental.gamma_tails import gamma_tail_exact, tail_bounds
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import green_kernel, random_transient_chain, validate_appendix_lemma
 from permanental.model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
-from permanental.sampler import (
-    RngStream,
-    check_permanental_inequality,
-    empirical_laplace,
-    sample_permanental,
-)
+from permanental.sampler import RngStream, check_permanental_inequality, sample_chunks
 
-from conftest import brownian_min_matrix, make_corpus
+from conftest import brownian_min_matrix, laplace_means, make_corpus
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -82,12 +77,10 @@ def test_criterion_03_sampler_laplace_transform():
     details = []
     for spec in specs:
         start = time.time()
-        batch = sample_permanental(spec, 10**6, RngStream(606, spec.n))
-        hits = 0
-        for _ in range(10):
-            s = rng.random(spec.n) * 2.0
-            emp, se = empirical_laplace(batch, s)
-            hits += abs(emp - direct_laplace(spec, s)) <= 4 * se
+        s_points = [rng.random(spec.n) * 2.0 for _ in range(10)]
+        means = laplace_means(sample_chunks(spec, 10**6, RngStream(606, spec.n)), s_points)
+        hits = sum(abs(emp - direct_laplace(spec, s)) <= 4 * se
+                   for s, (emp, se) in zip(s_points, means))
         elapsed = time.time() - start
         ok = ok and hits >= 9 and elapsed <= 120.0
         details.append(f"n={spec.n} alpha={spec.alpha}: {hits}/10 in 4SE, {elapsed:.0f}s")
@@ -96,20 +89,22 @@ def test_criterion_03_sampler_laplace_transform():
 
 def test_criterion_04_pathwise_coupling():
     spec = make_corpus(1, (4,), kill_min=0.75, seed0=9800, alphas=(1.0,))[0]
-    batch = sample_permanental(spec, 10**6, RngStream(707), with_coupling=True)
-    violations = int(np.sum(batch.draws - batch.coupled_lower < 0.0))
+    violations = sum(int(np.sum(x - lower < 0.0)) for x, lower, _ in
+                     sample_chunks(spec, 10**6, RngStream(707), with_coupling=True))
     _report(4, violations == 0, f"{violations} violations over 1e6 coupled draws (exact)")
 
 
 def test_criterion_05_permanental_inequality(corpus):
     worst_margin = math.inf
     for spec in corpus:
-        rep = check_permanental_inequality(spec, 50_000, RngStream(808, spec.n))
+        rng = RngStream(808, spec.n)
+        rep = check_permanental_inequality(spec, sample_chunks(spec, 50_000, rng), rng)
         worst_margin = min(worst_margin, rep.diff_mean / rep.diff_se)
     diag_ok = True
     for scales, alpha in (((2.0, 3.0), 1.0), ((0.5, 1.0, 4.0), 0.5)):
         spec = PermanentalSpec.from_m_matrix(np.diag(scales), alpha)
-        rep = check_permanental_inequality(spec, 200_000, RngStream(809, len(scales)))
+        rng = RngStream(809, len(scales))
+        rep = check_permanental_inequality(spec, sample_chunks(spec, 200_000, rng), rng)
         diag_ok = diag_ok and abs(rep.diff_mean) <= 4 * rep.diff_se
     ok = worst_margin >= -3.0 and diag_ok
     _report(

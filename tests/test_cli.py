@@ -14,9 +14,9 @@ import pytest
 from permanental import bounds, cli, gamma_tails, levy, markov, matio, sampler
 from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
-from permanental.sampler import RngStream, empirical_laplace, sample_chunks, sample_permanental
+from permanental.sampler import RngStream, sample_chunks
 
-from conftest import naive_alpha_permanent, oracle_chunks, oracle_sample
+from conftest import gather, laplace_means, naive_alpha_permanent, oracle_chunks
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -67,34 +67,47 @@ def test_corrupted_spec_exits_2(tmp_path):
     assert "error" in out.stderr
 
 
-@pytest.mark.parametrize("argv, text, message", [
-    (["permanent", "--alpha", 1, "--matrix"], "[[1, 0], [0, 1]]", '"rows" list'),
-    (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list'),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers"),
+_SPEC_1X1 = '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}'
+
+
+@pytest.mark.parametrize("argv, text, message, env", [
+    (["permanent", "--alpha", 1, "--matrix"], "[[1, 0], [0, 1]]", '"rows" list', None),
+    (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list', None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers",
+     None),
     (["laplace", "--s", 1, "--spec"], '{"alpha": Infinity, "kernel": {"n": 1, "rows": [[1]]}}',
-     "alpha must be positive and finite"),
-    (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"],
-     '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}', "s_points must be nonnegative"),
-    (["mc-validate", "--n", 1, "--seed", 1, "--s-points", 1, "--spec"],
-     '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}', "at least 2 draws"),
-    (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite"),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite"),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite"),
-    (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2"),
+     "alpha must be positive and finite", None),
+    (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"], _SPEC_1X1,
+     "s_points must be nonnegative", None),
+    (["mc-validate", "--n", 1, "--seed", 1, "--s-points", 1, "--spec"], _SPEC_1X1,
+     "at least 2 draws", None),
+    (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite", None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite", None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite", None),
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2", None),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ""], None,
-     "--scan-thm16 needs at least one n"),
+     "--scan-thm16 needs at least one n", None),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ","], None,
-     "--scan-thm16 needs at least one n"),
+     "--scan-thm16 needs at least one n", None),
+    (["sample", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers", None),
+    (["sample", "--n", 10, "--seed", 1, "--workers", -3, "--spec"], _SPEC_1X1, "--workers",
+     None),
+    (["mc-validate", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers",
+     None),
+    (["mc-validate", "--n", 10, "--seed", 1, "--spec"], _SPEC_1X1, "PERMANENTAL_WORKERS",
+     {"PERMANENTAL_WORKERS": "-1"}),
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
-        "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma"])
-def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
+        "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma",
+        "sample-workers-0", "sample-workers-negative", "mc-validate-workers-0",
+        "mc-validate-workers-variable-negative"])
+def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message, env):
     # the input file, if any, is the last argument
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = argv + [path]
-    out = run_cli(*argv)
+    out = run_cli(*argv, env=None if env is None else {**os.environ, **env})
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and message in out.stderr
 
@@ -113,7 +126,8 @@ def test_bad_workers_variable_exits_2_naming_it():
 # grid, with rho above sin(pi/n)) and an acyclic n = 3 spec; recorded before
 # the Z enumeration and the series transform shared their series parts, and
 # the readme and rho75 z-dist hashes again when the grid moved to LU pivots
-# (every mass within 1e-15 of before)
+# (every mass within 1e-15 of before) and when it moved to the half grid and
+# an inverse real FFT (every mass within 2.3e-16 of before)
 _MODEL_SPECS = {  # name: (alpha, A); "readme" is gen-kernel --n 5 --seed 3, alpha 1
     "rho75": (1.0, np.eye(4) - 0.25 * (np.ones((4, 4)) - np.eye(4))),
     "acyclic": (1.5, [[1.0, -0.3, -0.2], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]]),
@@ -125,13 +139,13 @@ _MODEL_COMMANDS = {
 }
 _MODEL_SHA256 = {
     ("readme", "z-dist"):
-        "4ad04db9fe4ed3d09d3ceed0ccb399c036c72142470e6fd2e80de831c87d3cc9",
+        "eab62adb102f5d049b9ca1d92b1a6a78849f634204087e070041782bacbfaa26",
     ("readme", "series"):
         "dfc1789640f49a501e010b3e1807a7bf81002226ea768dfaeb2df2ed5e90fd2c",
     ("readme", "det"):
         "b021064e30fb50b06cc130c581d26d1cddfef3c50f3a1209146e8cee2c7776a3",
     ("rho75", "z-dist"):
-        "4ba0e34f2ee49c32bb4ae1faebd6b2e47376d77d42fd4db29a4121b92f7f235f",
+        "3e67677aaadfe560d2d769a475c24f53dd59234928ce8445260672118f703e7b",
     ("rho75", "series"):
         "86991c6266ac166027a49f4385bc20d3b3d16264b39787ecfe96e2631a18e885",
     ("rho75", "det"):
@@ -220,10 +234,9 @@ def test_sample_csv_matches_loop_formatter(spec_file, tmp_path):
                   "--out", path)
     assert out.returncode == 0, out.stderr
     alpha, K, _ = matio.load_spec_file(spec_file)
-    batch = sample_permanental(PermanentalSpec.from_kernel(K, alpha), 3000, RngStream(4),
-                               with_coupling=True)
-    want = [loop_csv_line([*x, *low, *(int(v) for v in z)])
-            for x, low, z in zip(batch.draws, batch.coupled_lower, batch.z_draws)]
+    draws = gather(sample_chunks(PermanentalSpec.from_kernel(K, alpha), 3000, RngStream(4),
+                                 with_coupling=True))
+    want = [loop_csv_line([*x, *low, *(int(v) for v in z)]) for x, low, z in zip(*draws)]
     assert path.read_text().splitlines()[1:] == want
 
 
@@ -236,16 +249,17 @@ def oracle_csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_sample_csv(batch) -> str:
-    """Sample CSV bytes as the former formatter wrote them."""
-    n = batch.spec.n
+def oracle_sample_csv(chunks) -> str:
+    """Sample CSV bytes of a draw stream as the former formatter wrote them."""
+    x, lower, z = gather(chunks)
+    n = x.shape[1]
     header = [f"X_{i+1}" for i in range(n)]
-    floats = batch.draws
-    if batch.coupled_lower is not None:
+    floats = x
+    if lower is not None:
         header += [f"L_{i+1}" for i in range(n)]
-        floats = np.hstack([batch.draws, batch.coupled_lower])
+        floats = np.hstack([x, lower])
     header += [f"Z_{i+1}" for i in range(n)]
-    return oracle_csv_text(header, map(list.__add__, floats.tolist(), batch.z_draws.tolist()))
+    return oracle_csv_text(header, map(list.__add__, floats.tolist(), z.tolist()))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -262,7 +276,7 @@ def test_sample_csv_bytes_match_whole_text_oracle(spec_file, tmp_path, monkeypat
     argv = ["sample", "--spec", spec_file, "--n", str(n_draws), "--seed", "8",
             "--workers", str(workers), "--out", str(path)]
     assert cli.main(argv + ["--couple"] * couple) == 0
-    want = oracle_sample_csv(oracle_sample(cli._load_spec(spec_file), n_draws, RngStream(8),
+    want = oracle_sample_csv(oracle_chunks(cli._load_spec(spec_file), n_draws, RngStream(8),
                                            with_coupling=couple))
     assert path.read_bytes() == want.encode()
 
@@ -274,7 +288,6 @@ def test_mc_validate_json_bytes_match_concatenating_sampler(spec_file, monkeypat
     assert cli.main(argv) == 0
     got = capsys.readouterr().out
     monkeypatch.setattr(cli, "sample_chunks", oracle_chunks)
-    monkeypatch.setattr(sampler, "sample_chunks", oracle_chunks)
     assert cli.main(argv) == 0
     assert got == capsys.readouterr().out
 
@@ -286,10 +299,43 @@ def test_mc_validate_prints_empirical_laplace_of_the_oracle_batch(spec_file, mon
             "--s-points", "3"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    batch = oracle_sample(cli._load_spec(spec_file), 4500, RngStream(5), with_coupling=True)
-    assert report["inequality"]["n_draws"] == 10_000
-    for point in report["points"]:
-        assert empirical_laplace(batch, point["s"]) == (point["empirical"], point["se"])
+    chunks = oracle_chunks(cli._load_spec(spec_file), 4500, RngStream(5), with_coupling=True)
+    means = laplace_means(chunks, [point["s"] for point in report["points"]])
+    assert report["inequality"]["n_draws"] == report["n_draws"] == 4500
+    assert means == [(point["empirical"], point["se"]) for point in report["points"]]
+
+
+def test_mc_validate_enters_the_sampler_once(spec_file, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_chunks", counted)
+    monkeypatch.setattr(sampler, "sample_chunks", counted)
+    argv = ["mc-validate", "--spec", spec_file, "--n", "5000", "--seed", "6",
+            "--s-points", "2", "--out", str(tmp_path / "mc.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+# sha256 of the mc-validate JSON without "inequality", recorded when the
+# inequality check still drew a stream of its own: the Laplace points and the
+# coupling count read the same draws since
+_MC_VALIDATE_SHA256 = "4f2827f1b11a68cde6bc60e1cffa057d0453051c45a691aaa4a0ba2852895c91"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_mc_validate_outside_the_inequality_keeps_its_bytes(spec_file, tmp_path, workers):
+    path = tmp_path / "mc.json"
+    argv = ["mc-validate", "--spec", spec_file, "--n", "40000", "--seed", "9",
+            "--s-points", "4", "--workers", str(workers), "--out", str(path)]
+    assert cli.main(argv) == 0
+    report = json.loads(path.read_text())
+    assert report.pop("inequality")["n_draws"] == 40_000
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _MC_VALIDATE_SHA256
 
 
 def test_csv_writer_peak_is_one_block_not_the_batch(tmp_path):
@@ -395,7 +441,7 @@ def test_streaming_peak_does_not_grow_with_the_draw_count(spec_file, tmp_path, m
 
 @pytest.mark.parametrize("command", ["sample", "mc-validate"])
 def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatch, command):
-    monkeypatch.setattr(sampler, "_CHUNK", 1000)  # four chunks; the inequality check has ten
+    monkeypatch.setattr(sampler, "_CHUNK", 1000)  # four chunks
     outs = []
     for workers in (1, 2, 4):
         path = tmp_path / f"w{workers}"

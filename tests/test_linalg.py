@@ -13,13 +13,12 @@ from permanental.linalg import (
     PERMANENT_CAP,
     alpha_permanent,
     alpha_permanent_rel_err,
-    block_expand,
     invert,
     spectral_radius_nonneg,
     validate_m_matrix,
 )
 
-from conftest import brownian_min_matrix, naive_alpha_permanent, naive_terms
+from conftest import block_expand, brownian_min_matrix, naive_alpha_permanent, naive_terms
 
 
 # ---------------------------------------------------------------- oracles
@@ -288,11 +287,6 @@ def test_block_expand_all_ones_is_identity_map():
 def test_block_expand_single_index():
     C = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(block_expand(C, (2, 0)), [[1.0, 1.0], [1.0, 1.0]])
-
-
-def test_block_expand_rejects_zero_order():
-    with pytest.raises(ValueError):
-        block_expand(np.eye(2), (0, 0))
 
 
 def test_block_permanent_invariant_under_within_block_permutation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from permanental.errors import TruncationInfeasible
-from permanental.linalg import alpha_permanent, block_expand
+from permanental.linalg import alpha_permanent
 from permanental.model import (
     PermanentalSpec,
     _series_coefficients_box,
@@ -13,6 +13,8 @@ from permanental.model import (
     series_laplace_report,
     z_masses,
 )
+
+from conftest import block_expand
 
 SPEC2 = PermanentalSpec.from_m_matrix([[2.0, -1.0], [-1.0, 2.0]], 1.0)
 

@@ -1,26 +1,18 @@
 import collections
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from permanental import markov, sampler
+from permanental import sampler
 from permanental.errors import DimensionTooLarge
 from permanental.gamma_tails import gamma_tail_exact
 from permanental.model import PermanentalSpec, direct_laplace, z_masses
-from permanental.sampler import (
-    RngStream,
-    check_permanental_inequality,
-    Moments,
-    empirical_laplace,
-    sample_chunks,
-    sample_permanental,
-)
+from permanental.sampler import RngStream, check_permanental_inequality, Moments, sample_chunks
 
-from conftest import make_corpus, oracle_chunks, oracle_sample
+from conftest import gather, laplace_means, make_corpus, oracle_chunks
 
 SPEC2 = PermanentalSpec.from_m_matrix([[2.0, -1.0], [-1.0, 2.0]], 1.0)
 
@@ -36,22 +28,22 @@ def _diagonal(alpha, scales):
 
 
 def test_gamma_mean_exponential():
-    draws = sample_permanental(_diagonal(1.0, [1.0, 1.0]), 5 * 10**5, RngStream(11)).draws
+    draws = gather(sample_chunks(_diagonal(1.0, [1.0, 1.0]), 5 * 10**5, RngStream(11)))[0]
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert draws.mean() == pytest.approx(1.0, abs=4 * se)
 
 
 def test_gamma_scaling_law_exact():
     a = 2.7
-    at_scale = sample_permanental(_diagonal(0.9, [a, 1.0]), 1000, RngStream(12)).draws
-    at_unit = sample_permanental(_diagonal(0.9, [1.0, 1.0]), 1000, RngStream(12)).draws
+    at_scale = gather(sample_chunks(_diagonal(0.9, [a, 1.0]), 1000, RngStream(12)))[0]
+    at_unit = gather(sample_chunks(_diagonal(0.9, [1.0, 1.0]), 1000, RngStream(12)))[0]
     np.testing.assert_array_equal(at_scale, at_unit / [a, 1.0])
     want = RngStream(12).generator(0).standard_gamma(0.9, size=(1000, 2)) / [a, 1.0]
     assert at_scale.tobytes() == want.tobytes()
 
 
 def test_gamma_tail_frequency_vs_exact():
-    draws = sample_permanental(_diagonal(2.0, [1.0, 1.0]), 5 * 10**5, RngStream(13)).draws
+    draws = gather(sample_chunks(_diagonal(2.0, [1.0, 1.0]), 5 * 10**5, RngStream(13)))[0]
     hits = (draws >= 5.0).mean()
     want = gamma_tail_exact(2.0, 1.0, 5.0)
     assert want == pytest.approx(6 * math.exp(-5.0), rel=1e-12)
@@ -80,8 +72,8 @@ Z_SPECS = (SPEC2, make_corpus(1, (3,), kill_min=0.1, seed0=1002, alphas=(0.5,))[
 
 def test_sample_z_diagonal_always_zero():
     spec = PermanentalSpec.from_m_matrix(np.diag([2.0, 3.0]), 1.0)
-    batch = sample_permanental(spec, 1000, RngStream(21), with_coupling=True)
-    assert (batch.z_draws == 0).all()
+    _, _, z = gather(sample_chunks(spec, 1000, RngStream(21), with_coupling=True))
+    assert (z == 0).all()
 
 
 def test_sample_z_zero_mass_frequency():
@@ -89,7 +81,7 @@ def test_sample_z_zero_mass_frequency():
     for seed, spec in enumerate(Z_SPECS, 23):
         bt = spec.pair.B / spec.pair.diag_a[:, None]
         want = np.linalg.det(np.eye(spec.n) - bt) ** spec.alpha
-        draws = sample_permanental(spec, n_draws, RngStream(seed)).z_draws
+        draws = gather(sample_chunks(spec, n_draws, RngStream(seed)))[2]
         freq = (draws.sum(axis=1) == 0).mean()
         se = math.sqrt(want * (1 - want) / n_draws)
         assert freq == pytest.approx(want, abs=4 * se)
@@ -99,7 +91,7 @@ def test_sample_z_histogram_chi_square():
     n_draws = 200_000
     for seed, spec in enumerate(Z_SPECS, 26):
         zd = z_masses(spec, 1 - 1e-9)
-        draws = sample_permanental(spec, n_draws, RngStream(seed)).z_draws
+        draws = gather(sample_chunks(spec, n_draws, RngStream(seed)))[2]
         counts = collections.Counter(map(tuple, draws.tolist()))
         keys = [k for k, m in zd.masses.items() if m * n_draws >= 10]
         observed = [counts[k] for k in keys]
@@ -120,7 +112,7 @@ def test_walker_slices_keep_the_z_law(monkeypatch):
     monkeypatch.setattr(sampler, "_CHUNK", 64)
     monkeypatch.setattr(sampler, "_WALKERS", 64)
     spec = PermanentalSpec.from_m_matrix([[1.0, -0.9], [-0.9, 1.0]], 1.0)
-    z = sample_permanental(spec, 20_000, RngStream(39)).z_draws
+    z = gather(sample_chunks(spec, 20_000, RngStream(39)))[2]
     want = spec.alpha * (spec.pair.diag_a * np.diag(spec.pair.K) - 1.0)
     se = z.std(ddof=1, axis=0) / math.sqrt(z.shape[0])
     assert np.all(np.abs(z.mean(axis=0) - want) <= 5 * se)
@@ -132,112 +124,91 @@ def test_eight_dimensional_spec_samples():
     spec = make_corpus(1, (8,), kill_min=0.5, seed0=4343)[0]
     with pytest.raises(DimensionTooLarge):  # past the Z enumeration's grid cap
         z_masses(spec, 1 - 1e-9)
-    batch = sample_permanental(spec, 20_000, RngStream(38))
+    draws = gather(sample_chunks(spec, 20_000, RngStream(38)))[0]
     target = spec.alpha * np.diag(spec.pair.K)
-    se = batch.draws.std(ddof=1, axis=0) / math.sqrt(batch.n_draws)
-    assert np.all(np.abs(batch.draws.mean(axis=0) - target) <= 5 * se)
+    se = draws.std(ddof=1, axis=0) / math.sqrt(len(draws))
+    assert np.all(np.abs(draws.mean(axis=0) - target) <= 5 * se)
 
 
 # ---------------------------------------------------------------- batches
 
 
 def test_coupled_batch_lower_bound_exact():
-    batch = sample_permanental(SPEC2, 50_000, RngStream(31), with_coupling=True)
-    assert float((batch.draws - batch.coupled_lower).min()) >= 0.0
+    for x, lower, _ in sample_chunks(SPEC2, 50_000, RngStream(31), with_coupling=True):
+        assert float((x - lower).min()) >= 0.0
 
 
 def test_batch_reproducibility_bitwise():
-    a = sample_permanental(SPEC2, 10_000, RngStream(32), with_coupling=True)
-    b = sample_permanental(SPEC2, 10_000, RngStream(32), with_coupling=True)
-    np.testing.assert_array_equal(a.draws, b.draws)
-    np.testing.assert_array_equal(a.coupled_lower, b.coupled_lower)
-    np.testing.assert_array_equal(a.z_draws, b.z_draws)
+    a = gather(sample_chunks(SPEC2, 10_000, RngStream(32), with_coupling=True))
+    b = gather(sample_chunks(SPEC2, 10_000, RngStream(32), with_coupling=True))
+    for got, want in zip(a, b, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_batch_worker_count_invariance():
     n = 600_000  # spans multiple chunks
-    a = sample_permanental(SPEC2, n, RngStream(33), workers=1)
-    b = sample_permanental(SPEC2, n, RngStream(33), workers=4)
-    np.testing.assert_array_equal(a.draws, b.draws)
+    a = gather(sample_chunks(SPEC2, n, RngStream(33), workers=1))[0]
+    b = gather(sample_chunks(SPEC2, n, RngStream(33), workers=4))[0]
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("couple", [False, True], ids=["plain", "couple"])
 def test_chunks_filled_in_place_match_concatenated_chunks(monkeypatch, couple):
     monkeypatch.setattr(sampler, "_CHUNK", 777)
     spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
-    want = oracle_sample(spec, 5000, RngStream(36, 2), with_coupling=couple)
+    want = gather(oracle_chunks(spec, 5000, RngStream(36, 2), with_coupling=couple))
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads draw chunks while the batch gathers them
+    sys.setswitchinterval(1e-6)  # threads draw chunks while the test gathers them
     try:
-        batches = [sample_permanental(spec, 5000, RngStream(36, 2), with_coupling=couple,
-                                      workers=workers) for workers in (1, 4)]
+        batches = [gather(sample_chunks(spec, 5000, RngStream(36, 2), with_coupling=couple,
+                                        workers=workers)) for workers in (1, 4)]
     finally:
         sys.setswitchinterval(interval)
     for got in batches:
-        for field in ("draws", "coupled_lower", "z_draws"):
-            a, b = getattr(got, field), getattr(want, field)
+        for a, b in zip(got, want, strict=True):
             if b is None:
                 assert a is None
             else:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_sampler_peak_is_its_output_bytes():
-    chain = markov.random_transient_chain(5, 0.5, 3)
-    spec = PermanentalSpec.from_kernel(markov.green_kernel(chain), 1.0)
-    tracemalloc.start()
-    try:
-        batch = sample_permanental(spec, 200_000, RngStream(37), with_coupling=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = batch.draws.nbytes + batch.coupled_lower.nbytes + batch.z_draws.nbytes
-    assert peak <= 1.5 * out
-
-
 def test_diagonal_marginals_match_gamma_moments():
     alpha, scales = 1.5, np.array([2.0, 0.5])
     spec = PermanentalSpec.from_m_matrix(np.diag(scales), alpha)
-    batch = sample_permanental(spec, 400_000, RngStream(34))
-    means = batch.draws.mean(axis=0)
-    vars_ = batch.draws.var(ddof=1, axis=0)
+    draws = gather(sample_chunks(spec, 400_000, RngStream(34)))[0]
+    means = draws.mean(axis=0)
+    vars_ = draws.var(ddof=1, axis=0)
     np.testing.assert_allclose(means, alpha / scales, rtol=0.02)
     np.testing.assert_allclose(vars_, alpha / scales**2, rtol=0.03)
 
 
 def test_batch_mean_matches_alpha_kernel_diagonal():
-    batch = sample_permanental(SPEC2, 400_000, RngStream(35))
+    draws = gather(sample_chunks(SPEC2, 400_000, RngStream(35)))[0]
     target = SPEC2.alpha * np.diag(SPEC2.pair.K)
-    se = batch.draws.std(ddof=1, axis=0) / math.sqrt(batch.n_draws)
-    assert np.all(np.abs(batch.draws.mean(axis=0) - target) <= 4 * se)
+    se = draws.std(ddof=1, axis=0) / math.sqrt(len(draws))
+    assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * se)
 
 
 # ---------------------------------------------------------------- Laplace MC
 
 
 def test_empirical_laplace_at_zero():
-    batch = sample_permanental(SPEC2, 1000, RngStream(41))
-    val, se = empirical_laplace(batch, [0.0, 0.0])
+    [(val, se)] = laplace_means(sample_chunks(SPEC2, 1000, RngStream(41)), [[0.0, 0.0]])
     assert val == 1.0
     assert se == 0.0
 
 
 def test_empirical_laplace_2x2_example():
-    batch = sample_permanental(SPEC2, 10**6, RngStream(42))
-    val, se = empirical_laplace(batch, [1.0, 1.0])
+    [(val, se)] = laplace_means(sample_chunks(SPEC2, 10**6, RngStream(42)), [[1.0, 1.0]])
     assert val == pytest.approx(0.375, abs=4 * se)
 
 
 def test_empirical_laplace_markov_corpus_points():
     spec = make_corpus(1, (3,), kill_min=0.6, seed0=4242, alphas=(2.0,))[0]
-    batch = sample_permanental(spec, 200_000, RngStream(43))
-    rng = np.random.default_rng(44)
-    good = 0
-    for _ in range(5):
-        s = rng.random(3) * 2
-        val, se = empirical_laplace(batch, s)
-        want = direct_laplace(spec, s)
-        good += abs(val - want) <= 4 * se
+    s_points = np.random.default_rng(44).random((5, 3)) * 2
+    means = laplace_means(sample_chunks(spec, 200_000, RngStream(43)), s_points)
+    good = sum(abs(val - direct_laplace(spec, s)) <= 4 * se
+               for s, (val, se) in zip(s_points, means))
     assert good >= 4
 
 
@@ -247,13 +218,10 @@ def test_empirical_laplace_at_n32():
     np.fill_diagonal(q, 0.0)
     spec = PermanentalSpec.from_m_matrix(np.eye(32) - q * (0.9 / max(abs(np.linalg.eigvals(q)))),
                                          1.0)
-    batch = sample_permanental(spec, 50_000, RngStream(45))
-    rng = np.random.default_rng(46)
-    good = 0
-    for _ in range(5):
-        s = rng.random(32) * 0.2
-        val, se = empirical_laplace(batch, s)
-        good += abs(val - direct_laplace(spec, s)) <= 4 * se
+    s_points = np.random.default_rng(46).random((5, 32)) * 0.2
+    means = laplace_means(sample_chunks(spec, 50_000, RngStream(45)), s_points)
+    good = sum(abs(val - direct_laplace(spec, s)) <= 4 * se
+               for s, (val, se) in zip(s_points, means))
     assert good >= 4
 
 
@@ -298,10 +266,11 @@ def test_moments_of_one_chunk_are_numpy_mean_and_std():
 def test_merged_laplace_moments_match_numpy_on_the_oracle_batch(monkeypatch):
     monkeypatch.setattr(sampler, "_CHUNK", 1000)
     spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
-    batch = oracle_sample(spec, 10_500, RngStream(48))  # 11 chunks, the last one short
-    for s in np.random.default_rng(49).random((5, 4)) * 2:
-        w = np.exp(-(batch.draws @ s))
-        val, se = empirical_laplace(batch, s)
+    chunks = list(oracle_chunks(spec, 10_500, RngStream(48)))  # 11 chunks, the last one short
+    draws = gather(chunks)[0]
+    s_points = np.random.default_rng(49).random((5, 4)) * 2
+    for s, (val, se) in zip(s_points, laplace_means(chunks, s_points), strict=True):
+        w = np.exp(-(draws @ s))
         assert val == pytest.approx(np.mean(w), rel=1e-14, abs=0)
         assert se == pytest.approx(np.std(w, ddof=1) / math.sqrt(w.size), rel=1e-14, abs=0)
 
@@ -309,19 +278,24 @@ def test_merged_laplace_moments_match_numpy_on_the_oracle_batch(monkeypatch):
 # ---------------------------------------------------------------- inequality
 
 
+def _inequality(spec, n_draws, rng, **kw):
+    """The inequality check on a fresh stream of n_draws draws."""
+    return check_permanental_inequality(spec, sample_chunks(spec, n_draws, rng), rng, **kw)
+
+
 def test_inequality_diagonal_is_equality():
     spec = PermanentalSpec.from_m_matrix(np.diag([2.0, 3.0]), 1.0)
-    rep = check_permanental_inequality(spec, 100_000, RngStream(51))
+    rep = _inequality(spec, 100_000, RngStream(51))
     assert abs(rep.diff_mean) <= 4 * rep.diff_se
 
 
 def test_inequality_margin_2x2():
-    rep = check_permanental_inequality(SPEC2, 200_000, RngStream(52))
+    rep = _inequality(SPEC2, 200_000, RngStream(52))
     assert rep.diff_mean >= -3 * rep.diff_se
 
 
 def test_inequality_tail_rows():
-    rep = check_permanental_inequality(SPEC2, 200_000, RngStream(53), lambdas=(2.0,))
+    rep = _inequality(SPEC2, 200_000, RngStream(53), lambdas=(2.0,))
     for row in rep.tails:
         assert row.margin >= -3 * row.se
         assert 0.0 <= row.prob_iid_exact <= 1.0
@@ -330,13 +304,15 @@ def test_inequality_tail_rows():
 
 def test_rearrangement_bound_on_corpus():
     for spec in make_corpus(3, (4,), kill_min=0.7, seed0=777):
-        rep = check_permanental_inequality(
-            spec, 100_000, RngStream(54), lambdas=(0.5, 1.0, 2.0), p_values=(1, 2)
-        )
+        rep = _inequality(spec, 100_000, RngStream(54), lambdas=(0.5, 1.0, 2.0),
+                          p_values=(1, 2))
         for row in rep.tails:
             assert row.margin >= -3 * row.se
 
 
 def test_minimum_draw_requirement():
-    with pytest.raises(ValueError):
-        check_permanental_inequality(SPEC2, 100, RngStream(55))
+    # a standard error needs two draws: an empty stream and one draw are refused
+    for chunks in ([], sample_chunks(SPEC2, 1, RngStream(55))):
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            check_permanental_inequality(SPEC2, chunks, RngStream(55))
+    assert _inequality(SPEC2, 2, RngStream(55)).n_draws == 2
