@@ -2,9 +2,12 @@
 
 The increment quantity sigma2[i, j] = K_ii + K_jj - K_ij - K_ji plays the
 role of the squared Gaussian increment; its minimum over pairs feeds both
-the diagonal bounds and the Sudakov-style comparisons.  The rearranged
-diagonal statistic (``psi_star``) is evaluated per point configuration;
-the infimum over all configurations is not computable and is not attempted.
+the diagonal bounds and the Sudakov-style comparisons.  The diagonal
+bounds, the Sudakov comparison and the rearranged diagonal statistic
+``psi_star`` (entry [n/p] of the sorted diagonal of A) read one validated
+``MMatrixPair`` (A, K = A^-1) and invert nothing.  The scan evaluates
+``psi_star`` on caller-chosen configurations; the infimum over all
+configurations is not computable and is not attempted.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from .errors import (
     HypothesisFailed,
     NotConstantDiagonal,
     NotSymmetric,
+    OutOfRange,
+    PermanentalError,
 )
 from .linalg import MMatrixPair, as_square_matrix, invert, validate_m_matrix
 
 _NEG_SQ_TOL = 1e-12
+# M-matrix tolerances (off-diagonal and inverse) of each scanned kernel's inverse
+_SCAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,21 @@ def sigma_matrix(k) -> SigmaMatrix:
     )
 
 
+def _column_gaps(K: np.ndarray) -> np.ndarray:
+    """K_ii - max_{j != i} K_ji for every column i, all of which must be
+    positive (the columnwise domination hypothesis)."""
+    n = K.shape[0]
+    if n < 2:
+        raise OutOfRange(f"column domination needs at least 2 points, got n = {n}")
+    gaps = np.diag(K) - np.where(np.eye(n, dtype=bool), -np.inf, K).max(axis=0)
+    if (gaps <= 0).any():
+        row = int(np.argmin(gaps))
+        raise HypothesisFailed(
+            row, f"K[{row},{row}] does not exceed its column maximum"
+        )
+    return gaps
+
+
 def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     """Per-row bounds A_ii <= 1 / (K_ii - max_{j != i} K_ji).
 
@@ -70,16 +92,7 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     if (pair.row_sums <= 0).any():
         row = int(np.argmin(pair.row_sums))
         raise HypothesisFailed(row, f"row sum {pair.row_sums[row]:.6g} not positive")
-    K = pair.K
-    n = pair.n
-    col_max = np.where(np.eye(n, dtype=bool), -np.inf, K).max(axis=0)
-    gaps = np.diag(K) - col_max
-    if (gaps <= 0).any():
-        row = int(np.argmin(gaps))
-        raise HypothesisFailed(
-            row, f"K[{row},{row}] does not exceed its column maximum"
-        )
-    bounds = 1.0 / gaps
+    bounds = 1.0 / _column_gaps(pair.K)
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "diagonal bound violated"
     return bounds
 
@@ -109,26 +122,20 @@ def diag_bound_sigma(pair: MMatrixPair, c: float) -> float:
 def diag_bound_scaled(pair: MMatrixPair, k_hat: float) -> np.ndarray:
     """Per-row bounds A_ii <= 2 / (r_i (1-C) sigma_hat_star2) with r_i = K_ii / K_hat.
 
-    C is computed as the minimal constant in the scaled asymmetry condition
-    and must come out below 1.
+    C is ``asymmetry_constant(K, normalized=True)``, the minimal constant in
+    the scaled asymmetry condition, and must come out below 1.
     """
     if k_hat <= 0:
         raise ValueError("K_hat must be positive")
     K = pair.K
-    n = pair.n
-    col_max = np.where(np.eye(n, dtype=bool), -np.inf, K).max(axis=0)
-    if (np.diag(K) <= col_max).any():
-        row = int(np.argmin(np.diag(K) - col_max))
-        raise HypothesisFailed(row, "K_ii does not exceed its column maximum")
+    _column_gaps(K)
     r = np.diag(K) / k_hat
     scaled = K / r[None, :]
     sigma_hat2 = 2.0 * k_hat - scaled - scaled.T
-    np.fill_diagonal(sigma_hat2, 0.0)
-    asym = np.abs(scaled - scaled.T)
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(pair.n, dtype=bool)
     if (sigma_hat2[off] <= 0).any():
         raise DegenerateSigma("scaled sigma^2 vanishes off the diagonal")
-    c = float((asym[off] / sigma_hat2[off]).max())
+    c = asymmetry_constant(K, normalized=True)
     if c >= 1.0:
         raise AsymmetryTooLarge(c)
     star2 = float(sigma_hat2[off].min())
@@ -168,48 +175,17 @@ def asymmetry_constant(k, normalized: bool = False) -> float:
     return float((asym[good] / sigma2[good]).max())
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Finite point configuration and its pairwise kernel values."""
-
-    points: tuple
-    kernel_values: np.ndarray
-
-    def __post_init__(self):
-        kv = as_square_matrix(self.kernel_values)
-        if kv.shape[0] != len(self.points) or len(self.points) < 2:
-            raise ValueError("kernel_values must be square over >= 2 points")
-        object.__setattr__(self, "kernel_values", kv)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
+def _check_p(p: int, n: int) -> None:
+    """[n/p] >= 1 needs an integer p from 1 to n."""
+    if not (int(p) == p and 1 <= p <= n):
+        raise OutOfRange(f"p must be an integer from 1 to n = {n}, got {p}")
 
 
-def config_from_kernel_fn(kernel_fn, points) -> PointConfig:
-    pts = tuple(points)
-    kv = np.array([[float(kernel_fn(s, t)) for t in pts] for s in pts])
-    return PointConfig(points=pts, kernel_values=kv)
-
-
-def psi_star(config: PointConfig, p: int = 1, m_matrix_tol: float = 1e-10) -> float:
-    """Rearranged-diagonal statistic for one configuration.
-
-    Inverts the kernel matrix, validates the M-matrix property, sorts the
-    diagonal of the inverse nondecreasing and returns entry [n/p].  The
-    infimum over configurations is approximated by evaluating caller-chosen
-    configurations.
-    """
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be an integer >= 1")
-    n = config.n
-    m = n // p
-    if m < 1:
-        raise ValueError(f"[n/p] = 0 for n = {n}, p = {p}")
-    pair = validate_m_matrix(
-        invert(config.kernel_values), off_diag_tol=m_matrix_tol, inverse_tol=m_matrix_tol
-    )
-    return float(np.sort(pair.diag_a)[m - 1])
+def psi_star(pair: MMatrixPair, p: int = 1) -> float:
+    """Rearranged-diagonal statistic: entry [n/p] of the diagonal of A,
+    sorted nondecreasing."""
+    _check_p(p, pair.n)
+    return float(np.sort(pair.diag_a)[pair.n // int(p) - 1])
 
 
 @dataclass(frozen=True)
@@ -222,36 +198,28 @@ class ScanRow:
     error: str | None
 
 
-def unboundedness_statistic(kernel_fn, deltas, n_grid, p: int = 1) -> list[ScanRow]:
-    """Diagnostic scan of log n / a*_{[n/p]} on equally spaced configurations.
+def unboundedness_statistic(kernel_fn, delta: float, n_grid, p: int = 1) -> list[ScanRow]:
+    """Diagnostic scan of log n / a*_{[n/p]} on the points j delta / n, j = 1..n.
 
     A diverging column is numerical evidence for the unboundedness
     criterion, never a proof; rows where the inverse is not an M-matrix
     report the failure instead of a value.
     """
+    _check_p(p, min(n_grid))
     rows = []
-    for delta in deltas:
-        for n in n_grid:
-            pts = [j * delta / n for j in range(1, n + 1)]
-            config = config_from_kernel_fn(kernel_fn, pts)
-            sm = sigma_matrix(config.kernel_values)
-            logn = math.log(n)
-            try:
-                a_star = psi_star(config, p=p)
-            except Exception as exc:  # noqa: BLE001 - reported per row
-                rows.append(ScanRow(delta, n, None, None,
-                                    sm.sigma_star2 * logn, f"{type(exc).__name__}: {exc}"))
-                continue
-            rows.append(
-                ScanRow(
-                    delta=delta,
-                    n=n,
-                    a_star=a_star,
-                    log_n_over_a_star=logn / a_star,
-                    sigma_star2_log_n=sm.sigma_star2 * logn,
-                    error=None,
-                )
-            )
+    for n in n_grid:
+        pts = [j * delta / n for j in range(1, n + 1)]
+        K = np.array([[float(kernel_fn(s, t)) for t in pts] for s in pts])
+        logn = math.log(n)
+        star2_log_n = sigma_matrix(K).sigma_star2 * logn
+        try:
+            pair = validate_m_matrix(invert(K), off_diag_tol=_SCAN_TOL, inverse_tol=_SCAN_TOL)
+        except PermanentalError as exc:  # reported per row
+            rows.append(ScanRow(delta, n, None, None, star2_log_n,
+                                f"{type(exc).__name__}: {exc}"))
+            continue
+        a_star = psi_star(pair, p)
+        rows.append(ScanRow(delta, n, a_star, logn / a_star, star2_log_n, None))
     return rows
 
 

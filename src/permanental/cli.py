@@ -261,6 +261,8 @@ def cmd_gamma_tail(args) -> int:
 
 def cmd_bounds(args) -> int:
     K = matio.load_matrix(args.kernel)
+    if K.shape[0] < 2:
+        raise OutOfRange(f"bounds need a kernel on at least 2 points, got n = {K.shape[0]}")
     pair = validate_m_matrix(invert(K), off_diag_tol=args.tol, inverse_tol=args.tol)
     payload: dict = {"which": args.which, "diag_a": list(pair.diag_a),
                      "rel_err": _EXACT_REL_ERR}
@@ -275,9 +277,8 @@ def cmd_bounds(args) -> int:
         payload["k_hat"] = k_hat
         payload["bounds"] = list(bounds_mod.diag_bound_scaled(pair, k_hat))
     elif args.which == "psi-star":
-        config = bounds_mod.PointConfig(points=tuple(range(pair.n)), kernel_values=pair.K)
         payload["p"] = args.p
-        payload["psi_star"] = bounds_mod.psi_star(config, p=args.p, m_matrix_tol=args.tol)
+        payload["psi_star"] = bounds_mod.psi_star(pair, args.p)
     else:  # sudakov
         rep = bounds_mod.sudakov_compare(pair)
         payload.update(dataclasses.asdict(rep))
@@ -311,7 +312,7 @@ def cmd_unbounded_scan(args) -> int:
         raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
                          f"of {args.kernel_model}, lags below {_MAX_LAG[args.kernel_model]:.6g}")
     kernel_fn = _KERNEL_MODELS[args.kernel_model](args.shift)
-    rows = bounds_mod.unboundedness_statistic(kernel_fn, [args.delta], grid, p=args.p)
+    rows = bounds_mod.unboundedness_statistic(kernel_fn, args.delta, grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
     _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
                                 r.sigma_star2_log_n, r.error] for r in rows]])
@@ -370,10 +371,9 @@ def cmd_levy(args) -> int:
         if not (isinstance(points, list) and all(
                 type(t) in (int, float) and math.isfinite(t) for t in points)):
             raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
-        config, err = levy.kernel_matrix(model, points)
-        _emit(args, {"points": list(config.points),
-                     "kernel": matio.matrix_to_json_obj(config.kernel_values),
-                     "quad_err": err})
+        points = [float(t) for t in points]
+        K, err = levy.kernel_matrix(model, points)
+        _emit(args, {"points": points, "kernel": matio.matrix_to_json_obj(K), "quad_err": err})
         return 0
     raise PermanentalError("levy needs one of --u, --scan-thm16, --kernel")
 
@@ -520,10 +520,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:  # PERMANENTAL_WORKERS is checked by the parser
             raise OutOfRange(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
-    except PermanentalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (PermanentalError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # noqa: BLE001 - internal failure path

@@ -178,6 +178,12 @@ def unbounded_lambda_check(n: int, p: int, alpha: float) -> float:
         raise ValueError("needs n >= 10")
     if p < 1 or int(p) != p:
         raise ValueError("p must be an integer >= 1")
-    m = n // p
-    tail = gamma_tail_exact(alpha, 1.0, math.log(n))
+    return max_iid_tail(n // p, gamma_tail_exact(alpha, 1.0, math.log(n)))
+
+
+def max_iid_tail(m: int, tail: float) -> float:
+    """P(max of m iid copies >= x) = 1 - (1 - tail)^m from one copy's tail
+    P(xi >= x); a tail that rounds to 1 gives 1."""
+    if tail >= 1.0:
+        return 1.0
     return -math.expm1(m * math.log1p(-tail))

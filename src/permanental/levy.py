@@ -41,7 +41,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import PointConfig
 from .errors import NotIntegrable, OutOfRange
 from .oscillatory import euler_accelerate, lobe_boundaries
 
@@ -985,7 +984,7 @@ def asymmetry_asymptotics(model: LevyModel, z_grid) -> list[AsymmetryRow]:
     return rows
 
 
-def kernel_matrix(model: LevyModel, points) -> tuple[PointConfig, float]:
+def kernel_matrix(model: LevyModel, points) -> tuple[np.ndarray, float]:
     """Stationary kernel K[i, j] = u(t_j - t_i) over the points, with the
     worst per-entry quadrature error estimate.
 
@@ -993,8 +992,7 @@ def kernel_matrix(model: LevyModel, points) -> tuple[PointConfig, float]:
     sorted neighbour to _LAG_REL relative: the smallest of the run.  An
     equally spaced grid thus gives an exactly Toeplitz kernel, although
     rounding makes its j*h lags differ in the last bits."""
-    pts = tuple(float(t) for t in points)
-    t = np.array(pts)
+    t = np.array(points, dtype=float)
     lag = t[None, :] - t[:, None]
     lags, index = np.unique(np.abs(lag), return_inverse=True)
     new = np.diff(lags, prepend=-math.inf) > _LAG_REL * lags
@@ -1002,5 +1000,5 @@ def kernel_matrix(model: LevyModel, points) -> tuple[PointConfig, float]:
     run = (np.cumsum(new) - 1)[index].reshape(lag.shape)
     u_plus = np.array([b.u_plus for b in bundles])
     u_minus = np.array([b.u_minus for b in bundles])
-    kv = np.where(lag >= 0, u_plus[run], u_minus[run])
-    return PointConfig(points=pts, kernel_values=kv), max((b.abserr for b in bundles), default=0.0)
+    K = np.where(lag >= 0, u_plus[run], u_minus[run])
+    return K, max((b.abserr for b in bundles), default=0.0)

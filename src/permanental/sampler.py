@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationInfeasible
-from .gamma_tails import gamma_tail_exact
+from .gamma_tails import gamma_tail_exact, max_iid_tail
 from .model import PermanentalSpec, _b_tilde
 
 _CHUNK = 16_384  # rows per chunk, one substream each
@@ -258,8 +258,7 @@ def check_permanental_inequality(
             continue
         a_star = float(a_sorted[m - 1])
         for lam, acc in zip(lambdas, hits):
-            tail1 = gamma_tail_exact(spec.alpha, 1.0, a_star * lam)
-            exact = -math.expm1(m * math.log1p(-min(tail1, 1.0 - 1e-16)))
+            exact = max_iid_tail(m, gamma_tail_exact(spec.alpha, 1.0, a_star * lam))
             tails.append(TailComparison(p=p, lam=float(lam), prob_perm=acc.mean, se=acc.se,
                                         prob_iid_exact=exact, margin=acc.mean - exact))
     return InequalityReport(n_draws=scaled_max.count, diff_mean=scaled_max.mean - iid_max.mean,

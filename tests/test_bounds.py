@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from permanental.bounds import (
-    PointConfig,
     asymmetry_constant,
-    config_from_kernel_fn,
     diag_bound_scaled,
     diag_bound_sigma,
     diag_bound_simple,
@@ -20,12 +18,18 @@ from permanental.errors import (
     HypothesisFailed,
     NotMMatrix,
     NotSymmetric,
+    OutOfRange,
 )
-from permanental.linalg import invert, validate_m_matrix
+from permanental.linalg import MMatrixPair, invert, validate_m_matrix
 
 from conftest import brownian_min_matrix, make_corpus
 
 PAIR2 = validate_m_matrix([[2.0, -1.0], [-1.0, 2.0]])
+
+
+def pair_of(K) -> MMatrixPair:
+    """The validated pair of a kernel, at the scan's M-matrix tolerances."""
+    return validate_m_matrix(invert(K), off_diag_tol=1e-10, inverse_tol=1e-10)
 
 
 def scaled_brownian(n: int) -> np.ndarray:
@@ -148,6 +152,13 @@ def test_diag_bound_scaled_markov_kernel():
     assert found >= 5
 
 
+def test_column_check_refuses_one_point():
+    pair = validate_m_matrix([[2.0]])
+    for bound in (diag_bound_simple, lambda pr: diag_bound_scaled(pr, 1.0)):
+        with pytest.raises(OutOfRange, match="at least 2 points"):
+            bound(pair)
+
+
 def test_diag_bound_scaled_symmetric_has_zero_asymmetry():
     assert asymmetry_constant(PAIR2.K) == 0.0
 
@@ -177,23 +188,22 @@ def test_markov_kernels_column_dominated(corpus20):
 
 
 def test_psi_star_2x2():
-    config = PointConfig(points=(0, 1), kernel_values=PAIR2.K)
-    assert psi_star(config, p=1) == pytest.approx(2.0)
+    assert psi_star(pair_of(PAIR2.K), p=1) == pytest.approx(2.0)
 
 
 def test_psi_star_scaled_brownian_median_entry():
     n = 6
-    config = PointConfig(points=tuple(range(n)), kernel_values=scaled_brownian(n))
-    value = psi_star(config, p=2)
+    value = psi_star(pair_of(scaled_brownian(n)), p=2)
     expected_diag = sorted([2.0 * i for i in range(1, n)] + [float(n)])
     assert value == pytest.approx(expected_diag[n // 2 - 1], rel=1e-10)
 
 
 def test_psi_star_equally_spaced_brownian_kernel():
     delta, n = 1.0, 5
-    config = config_from_kernel_fn(lambda s, t: min(s, t), [j * delta / n for j in range(1, n + 1)])
-    got = psi_star(config, p=1)
-    expected = float(np.sort(np.diag(invert(config.kernel_values)))[-1])
+    pts = [j * delta / n for j in range(1, n + 1)]
+    K = np.array([[min(s, t) for t in pts] for s in pts])
+    got = psi_star(pair_of(K), p=1)
+    expected = float(np.sort(np.diag(invert(K)))[-1])
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -201,24 +211,43 @@ def test_psi_star_permutation_invariant():
     rng = np.random.default_rng(8)
     for spec in make_corpus(3, (4,), kill_min=0.5, seed0=5000):
         K = spec.pair.K
-        base = psi_star(PointConfig(points=(0, 1, 2, 3), kernel_values=K), p=2)
+        base = psi_star(pair_of(K), p=2)
         perm = rng.permutation(4)
         shuffled = K[np.ix_(perm, perm)]
-        got = psi_star(PointConfig(points=tuple(perm), kernel_values=shuffled), p=2)
+        got = psi_star(pair_of(shuffled), p=2)
         assert got == pytest.approx(base, rel=1e-10)
 
 
 def test_psi_star_propagates_not_m_matrix():
     K = np.array([[1.0, 0.9], [0.9, 1.0]]) * -1.0
     with pytest.raises((NotMMatrix, Exception)):
-        psi_star(PointConfig(points=(0, 1), kernel_values=K), p=1)
+        psi_star(pair_of(K), p=1)
+
+
+@pytest.mark.parametrize("p", [0, -1, 3])
+def test_psi_star_refuses_p_outside_1_to_n(p):
+    with pytest.raises(OutOfRange, match="p must be an integer from 1 to n = 2"):
+        psi_star(PAIR2, p=p)
 
 
 # ---------------------------------------------------------------- scans
 
 
+@pytest.mark.parametrize("p", [0, 17])
+def test_unboundedness_statistic_refuses_p_before_the_scan(p):
+    calls = []
+
+    def kernel(s, t):
+        calls.append((s, t))
+        return min(s, t)
+
+    with pytest.raises(OutOfRange, match="p must be an integer from 1 to n = 16"):
+        unboundedness_statistic(kernel, 0.5, [32, 16], p=p)
+    assert calls == []
+
+
 def test_unboundedness_statistic_brownian():
-    rows = unboundedness_statistic(lambda s, t: min(s, t) + 0.5, [0.8], [4, 8, 16])
+    rows = unboundedness_statistic(lambda s, t: min(s, t) + 0.5, 0.8, [4, 8, 16])
     for row in rows:
         n = row.n
         assert row.sigma_star2_log_n == pytest.approx(
@@ -236,8 +265,8 @@ def test_unboundedness_statistic_log_kernels_trend():
         return 1.0 if s == t else 1.0 - 0.5 / math.log(math.log(1.0 / abs(s - t)))
 
     ns = [8, 32, 128, 512]
-    log_rows = unboundedness_statistic(sigma_log, [0.01], ns)
-    loglog_rows = unboundedness_statistic(sigma_loglog, [0.01], ns)
+    log_rows = unboundedness_statistic(sigma_log, 0.01, ns)
+    loglog_rows = unboundedness_statistic(sigma_loglog, 0.01, ns)
     log_vals = [r.sigma_star2_log_n for r in log_rows]
     loglog_vals = [r.sigma_star2_log_n for r in loglog_rows]
     # sigma^2 ~ 1/log(1/z): the product stays bounded; ~1/loglog diverges

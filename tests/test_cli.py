@@ -68,6 +68,7 @@ def test_corrupted_spec_exits_2(tmp_path):
 
 
 _SPEC_1X1 = '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}'
+_BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
 
 
 @pytest.mark.parametrize("argv, text, message, env", [
@@ -96,11 +97,21 @@ _SPEC_1X1 = '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}'
      None),
     (["mc-validate", "--n", 10, "--seed", 1, "--spec"], _SPEC_1X1, "PERMANENTAL_WORKERS",
      {"PERMANENTAL_WORKERS": "-1"}),
+    *[(["bounds", "--which", which, "--kernel"], '{"n": 1, "rows": [[1]]}',
+       "bounds need a kernel on at least 2 points, got n = 1", None)
+      for which in _BOUNDS_WHICH],
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 0], None,
+     "p must be an integer from 1 to n = 16, got 0", None),
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", -1], None,
+     "p must be an integer from 1 to n = 16, got -1", None),
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 100], None,
+     "p must be an integer from 1 to n = 16, got 100", None),
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
         "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma",
         "sample-workers-0", "sample-workers-negative", "mc-validate-workers-0",
-        "mc-validate-workers-variable-negative"])
+        "mc-validate-workers-variable-negative", *[f"bounds-{w}-1x1" for w in _BOUNDS_WHICH],
+        "unbounded-scan-p-0", "unbounded-scan-p-negative", "unbounded-scan-p-above-n"])
 def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message, env):
     # the input file, if any, is the last argument
     if text is not None:
@@ -452,7 +463,7 @@ def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatc
 
 def test_scan_csv_matches_loop_formatter():
     out = run_cli("unbounded-scan", "--kernel-model", "loglog-smooth", "--n", "8,16")
-    rows = bounds.unboundedness_statistic(_KERNEL_MODELS["loglog-smooth"](0.0), [0.1], [8, 16])
+    rows = bounds.unboundedness_statistic(_KERNEL_MODELS["loglog-smooth"](0.0), 0.1, [8, 16])
     assert rows[0].error is None and rows[1].a_star is None  # numbers, empty and text cells
     want = [loop_csv_line([r.delta, r.n, r.a_star, r.log_n_over_a_star,
                            r.sigma_star2_log_n, r.error]) for r in rows]
@@ -550,6 +561,33 @@ def test_bounds_psi_star(kernel_file):
     payload = json.loads(run_cli("bounds", "--kernel", kernel_file,
                                  "--which", "psi-star", "--p", 1).stdout)
     assert payload["psi_star"] == pytest.approx(max(payload["diag_a"]), rel=1e-10)
+
+
+def test_bounds_psi_star_is_an_entry_of_the_printed_diag_a(tmp_path):
+    kernel, out = tmp_path / "k.json", tmp_path / "out.json"
+    for seed in range(50):
+        n = 3 + seed % 14
+        matio.save_matrix(str(kernel), markov.green_kernel(
+            markov.random_transient_chain(n, 0.5, seed)))
+        for p in (1, 2):
+            assert cli.main(["bounds", "--kernel", str(kernel), "--which", "psi-star",
+                             "--p", str(p), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["psi_star"] == sorted(payload["diag_a"])[n // p - 1]
+
+
+def test_bounds_psi_star_inverts_twice(kernel_file, tmp_path, monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    assert cli.main(["bounds", "--kernel", kernel_file, "--which", "psi-star",
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_unbounded_scan_csv():

@@ -10,6 +10,7 @@ from permanental.gamma_tails import (
     gamma_tail_exact,
     gamma_tail_rel_err,
     max_iid_lower,
+    max_iid_tail,
     tail_bounds,
     tail_bounds_rel_err,
     unbounded_lambda_check,
@@ -226,3 +227,16 @@ def test_unbounded_lambda_fractional_shape():
         )
     want = -math.expm1(m * math.log1p(-tail))
     assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_unbounded_lambda_tail_rounding_to_one():
+    # Q(200, log 10) rounds to 1: 1 - (1 - tail)^m is 1, not log1p(-1)
+    assert gamma_tail_exact(200.0, 1.0, math.log(10)) == 1.0
+    assert unbounded_lambda_check(10, 1, 200.0) == 1.0
+
+
+@pytest.mark.parametrize("m, tail", [(1, 0.3), (7, 1e-20), (1000, 0.01), (3, 1.0 - 2**-53)])
+def test_max_iid_tail_matches_mpmath(m, tail):
+    with mpmath.workdps(60):
+        want = float(1 - (1 - mpmath.mpf(tail)) ** m)
+    assert max_iid_tail(m, tail) == pytest.approx(want, rel=1e-14)

@@ -592,8 +592,7 @@ def test_asymmetry_relations_asymmetric_within_20pct():
 
 
 def test_kernel_matrix_two_points_symmetric_model():
-    config, err = levy.kernel_matrix(SYM2, [0.0, 5e-4])
-    K = config.kernel_values
+    K, err = levy.kernel_matrix(SYM2, [0.0, 5e-4])
     assert K[0, 1] == pytest.approx(K[1, 0], rel=1e-14)
     assert K[0, 0] == pytest.approx(K[1, 1], rel=1e-14)
     assert err < 1e-3
@@ -601,8 +600,7 @@ def test_kernel_matrix_two_points_symmetric_model():
 
 def test_kernel_matrix_constant_diagonal_and_m_inverse():
     pts = [j * 1e-3 / 4 for j in range(1, 5)]
-    config, err = levy.kernel_matrix(SYM2, pts)
-    K = config.kernel_values
+    K, err = levy.kernel_matrix(SYM2, pts)
     assert np.ptp(np.diag(K)) == 0.0
     tol = max(1e-8, 100 * err)
     pair = validate_m_matrix(invert(K), off_diag_tol=tol, inverse_tol=tol)
@@ -615,8 +613,7 @@ def test_kernel_matrix_equally_spaced_grid_is_toeplitz():
     # j * 0.3 rounds to lags that differ in the last bits; they share bundles
     pts = [j * 0.3 for j in range(4)]
     assert len({abs(t - s) for s in pts for t in pts}) > 4
-    config, _ = levy.kernel_matrix(ASYM, pts)
-    K = config.kernel_values
+    K, _ = levy.kernel_matrix(ASYM, pts)
     for d in range(-3, 4):
         assert len(set(np.diag(K, d))) == 1
     b = levy.potential_bundle(ASYM, 0.3)
