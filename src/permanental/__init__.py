@@ -4,9 +4,16 @@ A library and CLI for computing, sampling and verifying alpha-permanental
 random vectors whose kernel inverse is a nonsingular M-matrix, and for
 numerically probing unboundedness criteria of the associated processes,
 including kernels built from Levy-process potential densities.
+
+The layer modules are registered in ``sys.modules`` at import but execute on
+first attribute access (``importlib.util.LazyLoader``), so a command runs only
+the modules it touches.  ``LazyLoader`` is not thread-safe: touch a module on
+the main thread before handing its functions to worker threads.
 """
 
-from . import bounds, gamma_tails, levy, linalg, markov, model, sampler
+import importlib.util
+import sys
+
 from .errors import (
     AsymmetryTooLarge,
     DegenerateSigma,
@@ -23,9 +30,34 @@ from .errors import (
     SingularMatrix,
     TruncationInfeasible,
 )
-from .linalg import MMatrixPair, alpha_permanent, validate_m_matrix
-from .model import (PermanentalSpec, ZDistribution, direct_laplace, series_laplace_report,
-                    z_masses)
-from .sampler import RngStream
 
 __version__ = "0.1.0"
+
+
+def _lazy(short: str):
+    name = f"{__name__}.{short}"
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)  # defers execution to the first attribute access
+    return module
+
+
+bounds, gamma_tails, levy, linalg, markov, matio, model, oscillatory, sampler = map(
+    _lazy, ("bounds", "gamma_tails", "levy", "linalg", "markov", "matio", "model",
+            "oscillatory", "sampler"))
+
+# re-exported names, resolved from their module on first use (PEP 562)
+_EXPORTS = {
+    "MMatrixPair": linalg, "alpha_permanent": linalg, "validate_m_matrix": linalg,
+    "PermanentalSpec": model, "ZDistribution": model, "direct_laplace": model,
+    "series_laplace_report": model, "z_masses": model,
+    "RngStream": sampler,
+}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(_EXPORTS[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

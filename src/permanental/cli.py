@@ -17,12 +17,9 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import gamma_tails, levy, markov, matio
+# modules, not names: each executes on first use (see the package docstring)
+from . import bounds, gamma_tails, levy, linalg, markov, matio, model, sampler
 from .errors import OutOfRange, PermanentalError
-from .linalg import alpha_permanent, alpha_permanent_rel_err, invert, validate_m_matrix
-from .model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
-from .sampler import Moments, RngStream, _laplace_terms, check_permanental_inequality, sample_chunks
 
 _EXACT_REL_ERR = 1e-14  # nominal float-rounding scale for exact computations
 
@@ -76,26 +73,34 @@ def _write_csv(args, header, blocks) -> None:
     """Write CSV: the header, then the rows of each block, one block at a time.
 
     A block is a list of rows of Python cells, or a pair (floats, ints) of
-    2-D arrays whose rows are written side by side.  A number is written as
-    repr writes it, so a float reads back exactly; a string is written as it
-    is and None as an empty cell.  One orjson call writes a block: its Ryu
-    kernel gives repr's shortest round-trip digits.  Every other cell (a
-    string, None, a float of ``_repr_only``) goes to orjson as the empty
-    string, and its text is written in place of that placeholder's quotes.
+    C-contiguous 2-D arrays whose rows are written side by side.  A number is
+    written as repr writes it, so a float reads back exactly; a string is
+    written as it is and None as an empty cell.  orjson writes a block: its
+    Ryu kernel gives repr's shortest round-trip digits.  An array block is
+    one orjson call per array, read straight from the array; a row holding a
+    float of ``_repr_only`` has its floats rewritten with repr.  In a list
+    block every other cell (a string, None, a float of ``_repr_only``) goes
+    to orjson as the empty string, and its text is written in place of that
+    placeholder's quotes.
     """
     import orjson
 
+    def rows_of(array):  # each row's cells, as orjson writes them
+        return orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+
     def encode(block):
-        texts = []  # the placeholders' texts, in row-major order
         if isinstance(block, tuple):
             floats, ints = block
-            cells = floats.tolist()
-            for i, j in zip(*np.nonzero(_repr_only(floats))):
-                texts.append(repr(cells[i][j]))
-                cells[i][j] = ""
-            rows = list(map(list.__add__, cells, ints.tolist()))
-        else:
-            rows = [[_cell(v, texts) for v in row] for row in block]
+            if not len(floats):
+                return
+            float_rows = rows_of(floats)
+            for i in np.flatnonzero(_repr_only(floats).any(axis=1)):
+                float_rows[i] = ",".join(map(repr, floats[i].tolist())).encode()
+            yield b"\n".join(map(b",".join, zip(float_rows, rows_of(ints))))
+            yield b"\n"
+            return
+        texts = []  # the placeholders' texts, in row-major order
+        rows = [[_cell(v, texts) for v in row] for row in block]
         if not rows:
             return
         # the placeholders are the only strings, so no "],[" is inside one
@@ -114,11 +119,11 @@ def _write_csv(args, header, blocks) -> None:
     _write(args, parts())
 
 
-def _load_spec(path: str) -> PermanentalSpec:
+def _load_spec(path: str) -> model.PermanentalSpec:
     alpha, K, A = matio.load_spec_file(path)
     if A is not None:
-        return PermanentalSpec.from_m_matrix(A, alpha)
-    return PermanentalSpec.from_kernel(K, alpha)
+        return model.PermanentalSpec.from_m_matrix(A, alpha)
+    return model.PermanentalSpec.from_kernel(K, alpha)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -135,9 +140,9 @@ def _parse_ints(text: str) -> list[int]:
 
 def cmd_permanent(args) -> int:
     m = matio.load_matrix(args.matrix)
-    value = alpha_permanent(m, args.alpha)
+    value = linalg.alpha_permanent(m, args.alpha)
     _emit(args, {"value": value, "alpha": args.alpha, "n": int(m.shape[0]),
-                 "rel_err": alpha_permanent_rel_err(m, args.alpha, value)})
+                 "rel_err": linalg.alpha_permanent_rel_err(m, args.alpha, value)})
     return 0
 
 
@@ -145,11 +150,11 @@ def cmd_laplace(args) -> int:
     spec = _load_spec(args.spec)
     s = _parse_floats(args.s)
     if args.method == "det":
-        value = direct_laplace(spec, s)
+        value = model.direct_laplace(spec, s)
         _emit(args, {"value": value, "rel_err": _EXACT_REL_ERR, "terms_used": 0,
                      "method": "det"})
     else:
-        sv = series_laplace_report(spec, s, args.rel_tol)
+        sv = model.series_laplace_report(spec, s, args.rel_tol)
         _emit(args, {"value": sv.value, "rel_err": sv.rel_err,
                      "terms_used": sv.orders_used, "method": "series"})
     return 0
@@ -157,7 +162,7 @@ def cmd_laplace(args) -> int:
 
 def cmd_z_dist(args) -> int:
     spec = _load_spec(args.spec)
-    zd = z_masses(spec, args.target_mass)
+    zd = model.z_masses(spec, args.target_mass)
     masses = [{"k": list(k), "mass": m} for k, m in zd.masses.items()]
     _emit(args, {
         "masses": masses,
@@ -170,8 +175,8 @@ def cmd_z_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    chunks = sample_chunks(
-        spec, args.n, RngStream(args.seed, args.stream_id),
+    chunks = sampler.sample_chunks(
+        spec, args.n, sampler.RngStream(args.seed, args.stream_id),
         with_coupling=args.couple, workers=args.workers,
     )
     n = spec.n
@@ -196,7 +201,7 @@ def _sample_blocks(chunks):
             yield floats, z[rows]
 
 
-def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
+def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: int,
                 workers: int | None = None) -> dict:
     """Full pipeline check: empirical vs determinant Laplace transform on
     deterministic s-points, pathwise coupling violations, and the
@@ -208,7 +213,7 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
         raise OutOfRange(f"a standard error needs at least 2 draws, got n = {n_draws}")
     g = np.random.default_rng([seed, 555])
     s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
-    moments = [Moments() for _ in s_list]
+    moments = [sampler.Moments() for _ in s_list]
     violations = 0
 
     def tallied(chunks):  # each chunk on its way to the inequality check
@@ -217,17 +222,16 @@ def mc_validate(spec: PermanentalSpec, n_draws: int, seed: int, s_points: int,
             x, lower, _ = chunk
             violations += int(np.sum(x - lower < 0))
             for s, acc in zip(s_list, moments):
-                acc.add(_laplace_terms(x, s))
+                acc.add(sampler._laplace_terms(x, s))
             yield chunk
 
-    rng = RngStream(seed)
-    ineq = check_permanental_inequality(
-        spec, tallied(sample_chunks(spec, n_draws, rng, with_coupling=True, workers=workers)),
-        rng)
+    rng = sampler.RngStream(seed)
+    chunks = sampler.sample_chunks(spec, n_draws, rng, with_coupling=True, workers=workers)
+    ineq = sampler.check_permanental_inequality(spec, tallied(chunks), rng)
     points = []
     for s, acc in zip(s_list, moments):
         emp, se = acc.mean, acc.se
-        direct = direct_laplace(spec, s)
+        direct = model.direct_laplace(spec, s)
         points.append({"s": [float(x) for x in s], "empirical": emp, "se": se,
                        "direct": direct, "z_score": (emp - direct) / se if se > 0 else 0.0})
     return {
@@ -263,24 +267,25 @@ def cmd_bounds(args) -> int:
     K = matio.load_matrix(args.kernel)
     if K.shape[0] < 2:
         raise OutOfRange(f"bounds need a kernel on at least 2 points, got n = {K.shape[0]}")
-    pair = validate_m_matrix(invert(K), off_diag_tol=args.tol, inverse_tol=args.tol)
+    pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=args.tol,
+                                    inverse_tol=args.tol)
     payload: dict = {"which": args.which, "diag_a": list(pair.diag_a),
                      "rel_err": _EXACT_REL_ERR}
     if args.which == "simple":
-        payload["bounds"] = list(bounds_mod.diag_bound_simple(pair))
+        payload["bounds"] = list(bounds.diag_bound_simple(pair))
     elif args.which == "sigma":
-        c = args.c if args.c is not None else bounds_mod.asymmetry_constant(pair.K)
+        c = args.c if args.c is not None else bounds.asymmetry_constant(pair.K)
         payload["c"] = c
-        payload["bound"] = bounds_mod.diag_bound_sigma(pair, c)
+        payload["bound"] = bounds.diag_bound_sigma(pair, c)
     elif args.which == "scaled":
         k_hat = args.k_hat if args.k_hat is not None else float(np.diag(pair.K).max())
         payload["k_hat"] = k_hat
-        payload["bounds"] = list(bounds_mod.diag_bound_scaled(pair, k_hat))
+        payload["bounds"] = list(bounds.diag_bound_scaled(pair, k_hat))
     elif args.which == "psi-star":
         payload["p"] = args.p
-        payload["psi_star"] = bounds_mod.psi_star(pair, args.p)
+        payload["psi_star"] = bounds.psi_star(pair, args.p)
     else:  # sudakov
-        rep = bounds_mod.sudakov_compare(pair)
+        rep = bounds.sudakov_compare(pair)
         payload.update(dataclasses.asdict(rep))
     _emit(args, payload)
     return 0
@@ -312,7 +317,7 @@ def cmd_unbounded_scan(args) -> int:
         raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
                          f"of {args.kernel_model}, lags below {_MAX_LAG[args.kernel_model]:.6g}")
     kernel_fn = _KERNEL_MODELS[args.kernel_model](args.shift)
-    rows = bounds_mod.unboundedness_statistic(kernel_fn, args.delta, grid, p=args.p)
+    rows = bounds.unboundedness_statistic(kernel_fn, args.delta, grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
     _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
                                 r.sigma_star2_log_n, r.error] for r in rows]])
@@ -356,10 +361,10 @@ def cmd_levy(args) -> int:
         _write_csv(args, ["n", "statistic", "log_n", "ratio"],
                    [[[r.n, r.statistic, r.log_n, r.ratio] for r in rows]])
         return 0
-    model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
-                                 cut=args.eps_cut)
+    levy_model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
+                                      cut=args.eps_cut)
     if args.u is not None:
-        b = levy.potential_bundle(model, args.u)
+        b = levy.potential_bundle(levy_model, args.u)
         _emit(args, {"z": b.z, "u_plus": b.u_plus, "u_minus": b.u_minus,
                      "r_part": b.r_part, "h_part": b.h_part, "u_zero": b.u_zero,
                      "sigma2": b.sigma2, "quad_err": b.abserr})
@@ -368,11 +373,15 @@ def cmd_levy(args) -> int:
         with open(args.kernel) as fh:
             obj = json.load(fh)
         points = obj.get("points") if isinstance(obj, dict) else None
-        if not (isinstance(points, list) and all(
-                type(t) in (int, float) and math.isfinite(t) for t in points)):
+        try:
+            finite = isinstance(points, list) and all(
+                type(t) in (int, float) and math.isfinite(t) for t in points)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
         points = [float(t) for t in points]
-        K, err = levy.kernel_matrix(model, points)
+        K, err = levy.kernel_matrix(levy_model, points)
         _emit(args, {"points": points, "kernel": matio.matrix_to_json_obj(K), "quad_err": err})
         return 0
     raise PermanentalError("levy needs one of --u, --scan-thm16, --kernel")
@@ -493,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--eps-cut", type=float, default=levy.DEFAULT_CUT, dest="eps_cut")
+    # levy.DEFAULT_CUT, written out so that parsing does not execute levy
+    p.add_argument("--eps-cut", type=float, default=math.e**2, dest="eps_cut")
     p.add_argument("--u", type=float)
     p.add_argument("--scan-thm16", dest="scan_thm16")
     p.add_argument("--kernel", help="JSON file with a points array")

@@ -645,10 +645,12 @@ def _table_edges(support_min: float) -> np.ndarray:
     it is small against R."""
     w = max(_RIPPLE_PERIODS * 2.0 * math.pi * support_min, 1.0)
     top = min(_UNIFORM_PANELS * w, _LAM_EXACT_MAX)
-    return np.unique(np.concatenate([
+    edges = np.sort(np.concatenate([
         [0.0], np.geomspace(1.0, w, math.ceil(math.log2(w)) + 1),
         np.minimum(w * np.arange(1.0, _UNIFORM_PANELS + 1.0), top),
         np.geomspace(top, _LAM_EXACT_MAX, math.ceil(2.0 * math.log2(_LAM_EXACT_MAX / top)) + 1)]))
+    # distinct edges; np.unique would import numpy.ma
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 class _Panels(NamedTuple):

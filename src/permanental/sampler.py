@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .errors import TruncationInfeasible
 from .gamma_tails import gamma_tail_exact, max_iid_tail
 from .model import PermanentalSpec, _b_tilde
@@ -250,13 +251,12 @@ def check_permanental_inequality(
             acc.add(raw_max >= lam)
     if scaled_max.count < 2:
         raise ValueError(f"a standard error needs at least 2 draws, got {scaled_max.count}")
-    a_sorted = np.sort(a)
     tails = []
     for p in p_values:
         m = spec.n // p
         if m < 1:
             continue
-        a_star = float(a_sorted[m - 1])
+        a_star = bounds.psi_star(spec.pair, p)
         for lam, acc in zip(lambdas, hits):
             exact = max_iid_tail(m, gamma_tail_exact(spec.alpha, 1.0, a_star * lam))
             tails.append(TailComparison(p=p, lam=float(lam), prob_perm=acc.mean, se=acc.se,

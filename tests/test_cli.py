@@ -76,6 +76,8 @@ _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
     (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list', None),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers",
      None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": [0, 1%s]}' % ("0" * 400),
+     "finite numbers", None),
     (["laplace", "--s", 1, "--spec"], '{"alpha": Infinity, "kernel": {"n": 1, "rows": [[1]]}}',
      "alpha must be positive and finite", None),
     (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"], _SPEC_1X1,
@@ -106,7 +108,8 @@ _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
      "p must be an integer from 1 to n = 16, got -1", None),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 100], None,
      "p must be an integer from 1 to n = 16, got 100", None),
-], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number", "spec-alpha-inf",
+], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number",
+        "levy-points-int-beyond-float", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
         "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma",
         "sample-workers-0", "sample-workers-negative", "mc-validate-workers-0",
@@ -298,7 +301,7 @@ def test_mc_validate_json_bytes_match_concatenating_sampler(spec_file, monkeypat
             "--s-points", "3", "--workers", "2"]
     assert cli.main(argv) == 0
     got = capsys.readouterr().out
-    monkeypatch.setattr(cli, "sample_chunks", oracle_chunks)
+    monkeypatch.setattr(sampler, "sample_chunks", oracle_chunks)
     assert cli.main(argv) == 0
     assert got == capsys.readouterr().out
 
@@ -323,7 +326,6 @@ def test_mc_validate_enters_the_sampler_once(spec_file, monkeypatch, tmp_path):
         calls.append(args)
         return sample_chunks(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "sample_chunks", counted)
     monkeypatch.setattr(sampler, "sample_chunks", counted)
     argv = ["mc-validate", "--spec", spec_file, "--n", "5000", "--seed", "6",
             "--s-points", "2", "--out", str(tmp_path / "mc.json")]
@@ -422,6 +424,19 @@ def test_sample_stdout_bytes_match_out_file(spec_file, tmp_path, couple, workers
     stdout = subprocess.run(argv, capture_output=True, check=True).stdout
     subprocess.run(argv + ["--out", str(path)], capture_output=True, check=True)
     assert stdout == path.read_bytes() and stdout.count(b"\n") == cli._CSV_BLOCK + 2
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-validate"])
+def test_fresh_interpreter_bytes_match_across_worker_counts(spec_file, tmp_path, command):
+    # two chunks, drawn on two threads: the layer modules execute on first use,
+    # which must come from the main thread before the workers start
+    outs = []
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}"
+        out = run_cli(*_stream_argv(command, spec_file, sampler._CHUNK + 500, workers, path))
+        assert out.returncode == 0, out.stderr
+        outs.append(path.read_bytes())
+    assert outs[1] == outs[0]
 
 
 def _stream_argv(command, spec_file, n_draws, workers, out):
@@ -685,28 +700,44 @@ def test_levy_kernel_points_command(tmp_path):
 
 
 # Runs the CLI in a fresh interpreter and reports, on the last stderr line,
-# which modules of one top-level package (the first argument) were loaded
-# after the import and after the command.
+# which modules of one top-level package (the first argument) were loaded and
+# which submodules of permanental were executed, after the import and after
+# the command.  The package registers its layer modules lazily: LazyLoader
+# turns a module back into a plain module when it executes.
 _PROBE = """
-import sys
+import sys, types
 top = sys.argv.pop(1)
 def loaded():
     return ",".join(sorted(m for m in sys.modules if m.partition(".")[0] == top))
+def executed():
+    return ",".join(sorted(m.partition(".")[2] for m, mod in list(sys.modules.items())
+                           if m.startswith("permanental.") and type(mod) is types.ModuleType))
 from permanental.cli import main
-after_import = loaded()
+after_import = loaded(), executed()
 code = main(sys.argv[1:])
-sys.stderr.write("\\n" + after_import + ";" + loaded() + "\\n")
+sys.stderr.write("\\n" + ";".join((*after_import, loaded(), executed())) + "\\n")
 sys.exit(code)
 """
+
+
+def _probe(top, *args):
+    out = subprocess.run([sys.executable, "-c", _PROBE, top, *map(str, args)],
+                         capture_output=True, text=True)
+    return out.returncode, out.stderr.splitlines()[-1].split(";")
 
 
 def modules_loaded(top, *args):
     """Exit code and the modules of package `top` loaded after import and
     after the command."""
-    out = subprocess.run([sys.executable, "-c", _PROBE, top, *map(str, args)],
-                         capture_output=True, text=True)
-    after_import, _, after_run = out.stderr.splitlines()[-1].partition(";")
-    return out.returncode, after_import, after_run
+    code, (after_import, _, after_run, _) = _probe(top, *args)
+    return code, after_import, after_run
+
+
+def modules_executed(*args):
+    """Exit code and the sets of permanental's submodules executed after
+    import and after the command."""
+    code, (_, after_import, _, after_run) = _probe("permanental", *args)
+    return code, set(after_import.split(",")), set(after_run.split(","))
 
 
 def _probe_argv(case, spec_file, kernel_file, tmp_path):
@@ -722,6 +753,7 @@ def _probe_argv(case, spec_file, kernel_file, tmp_path):
                    "--out", tmp_path / "s.csv"],
         "mc-validate": ["mc-validate", "--spec", spec_file, "--n", 100, "--seed", 1,
                         "--s-points", 2],
+        "gen-kernel": ["gen-kernel", "--n", 4, "--seed", 2, "--out", tmp_path / "k.json"],
         "levy-kernel": ["levy", "--p", 0.8, "--gamma", -0.5, "--kernel", points],
         "levy-u": ["levy", "--p", 0.5, "--gamma", 2.0, "--u", 0.05],
         "levy-scan-thm16": ["levy", "--p", 0.5, "--gamma", 1.2, "--delta", -0.5,
@@ -748,6 +780,65 @@ def test_sample_imports_orjson_only_to_write_its_csv(spec_file, kernel_file, tmp
     argv = _probe_argv("sample", spec_file, kernel_file, tmp_path)
     code, after_import, after_run = modules_loaded("orjson", *argv)
     assert (code, after_import) == (0, "") and "orjson" in after_run.split(",")
+
+
+_LAYERS = {"matio", "markov", "linalg", "model", "sampler", "gamma_tails", "bounds", "levy",
+           "oscillatory"}
+
+
+@pytest.mark.parametrize("case, needed, never", [
+    ("sample", {"matio", "model", "sampler"}, {"levy", "bounds", "markov", "oscillatory"}),
+    ("levy-kernel", {"levy", "oscillatory"}, {"model", "sampler", "bounds", "markov"}),
+    ("gen-kernel", {"markov", "matio"}, {"levy", "model", "sampler"}),
+], ids=["sample", "levy-kernel", "gen-kernel"])
+def test_commands_execute_only_the_layer_modules_they_use(case, needed, never, spec_file,
+                                                          kernel_file, tmp_path):
+    argv = _probe_argv(case, spec_file, kernel_file, tmp_path)
+    code, after_import, after_run = modules_executed(*argv)
+    assert code == 0 and not after_import & _LAYERS
+    assert needed <= after_run and not never & after_run
+
+
+def test_eps_cut_default_is_the_library_cut():
+    args = cli.build_parser().parse_args(["levy", "--p", "0.8", "--gamma", "0"])
+    assert args.eps_cut == levy.DEFAULT_CUT
+
+
+def test_levy_kernel_never_imports_numpy_ma(spec_file, kernel_file, tmp_path):
+    argv = _probe_argv("levy-kernel", spec_file, kernel_file, tmp_path)
+    code, _, after_run = modules_loaded("numpy", *argv)
+    assert code == 0 and "numpy.linalg" in after_run.split(",")
+    assert "numpy.ma" not in after_run.split(",")
+
+
+# span names of traced runs, recorded while `import permanental.cli` still
+# executed every layer module: the launcher must see the lazy modules as it
+# saw those
+_TRACED_SPANS = {
+    "sample": ["cli.main", "matio.load_spec_file", "matio.matrix_from_json_obj",
+               "linalg.as_square_matrix", "linalg.as_square_matrix", "linalg.invert",
+               "linalg.as_square_matrix", "linalg.validate_m_matrix", "linalg.as_square_matrix",
+               "linalg.invert", "linalg.as_square_matrix", "sampler.sample_chunks"],
+    "levy-kernel": ["cli.main", "levy.log_power_model", "levy.kernel_matrix",
+                    "levy.potential_bundle", "levy.SpectralFns.__init__", "levy.psi_with_error",
+                    "levy.psi_with_error", "levy.potential_bundle", "oscillatory.lobe_boundaries",
+                    "levy.psi_with_error", "oscillatory.euler_accelerate",
+                    "oscillatory.lobe_boundaries", "levy.psi_with_error",
+                    "oscillatory.euler_accelerate", "matio.matrix_to_json_obj",
+                    "linalg.as_square_matrix"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRACED_SPANS))
+def test_traced_launcher_records_the_eager_import_spans(case, spec_file, kernel_file, tmp_path):
+    trace = tmp_path / "trace.json"
+    launcher = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "launcher.py")
+    argv = [sys.executable, launcher, str(trace), "--",
+            *map(str, _probe_argv(case, spec_file, kernel_file, tmp_path))]
+    out = subprocess.run(argv, capture_output=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert [s[0] for s in json.loads(trace.read_text())["spans"]] == _TRACED_SPANS[case]
 
 
 def test_scan_thm16_slowly_decaying_symmetric_tail_matches_mpmath():
