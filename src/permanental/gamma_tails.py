@@ -1,4 +1,4 @@
-"""Gamma tail probabilities, two-sided tail bounds, and max-of-iid bounds.
+"""Gamma tail probabilities, two-sided tail bounds, and the maximum of iid copies.
 
 ``gamma_tail_exact`` implements the regularized upper incomplete gamma with
 the standard split: ascending series below x = u + 1, Lentz continued
@@ -153,32 +153,6 @@ def tail_bounds_rel_err(u: float, lam: float) -> float:
     """Bound on the relative error of both ``tail_bounds(u, lam)``: that of
     their common factor, plus the rounding of 2/3 and of the product."""
     return _bounds_core(u, lam)[1] + 2 * _U
-
-
-def max_iid_lower(n: int, u: float, eps: float, q: float) -> float:
-    """Certified lower bound for P(max of n iid xi_{u,v} >= (1-eps) log n / v).
-
-    Returns 1 - e^{-q}; valid when n >= 10 and n^eps/(q Gamma(u) log n) >= 3/2.
-    """
-    if n < 10:
-        raise PreconditionViolated("n", f"needs n >= 10; got {n}")
-    if eps <= 0 or q <= 0 or u <= 0:
-        raise ValueError("eps, q and u must be positive")
-    side = n**eps / (q * math.gamma(u) * math.log(n))
-    if side < 1.5:
-        raise PreconditionViolated(
-            "side", f"n^eps/(q Gamma(u) log n) = {side:.4g} is below 3/2"
-        )
-    return 1.0 - math.exp(-q)
-
-
-def unbounded_lambda_check(n: int, p: int, alpha: float) -> float:
-    """P(max over [n/p] iid xi_{alpha,1} >= log n), computed exactly."""
-    if n < 10:
-        raise ValueError("needs n >= 10")
-    if p < 1 or int(p) != p:
-        raise ValueError("p must be an integer >= 1")
-    return max_iid_tail(n // p, gamma_tail_exact(alpha, 1.0, math.log(n)))
 
 
 def max_iid_tail(m: int, tail: float) -> float:

@@ -3,11 +3,17 @@
 The jump measure has density x^{-2} g(1/|x|) (p 1_{x>0} + q 1_{x<0}) with a
 positive quasi-monotonic slowly varying profile g.  The exponent psi is
 evaluated exactly for whole arrays of lam at once, in fixed-size blocks,
-from a fixed composite rule on the jump integral: Gauss-Legendre panels in
-w = log x on the sub-oscillatory head (lam x <= 1), and Filon-type panels
-(Legendre coefficients of the jump density times the moments
-2 i^k j_k(lam h)) on geometric x panels over the oscillatory part, so the
-cost grows only like log lam.  Each panel's error is estimated from its
+from a fixed composite rule on the jump integral in u = lam x, where only
+the profile factor g(lam/u) depends on lam: Gauss-Legendre panels in
+v = log u on the sub-oscillatory head (u <= 1), graded from v = 0, and
+Filon-type panels [2^k, 2^{k+1}] in u (Legendre coefficients of the jump
+density times the moments 2 i^k j_k of the half width) over the
+oscillatory part, so the cost grows only like log lam.  Each panel is a
+per-node weight tensor, with the trig factors and the Filon moments folded
+in; the panels that no lam clips are built once per process, and a block
+builds weights only for the panels clipped at lam X_LO, at the support cut
+or at x = 1, so that it costs one profile evaluation per node and one
+matrix product per panel.  Each panel's error is estimated from its
 trailing Legendre coefficients.  The spectral functions
 R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) are evaluated once
 per model on a fixed table of 20-point Gauss-Legendre panels in lam up to
@@ -52,12 +58,13 @@ _N_FAR_LOBES = 512
 # lags of a kernel that agree to this relative size share one bundle
 _LAG_REL = 1e-12
 
-# psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds the
-# node arrays at about _PSI_BLOCK * 40 panels * _N_LEG nodes), the upper
-# log-y limit of the truncation bound, and the length in w of the plain
-# tail of full-support profiles beyond x_cut
+# psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds
+# the node arrays at _PSI_BLOCK * _N_LEG per banked panel and at about
+# 2 _PSI_BLOCK clipped panels of 6 * _N_LEG weights), the upper log-y limit
+# of the truncation bound, and the length in w of the plain tail of
+# full-support profiles beyond x_cut
 _N_LEG = 20
-_PSI_BLOCK = 64
+_PSI_BLOCK = 512
 _OMEGA_RECUR = 20.0  # Filon moments by recurrence above this lam * half width
 _W_HI_TAIL = 80.0
 _W_PLAIN_TAIL = 50.0
@@ -106,12 +113,13 @@ class LogPowerProfile:
         """g(e^w), elementwise; the w-space form used by tail integrands."""
         w = np.asarray(w, dtype=float)
         live = w > math.log(self.cut)
-        safe = np.where(live, w, math.e)
+        whole = bool(live.all())
+        safe = w if whole else np.where(live, w, math.e)
         with np.errstate(over="ignore"):  # g = inf far out is its value there
             val = safe**self.gamma
             if self.delta != 0.0:
                 val = val * np.log(safe) ** self.delta
-        out = np.where(live, val, 0.0)
+        out = val if whole else np.where(live, val, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def inverse_tail_bound(self, w):
@@ -232,12 +240,15 @@ def _panels(edges: np.ndarray):
     return owner[keep], lo[keep], hi[keep]
 
 
+def _graded_offsets(span: float) -> np.ndarray:
+    """0, 1, 2, 4, 8, 12, ... to past span: steps 1, 1, 2, 4, 4, 4, ..."""
+    return np.concatenate([[0.0, 1.0, 2.0], np.arange(4.0, span + 4.0, 4.0)])
+
+
 def _graded_edges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Edges from start towards stop with steps 1, 1, 2, 4, 4, 4, ...
-    (clipped at stop), fine where the integrand is largest or least smooth."""
-    span = float(np.max(np.abs(stop - start)))
-    offsets = np.concatenate([[0.0, 1.0, 2.0], np.arange(4.0, span + 4.0, 4.0)])
-    step = np.sign(stop - start)[:, None] * offsets
+    """Edges from start towards stop at the _graded_offsets (clipped at
+    stop), fine where the integrand is largest or least smooth."""
+    step = np.sign(stop - start)[:, None] * _graded_offsets(float(np.max(np.abs(stop - start))))
     return np.clip(start[:, None] + step, np.minimum(start, stop)[:, None],
                    np.maximum(start, stop)[:, None])
 
@@ -361,74 +372,159 @@ def _filon_moments(omega: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _psi_block(model: LevyModel, lam: np.ndarray, hi_tail: float):
+def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi, compensated):
+    """log u at the Gauss-Legendre nodes (P, _N_LEG) of panels in u = lam x,
+    and the weights (P, 6, _N_LEG) that take the profile g(lam/u) at those
+    nodes to each panel's part of Re psi / lam and of J / lam, then to four
+    terms whose absolute values sum to its error estimate over lam.
+
+    With G = g(lam/u) lam/u, the head panels [head_lo, head_hi] run in
+    v = log u, where the jump integrand is 2 sin^2(u/2) G and (sin u - u) G;
+    their error terms are the two trailing Legendre coefficients of each.
+    The oscillatory panels [osc_lo, osc_hi] that follow run in u, with Filon
+    weights for (1 - cos u) G/u and sin(u) G/u, less the compensator G where
+    ``compensated`` (the panel lies below x = 1); their error terms are
+    three times the trailing coefficients of G/u (the plain, cos and sin
+    parts) and those of the compensator."""
+    _, legendre = _legendre_rule()
+    # the panel integral and the two trailing coefficients, per node value
+    ends = 2.0 * legendre.T[[0, -1, -2]]
+    _, half, v = _legendre_panels(head_lo, head_hi)
+    mid, half_osc, x = _legendre_panels(osc_lo, osc_hi)
+    # axes: panel, (integral, trailing, trailing), (Re psi, J), node
+    weights = np.empty((head_lo.size + osc_lo.size, 3, 2, _N_LEG))
+
+    head = weights[:head_lo.size]
+    u = np.exp(v)
+    basis = half[:, None, None] * ends
+    head[:, :, 0] = basis * (2.0 * np.sin(0.5 * u) ** 2 / u)[:, None]
+    head[:, :, 1] = basis * (_sin_minus_lin(u) / u)[:, None]
+
+    osc = weights[head_lo.size:]
+    inv = 1.0 / x
+    inv2 = inv * inv
+    basis = half_osc[:, None, None] * ends
+    # integral of F e^{i u} over the panel from the values of F at its nodes
+    phi = (half_osc * np.exp(1j * mid))[:, None] * (_filon_moments(half_osc) @ legendre.T)
+    osc[:, :, 0] = 3.0 * basis * inv2[:, None]
+    osc[:, 0, 0] = (basis[:, 0] - phi.real) * inv2
+    osc[:, :, 1] = basis * (compensated[:, None] * inv)[:, None]
+    osc[:, 0, 1] = phi.imag * inv2 - osc[:, 0, 1]
+    return np.concatenate([v, np.log(x)]), weights.reshape(-1, 6, _N_LEG)
+
+
+@functools.lru_cache(maxsize=4)
+def _scaled_bank(n_head: int, n_osc: int):
+    """``_scaled_weights`` of the panels that no lam clips, with the weights
+    as (P, _N_LEG, 6): the first n_head head panels [-O_{k+1}, -O_k] (O the
+    _graded_offsets), then [2^k, 2^{k+1}] for k < n_osc with the compensator,
+    and again without it."""
+    offsets = _graded_offsets(4.0 * n_head)[:n_head + 1]
+    pow2 = 2.0 ** np.arange(n_osc + 1.0)
+    log_u, weights = _scaled_weights(-offsets[1:], -offsets[:-1], np.tile(pow2[:-1], 2),
+                                     np.tile(pow2[1:], 2), np.arange(2 * n_osc) < n_osc)
+    return log_u, np.ascontiguousarray(weights.swapaxes(1, 2))
+
+
+def _bank_size(count: int) -> int:
+    # a multiple of 16, so that one bank serves blocks of similar reach
+    return 16 * (count // 16 + 1)
+
+
+def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
     """Re psi, the integral J of (sin(lam x) - lam x 1_{x<1}) against the
     jump density (Im psi = -(p - q) J), and the error bound, at lam > 0.
 
-    The jump integral runs over [X_LO, x_cut] in three parts: the head
-    x <= x1 = min(1/lam, x_cut) on graded log-x panels, the oscillatory
-    part [x1, x_cut] on geometric x panels (split at x = 1 where the
-    compensator stops) with Filon-type weights, and for full-support
-    profiles the plain remainder beyond x_cut.  The cut below X_LO is
-    bounded by (lam x)^2 / 2 against the jump density, i.e. by
-    lam^2 / 2 times ``hi_tail``.
+    The jump integral runs over [X_LO, x_cut] in u = lam x, where only the
+    profile factor g(lam/u) lam/u depends on lam, in three parts: the head
+    u <= u1 = min(1, lam x_cut) on graded panels in v = log u, the
+    oscillatory part [u1, lam x_cut] on panels [2^k, 2^{k+1}] (split at
+    x = 1 where the compensator stops) with Filon-type weights, and for
+    full-support profiles the plain remainder beyond x_cut.  When
+    lam x_cut >= 1 every panel that lam X_LO, lam x_cut and x = 1 leave
+    whole is one of ``_scaled_bank``'s; the others get their weights here.
+    The cut below X_LO is bounded by (lam x)^2 / 2 against the jump
+    density, i.e. by lam^2 / 2 times ``cut_tail``.
     """
     n = lam.size
-    g_inv = model.g_of_log
     full = model.support_min <= 0
     x_cut = np.maximum(1e3, 3e3 / lam) if full else np.full(n, 1.0 / model.support_min)
-    w_cut = np.log(x_cut)
-    w1 = np.minimum(-np.log(lam), w_cut)
-    re = np.zeros(n)
-    im = np.zeros(n)
-    err = 0.5 * lam * lam * hi_tail
+    u_cut = lam * x_cut
+    u1 = np.minimum(u_cut, 1.0)
+    v1 = np.log(u1)
+    v_lo = np.log(lam * _X_LO)
+    log_lam = np.log(lam)
 
-    def head(rows, w):
-        x = np.exp(w)
-        u = lam[rows][:, None] * x
-        gx = g_inv(-w) / x
-        return np.stack([2.0 * np.sin(0.5 * u) ** 2 * gx, _sin_minus_lin(u) * gx])
+    # head panels from v1 towards v_lo; the whole ones from v1 = 0 are banked
+    head_edges = _graded_edges(v1, v_lo)
+    offsets = _graded_offsets(float(np.max(np.abs(v_lo - v1))))
+    head_banked = (v1 == 0.0)[:, None] & (v_lo[:, None] <= -offsets[1:])
+    head_lo = np.minimum(head_edges[:, :-1], head_edges[:, 1:])
+    head_hi = np.maximum(head_edges[:, :-1], head_edges[:, 1:])
 
-    (head_re, head_im), e = _w_integrals(
-        *_panels(_graded_edges(w1, np.full(n, math.log(_X_LO)))), head, n)
-    re += head_re
-    im += head_im
-    err += e
+    # oscillatory panels: u1 2^k (clipped at lam x_cut) and x = 1 as edges
+    steps = 2.0 ** np.arange(math.ceil(math.log2(np.max(u_cut / u1))) + 1.0)
+    split = np.where((lam > 1.0) & (x_cut > 1.0), lam, u_cut)
+    rows, lo, hi = _panels(np.sort(np.column_stack(
+        [np.minimum(u1[:, None] * steps, u_cut[:, None]), u_cut, split]), axis=1))
+    comp = hi <= lam[rows]
+    # a banked panel is exactly [2^k, 2^{k+1}], k = exponent - 1
+    mantissa, exponent = np.frexp(lo)
+    osc_banked = (mantissa == 0.5) & (hi == 2.0 * lo)
 
-    # geometric x panels (ratio <= 2) over [x1, x_cut], with x = 1 as an edge
-    steps = np.arange(int(np.ceil(np.max(w_cut - w1) / math.log(2.0))) + 1) * math.log(2.0)
-    split = np.where((w1 < 0.0) & (w_cut > 0.0), 0.0, w_cut)
-    edges = np.sort(np.column_stack([np.minimum(w1[:, None] + steps, w_cut[:, None]),
-                                     w_cut, split]), axis=1)
-    rows, lo, hi = _panels(edges)
-    if rows.size:
-        mid, half, x = _legendre_panels(np.exp(lo), np.exp(hi))
-        gx = g_inv(-np.log(x)) / x
-        lam_p = lam[rows]
-        coef = np.stack([gx / x, gx]) @ _legendre_rule()[1]
-        tail = 2.0 * half * (np.abs(coef[..., -1]) + np.abs(coef[..., -2]))
-        plain = 2.0 * half * coef[0, :, 0]
-        # integral of f e^{i lam x} over the panel
-        osc = half * np.exp(1j * lam_p * mid) * np.sum(
-            coef[0] * _filon_moments(lam_p * half), axis=1)
-        cos_part, sin_part = osc.real, osc.imag
-        # the compensator lam x 1_{x < 1} of the imaginary part
-        below_one = hi <= 0.0
-        comp = np.where(below_one, 2.0 * half * coef[1, :, 0], 0.0)
-        re += np.bincount(rows, plain - cos_part, minlength=n)
-        im += np.bincount(rows, sin_part - lam_p * comp, minlength=n)
-        # the plain, cos and sin parts each carry the truncated expansion
-        err += np.bincount(rows, 3.0 * tail[0] + np.where(below_one, lam_p * tail[1], 0.0),
-                           minlength=n)
+    # the lam that hold each bank panel: head panels, then the oscillatory
+    # ones with the compensator, then without it
+    h_rows, h_cols = np.nonzero(head_banked)
+    n_head = _bank_size(int(h_cols.max(initial=0)))
+    n_osc = _bank_size(int(exponent[osc_banked].max(initial=0)))
+    member = np.zeros((n_head + 2 * n_osc, n), dtype=bool)
+    member[h_cols, h_rows] = True
+    member[n_head + exponent[osc_banked] - 1 + n_osc * ~comp[osc_banked],
+           rows[osc_banked]] = True
+    # Re psi / lam, J / lam and the four error terms over lam of each panel,
+    # with the terms' absolute values summed per lam: the banked panels one
+    # at a time over the lam that hold them (a slice where those are
+    # consecutive), then the clipped ones and every panel of a lam with
+    # lam x_cut < 1 at once
+    log_u, weights = _scaled_bank(n_head, n_osc)
+    sums = np.zeros((n, 6))
+    for k in np.flatnonzero(member.any(axis=1)):
+        own = np.flatnonzero(member[k])
+        if own[-1] - own[0] + 1 == own.size:
+            own = slice(own[0], own[-1] + 1)
+        part = model.g_of_log(log_lam[own, None] - log_u[k]) @ weights[k]
+        np.abs(part[:, 2:], out=part[:, 2:])
+        sums[own] += part
+    h_rows, h_cols = np.nonzero((head_hi > head_lo) & ~head_banked)
+    own = np.concatenate([h_rows, rows[~osc_banked]])
+    log_u, weights = _scaled_weights(head_lo[h_rows, h_cols], head_hi[h_rows, h_cols],
+                                     lo[~osc_banked], hi[~osc_banked], comp[~osc_banked])
+    part = (weights @ model.g_of_log(log_lam[own, None] - log_u)[..., None])[..., 0]
+    np.abs(part[:, 2:], out=part[:, 2:])
+    np.add.at(sums, own, part)
+    re = lam * sums[:, 0]
+    im = lam * sums[:, 1]
+    err = lam * (0.5 * lam * cut_tail + sums[:, 2:].sum(axis=1))
     if full:
         # exact non-oscillatory remainder beyond x_cut; the trig remainders
         # are bounded by 2 f(x_cut) / lam each (integration by parts)
+        w_cut = np.log(x_cut)
         (plain_tail,), e = _w_integrals(
             *_panels(_graded_edges(w_cut, w_cut + _W_PLAIN_TAIL)),
-            lambda rows, w: (g_inv(-w) * np.exp(-w))[None], n)
+            lambda rows, w: (model.g_of_log(-w) * np.exp(-w))[None], n)
         re += plain_tail
-        err += e + 4.0 * g_inv(-w_cut) / (x_cut * x_cut * lam)
+        err += e + 4.0 * model.g_of_log(-w_cut) / (x_cut * x_cut * lam)
     return re, im, err
+
+
+@functools.lru_cache(maxsize=8)
+def _cut_tail(model: LevyModel) -> float:
+    """The integral of g(1/x) over (0, X_LO) plus its quadrature error, for
+    the bound on psi's cut there; kept for the most recently used models."""
+    (tail,), err = _w_integrals(
+        *_panels(_graded_edges(np.array([-math.log(_X_LO)]), np.array([_W_HI_TAIL]))),
+        lambda rows, w: (model.g_of_log(w) * np.exp(-w))[None], 1)
+    return abs(tail[0]) + err[0]
 
 
 def psi_with_error(model: LevyModel, lam):
@@ -444,15 +540,10 @@ def psi_with_error(model: LevyModel, lam):
     err = np.zeros(flat.size)
     live = np.flatnonzero(flat != 0.0)
     if live.size:
-        w_lo = -math.log(_X_LO)
-        # integral of g(1/x) over (0, X_LO), for the bound on the cut there
-        (hi_tail,), hi_err = _w_integrals(
-            *_panels(_graded_edges(np.array([w_lo]), np.array([_W_HI_TAIL]))),
-            lambda rows, w: (model.g_of_log(w) * np.exp(-w))[None], 1)
-        hi_tail = abs(hi_tail[0]) + hi_err[0]
+        cut_tail = _cut_tail(model)
         for start in range(0, live.size, _PSI_BLOCK):
             idx = live[start:start + _PSI_BLOCK]
-            re, im_j, e = _psi_block(model, np.abs(flat[idx]), hi_tail)
+            re, im_j, e = _psi_block(model, np.abs(flat[idx]), cut_tail)
             value.real[idx] = re
             value.imag[idx] = -(model.p - model.q) * im_j
             err[idx] = e
@@ -771,56 +862,6 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
 
 
 @dataclass(frozen=True)
-class Thm15Row:
-    z: float
-    sigma2: float
-    h_part: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class Thm15Report:
-    """Checks |H(z)| <= C sigma^2(z) with C < 1/2 on the grid, fits the
-    minorant sigma^2(z) >= c (log 1/z)^(-a), and reports f(1/n) log n."""
-
-    rows: list[Thm15Row]
-    sup_ratio: float
-    condition_met: bool
-    minorant_c: float
-    minorant_a: float
-    divergence: list[tuple[float, float]]
-    diverges: bool
-
-
-def check_thm15(model: LevyModel, z_grid) -> Thm15Report:
-    rows = []
-    for z in z_grid:
-        b = potential_bundle(model, z)
-        rows.append(Thm15Row(z=abs(z), sigma2=b.sigma2, h_part=b.h_part,
-                             ratio=abs(b.h_part) / b.sigma2 if b.sigma2 > 0 else 0.0))
-    sup_ratio = max(r.ratio for r in rows)
-    xs = np.array([math.log(math.log(1.0 / r.z)) for r in rows])
-    ys = np.array([math.log(r.sigma2) for r in rows])
-    design = np.vstack([xs - xs.mean(), np.ones_like(xs)]).T
-    (slope, mean_level), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    a = -float(slope)
-    c = math.exp(float(mean_level) + a * float(xs.mean()))
-    divergence = []
-    for n in (1e2, 1e4, 1e8, 1e16, 1e32):
-        logn = math.log(n)
-        divergence.append((n, c * logn ** (1.0 - a)))
-    return Thm15Report(
-        rows=rows,
-        sup_ratio=sup_ratio,
-        condition_met=sup_ratio < 0.5,
-        minorant_c=c,
-        minorant_a=a,
-        divergence=divergence,
-        diverges=a < 1.0,
-    )
-
-
-@dataclass(frozen=True)
 class Cor14Row:
     z: float
     lhs: float
@@ -947,42 +988,6 @@ def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid
         if not math.isfinite(err):
             raise OutOfRange(f"no error bound for the Thm 1.6 statistic at n = {n:g}")
         rows.append(Thm16Row(n=float(n), statistic=stat, log_n=w_n, ratio=stat / w_n, err=err))
-    return rows
-
-
-@dataclass(frozen=True)
-class AsymmetryRow:
-    z: float
-    u_plus: float
-    u_minus: float
-    u_zero: float
-    sigma2: float
-    h_part: float
-    rel_steep: float
-    rel_shallow: float
-
-
-def asymmetry_asymptotics(model: LevyModel, z_grid) -> list[AsymmetryRow]:
-    """Checks u(+-z) ~ u(0) - (sigma^2/2)(1 -+ |p-q|) near zero.
-
-    The side with the larger potential pairs with the (1 - |p-q|) factor;
-    which of +z/-z that is depends on the sign of p - q, so the rows report
-    the relation for the shallow and steep side of the pair.
-    """
-    rows = []
-    dpq = abs(model.p - model.q)
-    for z in z_grid:
-        b = potential_bundle(model, z)
-        u_hi = max(b.u_plus, b.u_minus)
-        u_lo = min(b.u_plus, b.u_minus)
-        shallow = (b.u_zero - u_hi) / ((b.sigma2 / 2.0) * (1.0 - dpq)) if dpq < 1 else math.nan
-        steep = (b.u_zero - u_lo) / ((b.sigma2 / 2.0) * (1.0 + dpq))
-        rows.append(
-            AsymmetryRow(
-                z=b.z, u_plus=b.u_plus, u_minus=b.u_minus, u_zero=b.u_zero,
-                sigma2=b.sigma2, h_part=b.h_part, rel_steep=steep, rel_shallow=shallow,
-            )
-        )
     return rows
 
 

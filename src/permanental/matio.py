@@ -74,18 +74,5 @@ def load_spec_file(path: str) -> tuple[float, np.ndarray | None, np.ndarray | No
     return alpha, K, A
 
 
-def save_spec_file(path: str, alpha: float, kernel=None, a_matrix=None) -> None:
-    if (kernel is None) == (a_matrix is None):
-        raise ValueError("pass exactly one of kernel or a_matrix")
-    obj: dict = {"alpha": float(alpha)}
-    if kernel is not None:
-        obj["kernel"] = matrix_to_json_obj(kernel)
-    else:
-        obj["A"] = matrix_to_json_obj(a_matrix)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _is_json(path: str) -> bool:
     return os.path.splitext(path)[1].lower() == ".json"

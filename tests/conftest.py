@@ -1,17 +1,18 @@
 """Shared fixtures: the Markov-generated kernel corpus used across tests, the
 brute-force alpha-permanent oracle, the block matrix C(k) of the series
-coefficients, the sampler's chunk oracle and the helpers that read a chunk
-stream whole."""
+coefficients, the sampler's chunk oracle, the helpers that read a chunk
+stream whole and the model-spec file writer."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from permanental import markov, sampler
+from permanental import markov, matio, sampler
 from permanental.model import PermanentalSpec, _b_tilde
 
 
@@ -121,3 +122,18 @@ def laplace_means(chunks, s_points) -> list[tuple[float, float]]:
         for s, acc in zip(s_points, moments):
             acc.add(sampler._laplace_terms(x, s))
     return [(acc.mean, acc.se) for acc in moments]
+
+
+def save_spec_file(path: str, alpha: float, kernel=None, a_matrix=None) -> None:
+    """Write a model spec in the format ``matio.load_spec_file`` reads:
+    ``alpha`` and exactly one of the kernel K or its inverse A."""
+    if (kernel is None) == (a_matrix is None):
+        raise ValueError("pass exactly one of kernel or a_matrix")
+    obj: dict = {"alpha": float(alpha)}
+    if kernel is not None:
+        obj["kernel"] = matio.matrix_to_json_obj(kernel)
+    else:
+        obj["A"] = matio.matrix_to_json_obj(a_matrix)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True)
+        fh.write("\n")

@@ -26,7 +26,7 @@ from permanental.markov import green_kernel, random_transient_chain, validate_ap
 from permanental.model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
 from permanental.sampler import RngStream, check_permanental_inequality, sample_chunks
 
-from conftest import brownian_min_matrix, laplace_means, make_corpus
+from conftest import brownian_min_matrix, laplace_means, make_corpus, save_spec_file
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -288,7 +288,7 @@ def test_criterion_13_cli_determinism(tmp_path):
                                 "--kill-min", "0.6", "--out", str(kernel)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    matio.save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
+    save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
     commands = [
         ["permanent", "--matrix", str(kernel), "--alpha", "1.5"],
         ["laplace", "--spec", str(spec), "--s", "1,0.5,2", "--method", "series"],

@@ -16,7 +16,8 @@ from permanental.cli import _KERNEL_MODELS
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_chunks
 
-from conftest import gather, laplace_means, naive_alpha_permanent, oracle_chunks
+from conftest import (gather, laplace_means, naive_alpha_permanent, oracle_chunks,
+                      save_spec_file)
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -39,7 +40,7 @@ def kernel_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory, kernel_file):
     path = tmp_path_factory.mktemp("cli") / "spec.json"
-    matio.save_spec_file(str(path), 1.0, kernel=matio.load_matrix(kernel_file))
+    save_spec_file(str(path), 1.0, kernel=matio.load_matrix(kernel_file))
     return str(path)
 
 
@@ -61,7 +62,7 @@ def test_validate_kernel_rejects_non_m(tmp_path):
 
 def test_corrupted_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
-    matio.save_spec_file(str(spec), 1.0, a_matrix=[[1.0, 0.5], [0.0, 1.0]])
+    save_spec_file(str(spec), 1.0, a_matrix=[[1.0, 0.5], [0.0, 1.0]])
     out = run_cli("laplace", "--spec", str(spec), "--s", "1,1")
     assert out.returncode == 2
     assert "error" in out.stderr
@@ -178,11 +179,11 @@ def _model_stdout_sha256(name: str, command: str, tmp_path) -> str:
     if name == "readme":
         kernel = tmp_path / "kernel.json"
         assert run_cli("gen-kernel", "--n", 5, "--seed", 3, "--out", kernel).returncode == 0
-        matio.save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
+        save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
         n = 5
     else:
         alpha, a = _MODEL_SPECS[name]
-        matio.save_spec_file(str(spec), alpha, a_matrix=a)
+        save_spec_file(str(spec), alpha, a_matrix=a)
         n = len(a)
     args = _MODEL_COMMANDS[command]
     if command != "z-dist":
@@ -496,7 +497,7 @@ def test_z_dist_output(spec_file):
 def test_acyclic_spec_is_answered(tmp_path):
     # A = I - 0.5 * superdiagonal: the chain never returns, so Z = 0
     spec = tmp_path / "acyclic.json"
-    matio.save_spec_file(str(spec), 1.0, a_matrix=np.eye(3) - 0.5 * np.eye(3, k=1))
+    save_spec_file(str(spec), 1.0, a_matrix=np.eye(3) - 0.5 * np.eye(3, k=1))
     out = run_cli("z-dist", "--spec", spec)
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
@@ -515,7 +516,7 @@ def test_sample_answers_a_spec_past_the_z_grid_cap(tmp_path):
     kernel, spec = tmp_path / "k6.json", tmp_path / "spec6.json"
     out = run_cli("gen-kernel", "--n", 6, "--seed", 3, "--kill-min", 0.3, "--out", kernel)
     assert out.returncode == 0, out.stderr
-    matio.save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
+    save_spec_file(str(spec), 1.0, kernel=matio.load_matrix(str(kernel)))
     out = run_cli("z-dist", "--spec", spec)
     assert out.returncode == 2 and "exceeds cap" in out.stderr
     draws = tmp_path / "draws.csv"
@@ -527,7 +528,7 @@ def test_sample_answers_a_spec_past_the_z_grid_cap(tmp_path):
 def test_sample_refuses_a_spec_past_the_mean_visit_cap(tmp_path):
     # K_ii = 1 / (1 - 0.9995^2), about 1000, so E sum Z = 2 (K_ii - 1) is about 2000
     spec = tmp_path / "near.json"
-    matio.save_spec_file(str(spec), 1.0, a_matrix=[[1.0, -0.9995], [-0.9995, 1.0]])
+    save_spec_file(str(spec), 1.0, a_matrix=[[1.0, -0.9995], [-0.9995, 1.0]])
     out = run_cli("sample", "--spec", spec, "--n", 10, "--seed", 1)
     assert out.returncode == 2
     assert "loop-soup steps" in out.stderr and out.stdout == ""

@@ -9,11 +9,9 @@ from permanental.errors import PreconditionViolated
 from permanental.gamma_tails import (
     gamma_tail_exact,
     gamma_tail_rel_err,
-    max_iid_lower,
     max_iid_tail,
     tail_bounds,
     tail_bounds_rel_err,
-    unbounded_lambda_check,
 )
 
 
@@ -165,77 +163,8 @@ def test_lower_small_shape_extra_condition():
 # ---------------------------------------------------------------- max of iid
 
 
-def test_max_iid_lower_bound_value():
-    assert max_iid_lower(10**6, 1.0, 0.5, 1.0) == pytest.approx(1 - math.e**-1)
-
-
-def test_max_iid_lower_monte_carlo():
-    n, eps = 10**6, 0.5
-    bound = max_iid_lower(n, 1.0, eps, 1.0)
-    threshold = (1 - eps) * math.log(n)
-    rng = np.random.default_rng(12345)
-    hits = 0
-    reps = 200
-    for _ in range(reps):
-        # max of n iid exponentials: inverse-CDF of the max distribution
-        u = rng.random()
-        max_draw = -math.log(1 - u ** (1.0 / n))
-        hits += max_draw >= threshold
-    assert hits / reps >= bound - 3 * math.sqrt(bound * (1 - bound) / reps)
-
-
-def test_max_iid_lower_precondition_failure():
-    with pytest.raises(PreconditionViolated):
-        max_iid_lower(10, 1.0, 0.01, 1.0)
-
-
-def test_max_iid_exact_exponential_dominates_bound():
-    n, eps, q = 10**6, 0.5, 1.0
-    bound = max_iid_lower(n, 1.0, eps, q)
-    exact = -math.expm1(n * math.log1p(-n ** -(1 - eps)))
-    assert exact >= bound
-
-
-# ---------------------------------------------------------------- log n check
-
-
-def test_unbounded_lambda_exponential_closed_form():
-    for n in (10, 100, 10**4, 10**8):
-        got = unbounded_lambda_check(n, 1, 1.0)
-        want = -math.expm1((n // 1) * math.log1p(-1.0 / n))
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_unbounded_lambda_trend_along_powers_of_two():
-    # alpha = 1 converges to 1 - 1/e from above (n * tail = 1 exactly);
-    # alpha = 2 has n * tail = 1 + log n, so it increases toward 1
-    flat = [unbounded_lambda_check(2**j, 1, 1.0) for j in range(4, 20)]
-    assert all(b <= a + 1e-13 for a, b in zip(flat, flat[1:]))
-    assert flat[-1] == pytest.approx(1 - math.e**-1, abs=1e-4)
-    rising = [unbounded_lambda_check(2**j, 1, 2.0) for j in range(6, 26)]
-    assert all(b >= a - 1e-13 for a, b in zip(rising, rising[1:]))
-    assert rising[-1] > 0.99
-
-
-def test_unbounded_lambda_fractional_shape():
-    got = unbounded_lambda_check(10**4, 2, 0.5)
-    assert 0.0 < got < 1.0
-    m = 10**4 // 2
-    with mpmath.workdps(40):
-        tail = float(
-            mpmath.gammainc(0.5, math.log(10**4), mpmath.inf, regularized=True)
-        )
-    want = -math.expm1(m * math.log1p(-tail))
-    assert got == pytest.approx(want, rel=1e-11)
-
-
-def test_unbounded_lambda_tail_rounding_to_one():
-    # Q(200, log 10) rounds to 1: 1 - (1 - tail)^m is 1, not log1p(-1)
-    assert gamma_tail_exact(200.0, 1.0, math.log(10)) == 1.0
-    assert unbounded_lambda_check(10, 1, 200.0) == 1.0
-
-
-@pytest.mark.parametrize("m, tail", [(1, 0.3), (7, 1e-20), (1000, 0.01), (3, 1.0 - 2**-53)])
+@pytest.mark.parametrize("m, tail", [(1, 0.3), (7, 1e-20), (1000, 0.01), (3, 1.0 - 2**-53),
+                                     (10, 1.0)])
 def test_max_iid_tail_matches_mpmath(m, tail):
     with mpmath.workdps(60):
         want = float(1 - (1 - mpmath.mpf(tail)) ** m)

@@ -5,6 +5,8 @@ import pytest
 
 from permanental import matio
 
+from conftest import save_spec_file
+
 
 def test_json_round_trip(tmp_path):
     m = np.array([[1.5, -0.25], [0.0, 2.0]])
@@ -24,7 +26,7 @@ def test_text_round_trip(tmp_path):
 
 def test_spec_round_trip_kernel(tmp_path):
     path = tmp_path / "spec.json"
-    matio.save_spec_file(str(path), 1.5, kernel=np.eye(2))
+    save_spec_file(str(path), 1.5, kernel=np.eye(2))
     alpha, K, A = matio.load_spec_file(str(path))
     assert alpha == 1.5
     np.testing.assert_array_equal(K, np.eye(2))
@@ -33,7 +35,7 @@ def test_spec_round_trip_kernel(tmp_path):
 
 def test_spec_round_trip_a_matrix(tmp_path):
     path = tmp_path / "spec.json"
-    matio.save_spec_file(str(path), 0.5, a_matrix=[[2.0, -1.0], [-1.0, 2.0]])
+    save_spec_file(str(path), 0.5, a_matrix=[[2.0, -1.0], [-1.0, 2.0]])
     alpha, K, A = matio.load_spec_file(str(path))
     assert K is None
     assert A[0][0] == 2.0
@@ -42,7 +44,7 @@ def test_spec_round_trip_a_matrix(tmp_path):
 def test_spec_requires_exactly_one_matrix(tmp_path):
     path = tmp_path / "spec.json"
     with pytest.raises(ValueError):
-        matio.save_spec_file(str(path), 1.0)
+        save_spec_file(str(path), 1.0)
 
 
 def test_declared_n_mismatch(tmp_path):
