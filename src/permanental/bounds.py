@@ -2,12 +2,14 @@
 
 The increment quantity sigma2[i, j] = K_ii + K_jj - K_ij - K_ji plays the
 role of the squared Gaussian increment; its minimum over pairs feeds both
-the diagonal bounds and the Sudakov-style comparisons.  The diagonal
-bounds, the Sudakov comparison and the rearranged diagonal statistic
-``psi_star`` (entry [n/p] of the sorted diagonal of A) read one validated
-``MMatrixPair`` (A, K = A^-1) and invert nothing.  The scan evaluates
-``psi_star`` on caller-chosen configurations; the infimum over all
-configurations is not computable and is not attempted.
+the diagonal bounds and the Sudakov-style comparisons.  Each statistic
+forms sigma2 and the asymmetry |K - K^T| together, at most once per call
+(``_increments``).  The diagonal bounds, the Sudakov comparison and the
+rearranged diagonal statistic ``psi_star`` (entry [n/p] of the sorted
+diagonal of A) read one validated ``MMatrixPair`` (A, K = A^-1) and invert
+nothing.  The scan evaluates ``psi_star`` on caller-chosen configurations;
+the infimum over all configurations is not computable and is not
+attempted.
 """
 
 from __future__ import annotations
@@ -26,21 +28,44 @@ from .errors import (
     OutOfRange,
     PermanentalError,
 )
-from .linalg import MMatrixPair, as_square_matrix, invert, validate_m_matrix
+from .linalg import KERNEL_TOL, MMatrixPair, as_square_matrix, invert, validate_m_matrix
 
-_NEG_SQ_TOL = 1e-12
-# M-matrix tolerances (off-diagonal and inverse) of each scanned kernel's inverse
-_SCAN_TOL = 1e-10
+
+def _increments(K: np.ndarray, normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """sigma2[i, j] = K_ii + K_jj - K_ij - K_ji, +inf on the diagonal, and
+    |K - K^T|.  With ``normalized`` both are formed from K divided columnwise
+    by its diagonal (the ratio form used when the diagonal is not constant),
+    where sigma2 = 2 - K_ij / K_jj - K_ji / K_ii."""
+    if K.shape[0] < 2:
+        raise ValueError("needs at least two points")
+    d = np.diag(K)
+    if normalized:
+        if (d <= 0).any():
+            raise ValueError("normalized form needs a positive diagonal")
+        K = K / d[None, :]
+        sigma2 = 2.0 - K - K.T
+    else:
+        sigma2 = d[:, None] + d[None, :] - K - K.T
+    np.fill_diagonal(sigma2, np.inf)
+    return sigma2, np.abs(K - K.T)
+
+
+def _min_asymmetry(sigma2: np.ndarray, asym: np.ndarray) -> float:
+    """Minimal C with asym <= C sigma2 off the diagonal (0 on it, where
+    sigma2 is +inf)."""
+    if (asym[sigma2 <= 0] > 1e-14).any():
+        raise DegenerateSigma("sigma^2 vanishes for a pair with nonzero asymmetry")
+    good = sigma2 > 0
+    return float((asym[good] / sigma2[good]).max())
 
 
 @dataclass(frozen=True)
 class SigmaMatrix:
-    """sigma2[i, j] = K_ii + K_jj - K_ij - K_ji with its minimum over i != j."""
+    """sigma2[i, j] = K_ii + K_jj - K_ij - K_ji (+inf on the diagonal) and
+    its minimum."""
 
     sigma2: np.ndarray
     sigma_star2: float
-    argmin: tuple[int, int]
-    negative_square: bool
 
     @property
     def sudakov_bound(self) -> float:
@@ -49,23 +74,10 @@ class SigmaMatrix:
 
 
 def sigma_matrix(k) -> SigmaMatrix:
-    """Increment matrix of a kernel; flags (does not reject) negative squares."""
-    K = as_square_matrix(k)
-    n = K.shape[0]
-    if n < 2:
-        raise ValueError("needs at least two points")
-    d = np.diag(K)
-    sigma2 = d[:, None] + d[None, :] - K - K.T
-    np.fill_diagonal(sigma2, 0.0)
-    off = ~np.eye(n, dtype=bool)
-    flat = np.where(off, sigma2, np.inf)
-    i, j = np.unravel_index(int(np.argmin(flat)), sigma2.shape)
-    return SigmaMatrix(
-        sigma2=sigma2,
-        sigma_star2=float(sigma2[i, j]),
-        argmin=(int(i), int(j)),
-        negative_square=bool(sigma2[off].min() < -_NEG_SQ_TOL),
-    )
+    """Increment matrix of a kernel and its minimum over i != j; a negative
+    minimum is returned, not rejected."""
+    sigma2, _ = _increments(as_square_matrix(k))
+    return SigmaMatrix(sigma2=sigma2, sigma_star2=float(sigma2.min()))
 
 
 def _column_gaps(K: np.ndarray) -> np.ndarray:
@@ -97,49 +109,49 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     return bounds
 
 
-def diag_bound_sigma(pair: MMatrixPair, c: float) -> float:
-    """Scalar bound A_ii <= 2 / ((1-C) sigma_star2) for constant-diagonal kernels.
+def diag_bound_sigma(pair: MMatrixPair, c: float | None = None) -> tuple[float, float]:
+    """(C, bound) with A_ii <= bound = 2 / ((1-C) sigma_star2), for
+    constant-diagonal kernels.
 
-    The supplied C must satisfy |K_ij - K_ji| <= C sigma2_ij with C < 1;
-    otherwise the minimal feasible C is reported.
+    A supplied C must satisfy |K_ij - K_ji| <= C sigma2_ij with C < 1, else
+    the minimal feasible C is reported; without one, C is that minimum.
     """
     K = pair.K
     d = np.diag(K)
     if not np.allclose(d, d[0], rtol=1e-10, atol=1e-12 * max(1.0, abs(d[0]))):
         raise NotConstantDiagonal(f"kernel diagonal varies: {d}")
-    if not 0.0 <= c < 1.0:
+    if c is not None and not 0.0 <= c < 1.0:
         raise ValueError("need 0 <= C < 1")
-    min_c = asymmetry_constant(K)
+    sigma2, asym = _increments(K)
+    min_c = _min_asymmetry(sigma2, asym)
+    c = min_c if c is None else c
     # inverses computed in floating point carry harmless asymmetry noise
-    if min_c > c + 1e-10:
+    if min_c > c + 1e-10 or c >= 1.0:
         raise AsymmetryTooLarge(min_c)
-    sm = sigma_matrix(K)
-    bound = 2.0 / ((1.0 - c) * sm.sigma_star2)
+    bound = 2.0 / ((1.0 - c) * float(sigma2.min()))
     assert (pair.diag_a <= bound * (1 + 1e-12)).all(), "diagonal bound violated"
-    return bound
+    return c, bound
 
 
 def diag_bound_scaled(pair: MMatrixPair, k_hat: float) -> np.ndarray:
     """Per-row bounds A_ii <= 2 / (r_i (1-C) sigma_hat_star2) with r_i = K_ii / K_hat.
 
-    C is ``asymmetry_constant(K, normalized=True)``, the minimal constant in
-    the scaled asymmetry condition, and must come out below 1.
+    sigma_hat_star2 = K_hat min sigma2 of the normalized increments, and C
+    is ``asymmetry_constant(K, normalized=True)``, the minimal constant in
+    the scaled asymmetry condition, which must come out below 1.
     """
-    if k_hat <= 0:
-        raise ValueError("K_hat must be positive")
+    if not 0.0 < k_hat < math.inf:
+        raise ValueError(f"K_hat must be positive and finite, got {k_hat}")
     K = pair.K
     _column_gaps(K)
-    r = np.diag(K) / k_hat
-    scaled = K / r[None, :]
-    sigma_hat2 = 2.0 * k_hat - scaled - scaled.T
-    off = ~np.eye(pair.n, dtype=bool)
-    if (sigma_hat2[off] <= 0).any():
+    sigma2, asym = _increments(K, normalized=True)
+    if (sigma2 <= 0).any():
         raise DegenerateSigma("scaled sigma^2 vanishes off the diagonal")
-    c = asymmetry_constant(K, normalized=True)
+    c = _min_asymmetry(sigma2, asym)
     if c >= 1.0:
         raise AsymmetryTooLarge(c)
-    star2 = float(sigma_hat2[off].min())
-    bounds = 2.0 / ((1.0 - c) * star2 * r)
+    r = np.diag(K) / k_hat
+    bounds = 2.0 / ((1.0 - c) * (k_hat * float(sigma2.min())) * r)
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "scaled diagonal bound violated"
     return bounds
 
@@ -150,29 +162,7 @@ def asymmetry_constant(k, normalized: bool = False) -> float:
     With ``normalized`` the entries are first divided columnwise by the
     kernel diagonal (the ratio form used when the diagonal is not constant).
     """
-    K = as_square_matrix(k)
-    n = K.shape[0]
-    if n < 2:
-        raise ValueError("needs at least two points")
-    if normalized:
-        d = np.diag(K)
-        if (d <= 0).any():
-            raise ValueError("normalized form needs a positive diagonal")
-        M = K / d[None, :]
-        sigma2 = 2.0 - M - M.T
-    else:
-        M = K
-        d = np.diag(K)
-        sigma2 = d[:, None] + d[None, :] - M - M.T
-    asym = np.abs(M - M.T)
-    off = ~np.eye(n, dtype=bool)
-    degenerate = off & (sigma2 <= 0)
-    if (asym[degenerate] > 1e-14).any():
-        raise DegenerateSigma("sigma^2 vanishes for a pair with nonzero asymmetry")
-    good = off & (sigma2 > 0)
-    if not good.any():
-        return 0.0
-    return float((asym[good] / sigma2[good]).max())
+    return _min_asymmetry(*_increments(as_square_matrix(k), normalized))
 
 
 def _check_p(p: int, n: int) -> None:
@@ -213,7 +203,7 @@ def unboundedness_statistic(kernel_fn, delta: float, n_grid, p: int = 1) -> list
         logn = math.log(n)
         star2_log_n = sigma_matrix(K).sigma_star2 * logn
         try:
-            pair = validate_m_matrix(invert(K), off_diag_tol=_SCAN_TOL, inverse_tol=_SCAN_TOL)
+            pair = validate_m_matrix(invert(K), off_diag_tol=KERNEL_TOL, inverse_tol=KERNEL_TOL)
         except PermanentalError as exc:  # reported per row
             rows.append(ScanRow(delta, n, None, None, star2_log_n,
                                 f"{type(exc).__name__}: {exc}"))

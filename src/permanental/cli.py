@@ -9,7 +9,9 @@ count.  Exit status: 0 success, 2 validation or precondition failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -60,32 +62,22 @@ def _repr_only(x):
     return (x != 0) & ~((a >= 1e-4) & (a < 1e16))
 
 
-def _cell(v, texts):
-    """A Python cell as orjson should see it: v itself if orjson writes it as
-    repr would, else the placeholder "" with the cell's text put on texts."""
-    if type(v) is int or type(v) is float and not _repr_only(v):
-        return v
-    texts.append("" if v is None else v if type(v) is str else repr(v))
-    return ""
-
-
 def _write_csv(args, header, blocks) -> None:
     """Write CSV: the header, then the rows of each block, one block at a time.
 
     A block is a list of rows of Python cells, or a pair (floats, ints) of
     C-contiguous 2-D arrays whose rows are written side by side.  A number is
-    written as repr writes it, so a float reads back exactly; a string is
-    written as it is and None as an empty cell.  orjson writes a block: its
-    Ryu kernel gives repr's shortest round-trip digits.  An array block is
-    one orjson call per array, read straight from the array; a row holding a
-    float of ``_repr_only`` has its floats rewritten with repr.  In a list
-    block every other cell (a string, None, a float of ``_repr_only``) goes
-    to orjson as the empty string, and its text is written in place of that
-    placeholder's quotes.
+    written as repr writes it, so a float reads back exactly, and None as an
+    empty cell.  A list block goes through the standard ``csv`` writer, which
+    quotes a cell holding a comma, a quote or a line break.  An array block
+    is one orjson call per array, read straight from the array (its Ryu
+    kernel gives repr's shortest round-trip digits); a row holding a float of
+    ``_repr_only`` has its floats rewritten with repr.
     """
-    import orjson
 
     def rows_of(array):  # each row's cells, as orjson writes them
+        import orjson
+
         return orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
 
     def encode(block):
@@ -99,17 +91,9 @@ def _write_csv(args, header, blocks) -> None:
             yield b"\n".join(map(b",".join, zip(float_rows, rows_of(ints))))
             yield b"\n"
             return
-        texts = []  # the placeholders' texts, in row-major order
-        rows = [[_cell(v, texts) for v in row] for row in block]
-        if not rows:
-            return
-        # the placeholders are the only strings, so no "],[" is inside one
-        pieces = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n").split(b'""', len(texts))
-        yield pieces[0]
-        for text, piece in zip(texts, pieces[1:]):
-            yield text.encode()
-            yield piece
-        yield b"\n"
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(block)
+        yield text.getvalue().encode()
 
     def parts():
         yield (",".join(header) + "\n").encode()
@@ -263,20 +247,27 @@ def cmd_gamma_tail(args) -> int:
     return 0
 
 
+def _kernel_tol(args) -> float:
+    """--tol, else linalg.KERNEL_TOL: read here, so that parsing does not
+    execute linalg."""
+    tol = linalg.KERNEL_TOL if args.tol is None else args.tol
+    if not 0.0 <= tol < math.inf:
+        raise OutOfRange(f"--tol must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def cmd_bounds(args) -> int:
     K = matio.load_matrix(args.kernel)
     if K.shape[0] < 2:
         raise OutOfRange(f"bounds need a kernel on at least 2 points, got n = {K.shape[0]}")
-    pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=args.tol,
-                                    inverse_tol=args.tol)
+    tol = _kernel_tol(args)
+    pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=tol, inverse_tol=tol)
     payload: dict = {"which": args.which, "diag_a": list(pair.diag_a),
                      "rel_err": _EXACT_REL_ERR}
     if args.which == "simple":
         payload["bounds"] = list(bounds.diag_bound_simple(pair))
     elif args.which == "sigma":
-        c = args.c if args.c is not None else bounds.asymmetry_constant(pair.K)
-        payload["c"] = c
-        payload["bound"] = bounds.diag_bound_sigma(pair, c)
+        payload["c"], payload["bound"] = bounds.diag_bound_sigma(pair, args.c)
     elif args.which == "scaled":
         k_hat = args.k_hat if args.k_hat is not None else float(np.diag(pair.K).max())
         payload["k_hat"] = k_hat
@@ -337,7 +328,7 @@ def cmd_gen_kernel(args) -> int:
 
 def cmd_validate_kernel(args) -> int:
     K = matio.load_matrix(args.kernel)
-    report = markov.validate_appendix_lemma(K, tol=args.tol)
+    report = markov.validate_appendix_lemma(K, tol=_kernel_tol(args))
     payload = {
         "passed": report.passed,
         "reason": report.reason,
@@ -369,22 +360,20 @@ def cmd_levy(args) -> int:
                      "r_part": b.r_part, "h_part": b.h_part, "u_zero": b.u_zero,
                      "sigma2": b.sigma2, "quad_err": b.abserr})
         return 0
-    if args.kernel:
-        with open(args.kernel) as fh:
-            obj = json.load(fh)
-        points = obj.get("points") if isinstance(obj, dict) else None
-        try:
-            finite = isinstance(points, list) and all(
-                type(t) in (int, float) and math.isfinite(t) for t in points)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
-        points = [float(t) for t in points]
-        K, err = levy.kernel_matrix(levy_model, points)
-        _emit(args, {"points": points, "kernel": matio.matrix_to_json_obj(K), "quad_err": err})
-        return 0
-    raise PermanentalError("levy needs one of --u, --scan-thm16, --kernel")
+    with open(args.kernel) as fh:
+        obj = json.load(fh)
+    points = obj.get("points") if isinstance(obj, dict) else None
+    try:
+        finite = isinstance(points, list) and all(
+            type(t) in (int, float) and math.isfinite(t) for t in points)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
+    points = [float(t) for t in points]
+    K, err = levy.kernel_matrix(levy_model, points)
+    _emit(args, {"points": points, "kernel": matio.matrix_to_json_obj(K), "quad_err": err})
+    return 0
 
 
 def cmd_classify(args) -> int:
@@ -468,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--k-hat", type=float, dest="k_hat")
     p.add_argument("--p", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, help="default: linalg.KERNEL_TOL")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -492,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-kernel", help="M-matrix validation report")
     p.add_argument("kernel")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, help="default: linalg.KERNEL_TOL")
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate_kernel)
 
@@ -504,9 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     # levy.DEFAULT_CUT, written out so that parsing does not execute levy
     p.add_argument("--eps-cut", type=float, default=math.e**2, dest="eps_cut")
-    p.add_argument("--u", type=float)
-    p.add_argument("--scan-thm16", dest="scan_thm16")
-    p.add_argument("--kernel", help="JSON file with a points array")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--u", type=float)
+    mode.add_argument("--scan-thm16", dest="scan_thm16")
+    mode.add_argument("--kernel", help="JSON file with a points array")
     p.add_argument("--out")
     p.set_defaults(func=cmd_levy)
 

@@ -86,6 +86,18 @@ _REST_RTOL = 1e-17
 _V_LOW = 60.0
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value}")
+
+
+def _check_weights(p: float, q: float) -> None:
+    """The jump-sign weights: p, q >= 0 with p + q = 1 (NaN fails)."""
+    if not (p >= 0.0 and q >= 0.0 and abs(p + q - 1.0) <= 1e-12):
+        raise OutOfRange(f"need p, q >= 0 with p + q = 1, got p = {p}, q = {q}")
+
+
 @dataclass(frozen=True)
 class LogPowerProfile:
     """Slowly varying profile (log y)^gamma (log log y)^delta on (cut, inf)."""
@@ -95,6 +107,7 @@ class LogPowerProfile:
     cut: float = DEFAULT_CUT
 
     def __post_init__(self):
+        _check_finite(gamma=self.gamma, delta=self.delta, cut=self.cut)
         if self.delta != 0.0 and self.cut <= math.e:
             raise OutOfRange("delta != 0 needs cut > e so log log y stays positive")
         if self.delta == 0.0 and self.cut <= 1.0:
@@ -158,10 +171,9 @@ class LevyModel:
     support_min: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise OutOfRange("beta must be positive")
-        if self.p < 0 or self.q < 0 or abs(self.p + self.q - 1.0) > 1e-12:
-            raise OutOfRange("need p, q >= 0 with p + q = 1")
+        if not 0.0 < self.beta < math.inf:
+            raise OutOfRange(f"beta must be positive and finite, got {self.beta}")
+        _check_weights(self.p, self.q)
         if self.support_min < 1.0:
             # integral of g(y) dy = g(e^v) e^v dv on unit panels in v up to
             # v = 0; with full support down to v = -_V_LOW, where the lowest
@@ -437,12 +449,14 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
 
     The jump integral runs over [X_LO, x_cut] in u = lam x, where only the
     profile factor g(lam/u) lam/u depends on lam, in three parts: the head
-    u <= u1 = min(1, lam x_cut) on graded panels in v = log u, the
-    oscillatory part [u1, lam x_cut] on panels [2^k, 2^{k+1}] (split at
-    x = 1 where the compensator stops) with Filon-type weights, and for
-    full-support profiles the plain remainder beyond x_cut.  When
-    lam x_cut >= 1 every panel that lam X_LO, lam x_cut and x = 1 leave
-    whole is one of ``_scaled_bank``'s; the others get their weights here.
+    u <= u1 = min(1, lam, lam x_cut) on graded panels in v = log u, which
+    ends at x = 1 at the latest, the oscillatory part [u1, lam x_cut] on
+    panels [u1 2^k, u1 2^{k+1}] (split at x = 1 where the compensator
+    stops) with Filon-type weights, and for full-support profiles the plain
+    remainder beyond x_cut.  When u1 = 1 every head panel that lam X_LO
+    leaves whole and every oscillatory panel [2^k, 2^{k+1}] that lam x_cut
+    and x = 1 leave whole is one of ``_scaled_bank``'s; the others get
+    their weights here.
     The cut below X_LO is bounded by (lam x)^2 / 2 against the jump
     density, i.e. by lam^2 / 2 times ``cut_tail``.
     """
@@ -450,7 +464,8 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
     full = model.support_min <= 0
     x_cut = np.maximum(1e3, 3e3 / lam) if full else np.full(n, 1.0 / model.support_min)
     u_cut = lam * x_cut
-    u1 = np.minimum(u_cut, 1.0)
+    split = np.minimum(lam, u_cut)  # x = 1, where the compensator stops, or x_cut
+    u1 = np.minimum(split, 1.0)
     v1 = np.log(u1)
     v_lo = np.log(lam * _X_LO)
     log_lam = np.log(lam)
@@ -464,13 +479,12 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
 
     # oscillatory panels: u1 2^k (clipped at lam x_cut) and x = 1 as edges
     steps = 2.0 ** np.arange(math.ceil(math.log2(np.max(u_cut / u1))) + 1.0)
-    split = np.where((lam > 1.0) & (x_cut > 1.0), lam, u_cut)
     rows, lo, hi = _panels(np.sort(np.column_stack(
         [np.minimum(u1[:, None] * steps, u_cut[:, None]), u_cut, split]), axis=1))
     comp = hi <= lam[rows]
-    # a banked panel is exactly [2^k, 2^{k+1}], k = exponent - 1
+    # a banked panel is exactly [2^k, 2^{k+1}], k = exponent - 1 >= 0
     mantissa, exponent = np.frexp(lo)
-    osc_banked = (mantissa == 0.5) & (hi == 2.0 * lo)
+    osc_banked = (mantissa == 0.5) & (hi == 2.0 * lo) & (lo >= 1.0)
 
     # the lam that hold each bank panel: head panels, then the oscillatory
     # ones with the compensator, then without it
@@ -936,8 +950,8 @@ INDETERMINATE = "indeterminate-by-this-paper"
 
 def classify_example11(gamma: float, delta: float, p: float, q: float) -> str:
     """Boundedness verdict for the log-power jump family."""
-    if p < 0 or q < 0 or abs(p + q - 1.0) > 1e-12:
-        raise OutOfRange("need p, q >= 0 with p + q = 1")
+    _check_weights(p, q)
+    _check_finite(gamma=gamma, delta=delta)
     if p != q:
         if gamma <= -1.0:
             raise OutOfRange("p != q needs gamma > -1")
@@ -973,6 +987,9 @@ def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid
     reciprocal of the integral of 1/g(e^w) over w > log n for p = q; g is
     supported on (cut, inf)."""
     classify_example11(gamma, delta, p, q)  # validates the parameter ranges
+    for n in n_grid:
+        if not 1.0 < n < math.inf:
+            raise OutOfRange(f"every n must be finite and above 1, got {n:g}")
     profile = LogPowerProfile(gamma=gamma, delta=delta, cut=cut)
     w_cut = math.log(profile.cut)
     big_g = _Antiderivative(profile.of_log, w_cut) if p != q else None

@@ -35,6 +35,9 @@ PERMANENT_CAP = 18
 # Default tolerances for M-matrix membership of empirically computed inverses.
 OFF_DIAG_TOL = 1e-12
 INVERSE_TOL = 1e-10
+# both tolerances for the inverse of a kernel given in floating point, as the
+# kernel statistics (bounds, scans, the appendix-lemma check) validate it
+KERNEL_TOL = 1e-10
 # invert refuses a matrix whose inf-norm condition number exceeds this
 SINGULAR_COND = 1e13
 
@@ -83,15 +86,14 @@ def invert(m) -> np.ndarray:
 class MMatrixPair:
     """Validated pair (A, K = A^-1) together with the D - B splitting of A.
 
-    ``diag_a`` is the diagonal of A, ``D`` its diagonal part, ``B = D - A``
-    the entrywise nonnegative off-diagonal part, and ``row_sums`` the row
-    sums of A.
+    ``diag_a`` is the diagonal of A (D = diag(diag_a)), ``B = D - A`` the
+    entrywise nonnegative off-diagonal part, and ``row_sums`` the row sums
+    of A.
     """
 
     A: np.ndarray
     K: np.ndarray
     diag_a: np.ndarray
-    D: np.ndarray
     B: np.ndarray
     row_sums: np.ndarray
 
@@ -135,12 +137,9 @@ def validate_m_matrix(
             f"inverse entry K[{i},{j}] = {K[i, j]:.6g} below -{inverse_tol:g}"
         )
     K = np.maximum(K, 0.0)
-    D = np.diag(diag_a)
-    B = D - A
+    B = 0.0 - A  # D - A off the diagonal (-A would turn a zero of A into -0.0)
     np.fill_diagonal(B, 0.0)
-    return MMatrixPair(
-        A=A, K=K, diag_a=diag_a, D=D, B=B, row_sums=A.sum(axis=1)
-    )
+    return MMatrixPair(A=A, K=K, diag_a=diag_a, B=B, row_sums=A.sum(axis=1))
 
 
 def _submask_pairs(bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +212,8 @@ def alpha_permanent(m, alpha: float) -> float:
     """
     M = as_square_matrix(m)
     n = M.shape[0]
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n > PERMANENT_CAP:
         raise DimensionTooLarge(
             f"alpha_permanent sums 3^(n-1) subset pairs; n = {n} exceeds cap {PERMANENT_CAP}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotTransient
-from .linalg import as_square_matrix, invert, spectral_radius_nonneg, validate_m_matrix
+from .linalg import KERNEL_TOL, as_square_matrix, invert, spectral_radius_nonneg, validate_m_matrix
 
 _ROW_SUM_TOL = 1e-12
 _RADIUS_CEILING = 1.0 - 1e-9
@@ -66,7 +66,7 @@ class AppendixReport:
     column_dominated: bool
 
 
-def validate_appendix_lemma(k, tol: float = 1e-10) -> AppendixReport:
+def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
     """Check that the inverse of ``k`` is a nonsingular M-matrix, report its
     row sums and whether K_ij <= K_jj holds columnwise."""
     K = as_square_matrix(k)

@@ -178,7 +178,7 @@ def test_criterion_09_diagonal_bounds(corpus):
         d = np.diag(pair.K)
         if np.ptp(d) <= 1e-9 * abs(d[0]):
             try:
-                bound = diag_bound_sigma(pair, 0.999)
+                _, bound = diag_bound_sigma(pair, 0.999)
                 ok = ok and (pair.diag_a <= bound * (1 + 1e-10)).all()
                 sigma_held += 1
             except AsymmetryTooLarge:
@@ -197,7 +197,7 @@ def test_criterion_09_diagonal_bounds(corpus):
                   [0.2, 0.4, 1.0, 0.4], [0.1, 0.2, 0.4, 1.0]]),
     ):
         pair = validate_m_matrix(invert(K))
-        bound = diag_bound_sigma(pair, 0.0)
+        _, bound = diag_bound_sigma(pair, 0.0)
         ok = ok and (pair.diag_a <= bound * (1 + 1e-10)).all()
         sigma_held += 1
     failure_path = False

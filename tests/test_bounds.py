@@ -40,24 +40,42 @@ def scaled_brownian(n: int) -> np.ndarray:
 # ---------------------------------------------------------------- sigma matrix
 
 
+def minimizing_pair(sm) -> set[int]:
+    """The pair {i, j} where sigma2 takes sigma_star2 (+inf on the diagonal
+    leaves i != j)."""
+    i, j = np.unravel_index(int(np.argmin(sm.sigma2)), sm.sigma2.shape)
+    assert sm.sigma2[i, j] == sm.sigma_star2
+    return {int(i), int(j)}
+
+
 def test_sigma_matrix_brownian_increments():
     sm = sigma_matrix(brownian_min_matrix(4))
     idx = np.arange(1, 5)
-    np.testing.assert_allclose(sm.sigma2, np.abs(idx[:, None] - idx[None, :]))
+    want = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    np.fill_diagonal(want, np.inf)
+    np.testing.assert_allclose(sm.sigma2, want)
     assert sm.sigma_star2 == pytest.approx(1.0)
-    assert not sm.negative_square
+    assert len(minimizing_pair(sm)) == 2
 
 
 def test_sigma_matrix_constant_kernel_is_zero():
     sm = sigma_matrix(np.full((3, 3), 2.5))
-    np.testing.assert_allclose(sm.sigma2, 0.0)
+    off = ~np.eye(3, dtype=bool)
+    np.testing.assert_allclose(sm.sigma2[off], 0.0)
+    assert (np.diag(sm.sigma2) == np.inf).all() and sm.sigma_star2 == 0.0
 
 
 def test_sigma_matrix_scaled_brownian_minimum():
     for n in (3, 5, 8):
         sm = sigma_matrix(scaled_brownian(n))
         assert sm.sigma_star2 == pytest.approx(1.0 / n, rel=1e-12)
-        assert set(sm.argmin) == {n - 1, n - 2}
+        assert minimizing_pair(sm) == {n - 1, n - 2}
+
+
+def test_sigma_matrix_returns_a_negative_minimum():
+    # K_12 + K_21 > K_11 + K_22: a negative square, returned as it is
+    sm = sigma_matrix([[1.0, 1.5], [1.5, 1.0]])
+    assert sm.sigma_star2 == -1.0 and minimizing_pair(sm) == {0, 1}
 
 
 # ---------------------------------------------------------------- simple bound
@@ -92,17 +110,24 @@ def test_diag_bound_simple_markov_corpus():
 
 
 def test_diag_bound_sigma_symmetric():
-    bound = diag_bound_sigma(PAIR2, 0.0)
+    c, bound = diag_bound_sigma(PAIR2, 0.0)
     sm = sigma_matrix(PAIR2.K)
-    assert bound == pytest.approx(2.0 / sm.sigma_star2)
+    assert c == 0.0 and bound == pytest.approx(2.0 / sm.sigma_star2)
     assert (PAIR2.diag_a <= bound).all()
+
+
+def test_diag_bound_sigma_defaults_to_the_minimal_c():
+    pair = pair_of([[1.0, 0.5], [0.2, 1.0]])  # C = |0.5 - 0.2| / (2 - 0.5 - 0.2)
+    c, bound = diag_bound_sigma(pair)
+    assert c == asymmetry_constant(pair.K) == pytest.approx(0.3 / 1.3, rel=1e-12)
+    assert (c, bound) == diag_bound_sigma(pair, c)
 
 
 def test_diag_bound_sigma_tridiagonal_bridge_style():
     # symmetric constant-diagonal kernel with Brownian-bridge flavor
     K = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     pair = validate_m_matrix(invert(K))
-    bound = diag_bound_sigma(pair, 0.0)
+    _, bound = diag_bound_sigma(pair, 0.0)
     assert (pair.diag_a <= bound).all()
 
 
@@ -133,7 +158,7 @@ def test_scaled_brownian_sudakov_bound_2n():
 def test_diag_bound_scaled_reduces_to_sigma_for_constant_diagonal():
     k_hat = float(PAIR2.K[0, 0])
     scaled = diag_bound_scaled(PAIR2, k_hat)
-    plain = diag_bound_sigma(PAIR2, 0.0)
+    _, plain = diag_bound_sigma(PAIR2, 0.0)
     np.testing.assert_allclose(scaled, plain)
 
 

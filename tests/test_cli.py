@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -70,6 +72,7 @@ def test_corrupted_spec_exits_2(tmp_path):
 
 _SPEC_1X1 = '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}'
 _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
+_KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
 
 
 @pytest.mark.parametrize("argv, text, message, env", [
@@ -109,13 +112,40 @@ _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
      "p must be an integer from 1 to n = 16, got -1", None),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 100], None,
      "p must be an integer from 1 to n = 16, got 100", None),
+    *[(["permanent", "--alpha", alpha, "--matrix"], '{"n": 1, "rows": [[1]]}',
+       f"alpha must be positive and finite, got {alpha}", None) for alpha in ("nan", "inf")],
+    (["classify", "--p", 0.8, "--gamma", "nan"], None, "gamma must be finite", None),
+    (["classify", "--p", "nan", "--gamma", -0.5], None, "need p, q >= 0 with p + q = 1",
+     None),
+    (["levy", "--p", "nan", "--gamma", -0.5, "--u", 0.3], None,
+     "need p, q >= 0 with p + q = 1", None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--beta", "nan", "--u", 0.3], None,
+     "beta must be positive and finite", None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--delta", "inf", "--u", 0.3], None,
+     "delta must be finite", None),
+    (["levy", "--p", 0.8, "--gamma", "nan", "--u", 0.3], None, "gamma must be finite", None),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--eps-cut", "nan", "--u", 0.3], None,
+     "cut must be finite", None),
+    *[(["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", n], None,
+       "every n must be finite and above 1", None) for n in ("nan", "1")],
+    *[(["bounds", "--which", "scaled", "--k-hat", k_hat, "--kernel"], _KERNEL_2X2,
+       "K_hat must be positive and finite", None) for k_hat in ("nan", "inf")],
+    *[(argv + [tol, path_flag], _KERNEL_2X2, "--tol must be finite and nonnegative", None)
+      for argv, path_flag in ((["bounds", "--which", "simple", "--tol"], "--kernel"),
+                              (["validate-kernel", "--tol"], "--"))
+      for tol in ("nan", "-1")],
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number",
         "levy-points-int-beyond-float", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
         "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma",
         "sample-workers-0", "sample-workers-negative", "mc-validate-workers-0",
         "mc-validate-workers-variable-negative", *[f"bounds-{w}-1x1" for w in _BOUNDS_WHICH],
-        "unbounded-scan-p-0", "unbounded-scan-p-negative", "unbounded-scan-p-above-n"])
+        "unbounded-scan-p-0", "unbounded-scan-p-negative", "unbounded-scan-p-above-n",
+        "permanent-alpha-nan", "permanent-alpha-inf", "classify-gamma-nan", "classify-p-nan",
+        "levy-p-nan", "levy-beta-nan", "levy-delta-inf", "levy-gamma-nan", "levy-eps-cut-nan",
+        "levy-scan-thm16-nan", "levy-scan-thm16-1", "bounds-k-hat-nan", "bounds-k-hat-inf",
+        "bounds-tol-nan", "bounds-tol-negative", "validate-kernel-tol-nan",
+        "validate-kernel-tol-negative"])
 def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message, env):
     # the input file, if any, is the last argument
     if text is not None:
@@ -125,6 +155,17 @@ def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message, e
     out = run_cli(*argv, env=None if env is None else {**os.environ, **env})
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and message in out.stderr
+
+
+@pytest.mark.parametrize("modes, message", [
+    ([], "one of the arguments --u --scan-thm16 --kernel is required"),
+    (["--u", 0.3, "--kernel", "/nonexistent/points.json"], "not allowed with argument"),
+    (["--u", 0.3, "--scan-thm16", 100], "not allowed with argument"),
+], ids=["none", "u-and-kernel", "u-and-scan"])
+def test_levy_takes_exactly_one_mode(modes, message):
+    out = run_cli("levy", "--p", 0.8, "--gamma", -0.5, *modes)
+    assert out.returncode == 2 and out.stdout == ""
+    assert message in out.stderr
 
 
 def test_bad_workers_variable_exits_2_naming_it():
@@ -229,9 +270,17 @@ def test_sample_worker_invariance(spec_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def quoted(text: str) -> str:
+    """A CSV cell of text: in quotes, with its quotes doubled, when it holds
+    a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def loop_csv_line(values) -> str:
     """Reference for the CLI's CSV bytes, one cell at a time: a float by
-    repr(float(v)), None as an empty cell, anything else by str."""
+    repr(float(v)), None as an empty cell, anything else by str, quoted."""
     cells = []
     for v in values:
         if isinstance(v, (float, np.floating)):
@@ -239,7 +288,7 @@ def loop_csv_line(values) -> str:
         elif v is None:
             cells.append("")
         else:
-            cells.append(str(v))
+            cells.append(quoted(str(v)))
     return ",".join(cells)
 
 
@@ -256,10 +305,11 @@ def test_sample_csv_matches_loop_formatter(spec_file, tmp_path):
 
 
 def oracle_csv_text(header, rows) -> str:
-    """The former whole-text CSV formatter: every line is built in memory and
-    joined once."""
+    """The former whole-text CSV formatter, with text cells quoted: every
+    line is built in memory and joined once."""
     lines = [",".join(header)]
-    lines += [",".join(["" if v is None else v if type(v) is str else repr(v) for v in row])
+    lines += [",".join(["" if v is None else quoted(v) if type(v) is str else repr(v)
+                        for v in row])
               for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -606,6 +656,51 @@ def test_bounds_psi_star_inverts_twice(kernel_file, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def _list_csv_commands():
+    """Every CLI command whose CSV rows are lists of cells, with the rows the
+    library gives for it."""
+    for model in sorted(_KERNEL_MODELS):
+        rows = bounds.unboundedness_statistic(_KERNEL_MODELS[model](0.0), 0.1, [16, 64])
+        yield (["unbounded-scan", "--kernel-model", model, "--n", "16,64"],
+               [[r.delta, r.n, r.a_star, r.log_n_over_a_star, r.sigma_star2_log_n, r.error]
+                for r in rows])
+    rows = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [1e2, 1e4])
+    yield (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", "1e2,1e4"],
+           [[r.n, r.statistic, r.log_n, r.ratio] for r in rows])
+
+
+def test_list_csv_reads_back_into_rows_of_the_header_width(capsys):
+    errors = 0
+    for argv, want in _list_csv_commands():
+        assert cli.main([str(a) for a in argv]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(rows) == len(want)
+        for row, cells in zip(rows, want):
+            assert len(row) == len(header)
+            assert row == ["" if v is None else v if type(v) is str else repr(v)
+                           for v in cells]
+            errors += type(cells[-1]) is str and "," in cells[-1]
+    assert errors  # an error text with a comma was read back whole
+
+
+@pytest.mark.parametrize("which, formed", [("simple", 0), ("sigma", 1), ("scaled", 1),
+                                           ("psi-star", 0), ("sudakov", 1)])
+def test_bounds_form_the_increment_matrix_at_most_once(which, formed, tmp_path, monkeypatch):
+    kernel = tmp_path / "k.json"
+    matio.save_matrix(str(kernel), [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+    calls = []
+    increments = bounds._increments
+
+    def counted(K, normalized=False):
+        calls.append(normalized)
+        return increments(K, normalized)
+
+    monkeypatch.setattr(bounds, "_increments", counted)
+    assert cli.main(["bounds", "--kernel", str(kernel), "--which", which,
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == formed
+
+
 def test_unbounded_scan_csv():
     out = run_cli("unbounded-scan", "--kernel-model", "brownian",
                   "--n", "4,8,16", "--delta", 0.5)
@@ -777,6 +872,11 @@ def test_commands_writing_no_csv_never_import_orjson(case, spec_file, kernel_fil
     assert modules_loaded("orjson", *argv) == (0, "", "")
 
 
+def test_list_row_csv_never_imports_orjson(spec_file, kernel_file, tmp_path):
+    argv = _probe_argv("levy-scan-thm16", spec_file, kernel_file, tmp_path)
+    assert modules_loaded("orjson", *argv) == (0, "", "")
+
+
 def test_sample_imports_orjson_only_to_write_its_csv(spec_file, kernel_file, tmp_path):
     argv = _probe_argv("sample", spec_file, kernel_file, tmp_path)
     code, after_import, after_run = modules_loaded("orjson", *argv)
@@ -801,7 +901,7 @@ def test_commands_execute_only_the_layer_modules_they_use(case, needed, never, s
 
 
 def test_eps_cut_default_is_the_library_cut():
-    args = cli.build_parser().parse_args(["levy", "--p", "0.8", "--gamma", "0"])
+    args = cli.build_parser().parse_args(["levy", "--p", "0.8", "--gamma", "0", "--u", "0.3"])
     assert args.eps_cut == levy.DEFAULT_CUT
 
 

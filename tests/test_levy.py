@@ -183,6 +183,22 @@ def test_psi_matches_independent_oracle(model):
         assert abs(value - want) <= 1e-13 * abs(want)
 
 
+def test_psi_full_support_below_lam_1_matches_quad():
+    # g(y) = y^-1/2 on (0, inf): jump density x^-3/2, whose compensator
+    # lam x stops at x = 1 although sin(lam x) - lam x is smooth out to 1/lam
+    model = levy.LevyModel(1.0, 0.7, 0.3, lambda y: y**-0.5, 0.0)
+    quad = scipy.integrate.quad
+    for lam in (0.01, 0.1, 0.5, 0.9):
+        re = [quad(lambda x: (1.0 - math.cos(lam * x)) * x**-1.5, 0.0, 1.0),
+              quad(lambda x: x**-1.5, 1.0, math.inf),
+              quad(lambda x: -x**-1.5, 1.0, math.inf, weight="cos", wvar=lam)]
+        jump = [quad(lambda x: (math.sin(lam * x) - lam * x) * x**-1.5, 0.0, 1.0),
+                quad(lambda x: x**-1.5, 1.0, math.inf, weight="sin", wvar=lam)]
+        want = complex(sum(v for v, _ in re), -(0.7 - 0.3) * sum(v for v, _ in jump))
+        value, err = levy.psi_with_error(model, lam)
+        assert abs(value - want) <= err + sum(e for _, e in re + jump)
+
+
 def test_psi_batch_matches_batches_of_one():
     lams = np.array([-3e4, -2.0, 0.0, 0.7, 7.0, 7.5, 123.4, 5e6, *panel_edge_lams(ASYM)])
     values, errs = levy.psi_with_error(ASYM, lams)

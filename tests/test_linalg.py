@@ -143,7 +143,7 @@ def test_validate_m_matrix_basic_split():
     pair = validate_m_matrix([[2.0, -1.0], [-1.0, 2.0]])
     np.testing.assert_allclose(pair.B, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(pair.diag_a, [2.0, 2.0])
-    np.testing.assert_allclose(pair.A, pair.D - pair.B)
+    np.testing.assert_allclose(pair.A, np.diag(pair.diag_a) - pair.B)
     assert np.abs(pair.A @ pair.K - np.eye(2)).max() < 1e-10
 
 
