@@ -14,23 +14,6 @@ the main thread before handing its functions to worker threads.
 import importlib.util
 import sys
 
-from .errors import (
-    AsymmetryTooLarge,
-    DegenerateSigma,
-    DimensionTooLarge,
-    HypothesisFailed,
-    NotConstantDiagonal,
-    NotIntegrable,
-    NotMMatrix,
-    NotSymmetric,
-    NotTransient,
-    OutOfRange,
-    PermanentalError,
-    PreconditionViolated,
-    SingularMatrix,
-    TruncationInfeasible,
-)
-
 __version__ = "0.1.0"
 
 
@@ -48,16 +31,3 @@ bounds, gamma_tails, levy, linalg, markov, matio, model, oscillatory, sampler = 
     _lazy, ("bounds", "gamma_tails", "levy", "linalg", "markov", "matio", "model",
             "oscillatory", "sampler"))
 
-# re-exported names, resolved from their module on first use (PEP 562)
-_EXPORTS = {
-    "MMatrixPair": linalg, "alpha_permanent": linalg, "validate_m_matrix": linalg,
-    "PermanentalSpec": model, "ZDistribution": model, "direct_laplace": model,
-    "series_laplace_report": model, "z_masses": model,
-    "RngStream": sampler,
-}
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        return getattr(_EXPORTS[name], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

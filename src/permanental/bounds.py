@@ -133,15 +133,12 @@ def diag_bound_sigma(pair: MMatrixPair, c: float | None = None) -> tuple[float, 
     return c, bound
 
 
-def diag_bound_scaled(pair: MMatrixPair, k_hat: float) -> np.ndarray:
-    """Per-row bounds A_ii <= 2 / (r_i (1-C) sigma_hat_star2) with r_i = K_ii / K_hat.
-
-    sigma_hat_star2 = K_hat min sigma2 of the normalized increments, and C
-    is ``asymmetry_constant(K, normalized=True)``, the minimal constant in
-    the scaled asymmetry condition, which must come out below 1.
+def diag_bound_scaled(pair: MMatrixPair) -> np.ndarray:
+    """Per-row bounds A_ii <= 2 / ((1-C) min sigma2_hat K_ii), where sigma2_hat
+    are the increments of K divided columnwise by its diagonal (the paper's
+    scale K_hat cancels) and C = ``asymmetry_constant(K, normalized=True)``,
+    the minimal scaled asymmetry constant, which must come out below 1.
     """
-    if not 0.0 < k_hat < math.inf:
-        raise ValueError(f"K_hat must be positive and finite, got {k_hat}")
     K = pair.K
     _column_gaps(K)
     sigma2, asym = _increments(K, normalized=True)
@@ -150,8 +147,7 @@ def diag_bound_scaled(pair: MMatrixPair, k_hat: float) -> np.ndarray:
     c = _min_asymmetry(sigma2, asym)
     if c >= 1.0:
         raise AsymmetryTooLarge(c)
-    r = np.diag(K) / k_hat
-    bounds = 2.0 / ((1.0 - c) * (k_hat * float(sigma2.min())) * r)
+    bounds = 2.0 / ((1.0 - c) * float(sigma2.min()) * np.diag(K))
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "scaled diagonal bound violated"
     return bounds
 

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -269,9 +268,7 @@ def cmd_bounds(args) -> int:
     elif args.which == "sigma":
         payload["c"], payload["bound"] = bounds.diag_bound_sigma(pair, args.c)
     elif args.which == "scaled":
-        k_hat = args.k_hat if args.k_hat is not None else float(np.diag(pair.K).max())
-        payload["k_hat"] = k_hat
-        payload["bounds"] = list(bounds.diag_bound_scaled(pair, k_hat))
+        payload["bounds"] = list(bounds.diag_bound_scaled(pair))
     elif args.which == "psi-star":
         payload["p"] = args.p
         payload["psi_star"] = bounds.psi_star(pair, args.p)
@@ -393,14 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="alpha-permanental vectors with M-matrix kernels: "
                     "simulation, Laplace transforms, bounds and Levy kernels",
     )
-    workers_env = os.environ.get("PERMANENTAL_WORKERS", "1")
-    try:
-        default_workers = int(workers_env)
-    except ValueError:
-        default_workers = 0
-    if default_workers < 1:
-        raise OutOfRange(
-            f"PERMANENTAL_WORKERS must be a positive integer, got {workers_env!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("permanent", help="exact alpha-permanent of a matrix")
@@ -429,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--couple", action="store_true")
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--s-points", type=int, default=10, dest="s_points")
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mc_validate)
 
@@ -455,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=("simple", "sigma", "scaled", "psi-star", "sudakov"))
     p.add_argument("--c", type=float)
-    p.add_argument("--k-hat", type=float, dest="k_hat")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--tol", type=float, help="default: linalg.KERNEL_TOL")
     p.add_argument("--out")
@@ -517,7 +505,7 @@ def main(argv=None) -> int:
         # instead of waiting, as garbage, for whichever collection frees it
         parser = build_parser()
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:  # PERMANENTAL_WORKERS is checked by the parser
+        if getattr(args, "workers", 1) < 1:
             raise OutOfRange(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (PermanentalError, ValueError, OSError, KeyError) as exc:

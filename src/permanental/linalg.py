@@ -108,8 +108,12 @@ def validate_m_matrix(
     """Validate that ``a`` is a nonsingular M-matrix and return the split pair.
 
     Off-diagonal entries in (0, off_diag_tol] are treated as rounding noise
-    and clamped to zero; inverse entries in [-inverse_tol, 0) likewise.
+    and clamped to zero; inverse entries in [-inverse_tol, 0) likewise.  Both
+    tolerances must be finite and nonnegative.
     """
+    for name, tol in (("off_diag_tol", off_diag_tol), ("inverse_tol", inverse_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     A = as_square_matrix(a).copy()
     n = A.shape[0]
     if n == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotTransient
+from .errors import NotTransient, PermanentalError
 from .linalg import KERNEL_TOL, as_square_matrix, invert, spectral_radius_nonneg, validate_m_matrix
 
 _ROW_SUM_TOL = 1e-12
@@ -70,15 +70,16 @@ def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
     """Check that the inverse of ``k`` is a nonsingular M-matrix, report its
     row sums and whether K_ij <= K_jj holds columnwise."""
     K = as_square_matrix(k)
+    column_dominated = bool((K <= np.diag(K)[None, :] + tol).all())
     try:
         pair = validate_m_matrix(invert(K), off_diag_tol=tol, inverse_tol=tol)
-    except Exception as exc:  # noqa: BLE001 - the report carries the reason
+    except PermanentalError as exc:  # the report carries the reason
         return AppendixReport(
             passed=False,
             reason=str(exc),
             row_sums=None,
             positive_row_sums=False,
-            column_dominated=bool((K <= np.diag(K)[None, :] + tol).all()),
+            column_dominated=column_dominated,
         )
     row_sums = pair.row_sums
     return AppendixReport(
@@ -86,7 +87,7 @@ def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
         reason="",
         row_sums=row_sums,
         positive_row_sums=bool((row_sums > tol).all()),
-        column_dominated=bool((K <= np.diag(K)[None, :] + tol).all()),
+        column_dominated=column_dominated,
     )
 
 

@@ -184,7 +184,7 @@ def test_criterion_09_diagonal_bounds(corpus):
             except AsymmetryTooLarge:
                 pass
         try:
-            bounds = diag_bound_scaled(pair, float(d.max()))
+            bounds = diag_bound_scaled(pair)
             ok = ok and (pair.diag_a <= bounds * (1 + 1e-10)).all()
             scaled_held += 1
         except (AsymmetryTooLarge, HypothesisFailed):

@@ -156,8 +156,7 @@ def test_scaled_brownian_sudakov_bound_2n():
 
 
 def test_diag_bound_scaled_reduces_to_sigma_for_constant_diagonal():
-    k_hat = float(PAIR2.K[0, 0])
-    scaled = diag_bound_scaled(PAIR2, k_hat)
+    scaled = diag_bound_scaled(PAIR2)
     _, plain = diag_bound_sigma(PAIR2, 0.0)
     np.testing.assert_allclose(scaled, plain)
 
@@ -169,7 +168,7 @@ def test_diag_bound_scaled_markov_kernel():
         if np.ptp(np.diag(pair.K)) < 1e-6:
             continue
         try:
-            bounds = diag_bound_scaled(pair, float(np.diag(pair.K).max()))
+            bounds = diag_bound_scaled(pair)
         except (AsymmetryTooLarge, HypothesisFailed):
             continue
         assert (pair.diag_a <= bounds * (1 + 1e-10)).all()
@@ -179,7 +178,7 @@ def test_diag_bound_scaled_markov_kernel():
 
 def test_column_check_refuses_one_point():
     pair = validate_m_matrix([[2.0]])
-    for bound in (diag_bound_simple, lambda pr: diag_bound_scaled(pr, 1.0)):
+    for bound in (diag_bound_simple, diag_bound_scaled):
         with pytest.raises(OutOfRange, match="at least 2 points"):
             bound(pair)
 

@@ -75,62 +75,54 @@ _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
 _KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
 
 
-@pytest.mark.parametrize("argv, text, message, env", [
-    (["permanent", "--alpha", 1, "--matrix"], "[[1, 0], [0, 1]]", '"rows" list', None),
-    (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list', None),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers",
-     None),
+@pytest.mark.parametrize("argv, text, message", [
+    (["permanent", "--alpha", 1, "--matrix"], "[[1, 0], [0, 1]]", '"rows" list'),
+    (["laplace", "--s", 1, "--spec"], '{"alpha": 1, "kernel": [[1]]}', '"rows" list'),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": 5}', "finite numbers"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--kernel"], '{"points": [0, 1%s]}' % ("0" * 400),
-     "finite numbers", None),
+     "finite numbers"),
     (["laplace", "--s", 1, "--spec"], '{"alpha": Infinity, "kernel": {"n": 1, "rows": [[1]]}}',
-     "alpha must be positive and finite", None),
+     "alpha must be positive and finite"),
     (["mc-validate", "--n", 100, "--seed", 1, "--s-points", -1, "--spec"], _SPEC_1X1,
-     "s_points must be nonnegative", None),
+     "s_points must be nonnegative"),
     (["mc-validate", "--n", 1, "--seed", 1, "--s-points", 1, "--spec"], _SPEC_1X1,
-     "at least 2 draws", None),
-    (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite", None),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite", None),
-    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite", None),
-    (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2", None),
+     "at least 2 draws"),
+    (["gamma-tail", "--u", 1, "--t", "nan"], None, "t must be finite"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "inf"], None, "is not finite"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "nan"], None, "is not finite"),
+    (["unbounded-scan", "--kernel-model", "brownian", "--n", "0,16"], None, "at least 2"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ""], None,
-     "--scan-thm16 needs at least one n", None),
+     "--scan-thm16 needs at least one n"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", ","], None,
-     "--scan-thm16 needs at least one n", None),
-    (["sample", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers", None),
-    (["sample", "--n", 10, "--seed", 1, "--workers", -3, "--spec"], _SPEC_1X1, "--workers",
-     None),
-    (["mc-validate", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers",
-     None),
-    (["mc-validate", "--n", 10, "--seed", 1, "--spec"], _SPEC_1X1, "PERMANENTAL_WORKERS",
-     {"PERMANENTAL_WORKERS": "-1"}),
+     "--scan-thm16 needs at least one n"),
+    (["sample", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers"),
+    (["sample", "--n", 10, "--seed", 1, "--workers", -3, "--spec"], _SPEC_1X1, "--workers"),
+    (["mc-validate", "--n", 10, "--seed", 1, "--workers", 0, "--spec"], _SPEC_1X1, "--workers"),
     *[(["bounds", "--which", which, "--kernel"], '{"n": 1, "rows": [[1]]}',
-       "bounds need a kernel on at least 2 points, got n = 1", None)
+       "bounds need a kernel on at least 2 points, got n = 1")
       for which in _BOUNDS_WHICH],
     (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 0], None,
-     "p must be an integer from 1 to n = 16, got 0", None),
+     "p must be an integer from 1 to n = 16, got 0"),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", -1], None,
-     "p must be an integer from 1 to n = 16, got -1", None),
+     "p must be an integer from 1 to n = 16, got -1"),
     (["unbounded-scan", "--kernel-model", "brownian", "--n", 16, "--p", 100], None,
-     "p must be an integer from 1 to n = 16, got 100", None),
+     "p must be an integer from 1 to n = 16, got 100"),
     *[(["permanent", "--alpha", alpha, "--matrix"], '{"n": 1, "rows": [[1]]}',
-       f"alpha must be positive and finite, got {alpha}", None) for alpha in ("nan", "inf")],
-    (["classify", "--p", 0.8, "--gamma", "nan"], None, "gamma must be finite", None),
-    (["classify", "--p", "nan", "--gamma", -0.5], None, "need p, q >= 0 with p + q = 1",
-     None),
+       f"alpha must be positive and finite, got {alpha}") for alpha in ("nan", "inf")],
+    (["classify", "--p", 0.8, "--gamma", "nan"], None, "gamma must be finite"),
+    (["classify", "--p", "nan", "--gamma", -0.5], None, "need p, q >= 0 with p + q = 1"),
     (["levy", "--p", "nan", "--gamma", -0.5, "--u", 0.3], None,
-     "need p, q >= 0 with p + q = 1", None),
+     "need p, q >= 0 with p + q = 1"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--beta", "nan", "--u", 0.3], None,
-     "beta must be positive and finite", None),
+     "beta must be positive and finite"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--delta", "inf", "--u", 0.3], None,
-     "delta must be finite", None),
-    (["levy", "--p", 0.8, "--gamma", "nan", "--u", 0.3], None, "gamma must be finite", None),
+     "delta must be finite"),
+    (["levy", "--p", 0.8, "--gamma", "nan", "--u", 0.3], None, "gamma must be finite"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--eps-cut", "nan", "--u", 0.3], None,
-     "cut must be finite", None),
+     "cut must be finite"),
     *[(["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", n], None,
-       "every n must be finite and above 1", None) for n in ("nan", "1")],
-    *[(["bounds", "--which", "scaled", "--k-hat", k_hat, "--kernel"], _KERNEL_2X2,
-       "K_hat must be positive and finite", None) for k_hat in ("nan", "inf")],
-    *[(argv + [tol, path_flag], _KERNEL_2X2, "--tol must be finite and nonnegative", None)
+       "every n must be finite and above 1") for n in ("nan", "1")],
+    *[(argv + [tol, path_flag], _KERNEL_2X2, "--tol must be finite and nonnegative")
       for argv, path_flag in ((["bounds", "--which", "simple", "--tol"], "--kernel"),
                               (["validate-kernel", "--tol"], "--"))
       for tol in ("nan", "-1")],
@@ -139,20 +131,19 @@ _KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
         "levy-u-nan", "unbounded-scan-n-0", "levy-scan-thm16-empty", "levy-scan-thm16-comma",
         "sample-workers-0", "sample-workers-negative", "mc-validate-workers-0",
-        "mc-validate-workers-variable-negative", *[f"bounds-{w}-1x1" for w in _BOUNDS_WHICH],
+        *[f"bounds-{w}-1x1" for w in _BOUNDS_WHICH],
         "unbounded-scan-p-0", "unbounded-scan-p-negative", "unbounded-scan-p-above-n",
         "permanent-alpha-nan", "permanent-alpha-inf", "classify-gamma-nan", "classify-p-nan",
         "levy-p-nan", "levy-beta-nan", "levy-delta-inf", "levy-gamma-nan", "levy-eps-cut-nan",
-        "levy-scan-thm16-nan", "levy-scan-thm16-1", "bounds-k-hat-nan", "bounds-k-hat-inf",
-        "bounds-tol-nan", "bounds-tol-negative", "validate-kernel-tol-nan",
-        "validate-kernel-tol-negative"])
-def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message, env):
+        "levy-scan-thm16-nan", "levy-scan-thm16-1", "bounds-tol-nan", "bounds-tol-negative",
+        "validate-kernel-tol-nan", "validate-kernel-tol-negative"])
+def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     # the input file, if any, is the last argument
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = argv + [path]
-    out = run_cli(*argv, env=None if env is None else {**os.environ, **env})
+    out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and message in out.stderr
 
@@ -168,13 +159,18 @@ def test_levy_takes_exactly_one_mode(modes, message):
     assert message in out.stderr
 
 
-def test_bad_workers_variable_exits_2_naming_it():
-    # the variable sets the --workers default, so even commands without
-    # workers read it
+def test_workers_variable_is_not_read():
     out = run_cli("classify", "--p", 0.8, "--gamma", -0.5,
                   env={**os.environ, "PERMANENTAL_WORKERS": "abc"})
-    assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith("error: ") and "PERMANENTAL_WORKERS" in out.stderr
+    assert out.returncode == 0, out.stderr
+
+
+def test_bounds_takes_no_k_hat(tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_text(_KERNEL_2X2)
+    out = run_cli("bounds", "--which", "scaled", "--k-hat", 2, "--kernel", path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "unrecognized arguments: --k-hat 2" in out.stderr
 
 
 # stdout sha256 of z-dist and of laplace by series and by determinant, on the
@@ -898,6 +894,16 @@ def test_commands_execute_only_the_layer_modules_they_use(case, needed, never, s
     code, after_import, after_run = modules_executed(*argv)
     assert code == 0 and not after_import & _LAYERS
     assert needed <= after_run and not never & after_run
+
+
+def test_package_re_exports_no_names_and_executes_no_module():
+    probe = ("import sys, types, permanental\n"
+             "print(hasattr(permanental, 'PermanentalSpec'))\n"
+             "print(','.join(sorted(m for m, mod in list(sys.modules.items())\n"
+             "      if m.startswith('permanental.') and type(mod) is types.ModuleType)))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", ""]
 
 
 def test_eps_cut_default_is_the_library_cut():

@@ -163,6 +163,16 @@ def test_validate_m_matrix_singular():
         validate_m_matrix([[1.0, -1.0], [-1.0, 1.0]])
 
 
+@pytest.mark.parametrize("name", ["off_diag_tol", "inverse_tol"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_validate_m_matrix_refuses_a_bad_tolerance(name, tol):
+    # unchecked, nan clamps the first matrix to the identity and -1 refuses
+    # the second, an M-matrix
+    for a in ([[1.0, 0.5], [0.5, 1.0]], [[1.0, -0.5], [-0.5, 1.0]]):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            validate_m_matrix(a, **{name: tol})
+
+
 def test_validate_m_matrix_geometric_series_example():
     P = np.array([[0.0, 0.5], [0.5, 0.0]])
     pair = validate_m_matrix(np.eye(2) - P)

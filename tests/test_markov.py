@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from permanental import markov
 from permanental.errors import NotTransient
 from permanental.markov import (
     TransientChain,
@@ -64,6 +65,16 @@ def test_appendix_lemma_rejects_non_m_kernel():
     rep = validate_appendix_lemma(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert not rep.passed
     assert rep.reason
+
+
+def test_appendix_lemma_reports_only_validation_failures(monkeypatch):
+    # an internal fault is not a failed check: it propagates (CLI exit 1)
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(markov, "validate_m_matrix", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        validate_appendix_lemma(np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]]))
 
 
 def test_random_chain_row_sums_bounded_by_kill():
