@@ -184,18 +184,18 @@ class ScanRow:
     error: str | None
 
 
-def unboundedness_statistic(kernel_fn, delta: float, n_grid, p: int = 1) -> list[ScanRow]:
+def unboundedness_statistic(kernel, delta: float, n_grid, p: int = 1) -> list[ScanRow]:
     """Diagnostic scan of log n / a*_{[n/p]} on the points j delta / n, j = 1..n.
 
-    A diverging column is numerical evidence for the unboundedness
-    criterion, never a proof; rows where the inverse is not an M-matrix
-    report the failure instead of a value.
+    ``kernel(t)`` takes the array t of points and returns the matrix
+    K[i, j] = K(t_i, t_j).  A diverging column is numerical evidence for the
+    unboundedness criterion, never a proof; rows where the inverse is not an
+    M-matrix report the failure instead of a value.
     """
     _check_p(p, min(n_grid))
     rows = []
     for n in n_grid:
-        pts = [j * delta / n for j in range(1, n + 1)]
-        K = np.array([[float(kernel_fn(s, t)) for t in pts] for s in pts])
+        K = kernel(np.arange(1, n + 1) * delta / n)
         logn = math.log(n)
         star2_log_n = sigma_matrix(K).sigma_star2 * logn
         try:

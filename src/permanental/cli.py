@@ -279,16 +279,17 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _log_inverse_lags(t):
+    """log(1 / |t_i - t_j|): inf at lag 0, where the log stand-ins then give 1 + shift."""
+    with np.errstate(divide="ignore"):
+        return np.log(1.0 / np.abs(np.subtract.outer(t, t)))
+
+
+# each model maps the scan's points t to the kernel matrix on them
 _KERNEL_MODELS = {
-    "brownian": lambda shift: (lambda s, t: min(s, t) + shift),
-    "log-smooth": lambda shift: (
-        lambda s, t: 1.0 + shift if s == t else 1.0 + shift - 0.5 / math.log(1.0 / abs(s - t))
-    ),
-    "loglog-smooth": lambda shift: (
-        lambda s, t: 1.0 + shift
-        if s == t
-        else 1.0 + shift - 0.5 / math.log(math.log(1.0 / abs(s - t)))
-    ),
+    "brownian": lambda shift: (lambda t: np.minimum.outer(t, t) + shift),
+    "log-smooth": lambda shift: (lambda t: 1.0 + shift - 0.5 / _log_inverse_lags(t)),
+    "loglog-smooth": lambda shift: (lambda t: 1.0 + shift - 0.5 / np.log(_log_inverse_lags(t))),
 }
 
 # the lags below which each stand-in kernel is defined: log(1/d) > 0, log log(1/d) > 0
@@ -304,8 +305,8 @@ def cmd_unbounded_scan(args) -> int:
     if not lag < _MAX_LAG[args.kernel_model]:
         raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
                          f"of {args.kernel_model}, lags below {_MAX_LAG[args.kernel_model]:.6g}")
-    kernel_fn = _KERNEL_MODELS[args.kernel_model](args.shift)
-    rows = bounds.unboundedness_statistic(kernel_fn, args.delta, grid, p=args.p)
+    kernel = _KERNEL_MODELS[args.kernel_model](args.shift)
+    rows = bounds.unboundedness_statistic(kernel, args.delta, grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
     _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
                                 r.sigma_star2_log_n, r.error] for r in rows]])

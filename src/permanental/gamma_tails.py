@@ -13,19 +13,34 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import PreconditionViolated
+from .errors import OutOfRange, PreconditionViolated
 
 _TOL = 1e-15
 _TINY = 1e-300
 _U = 2.0**-53  # unit roundoff
+_U_MAX = 1e8  # the largest shape whose term budget is granted
 
 
-def _lower_series(u: float, x: float, max_iter: int = 1_000) -> tuple[float, float]:
+def _term_budget(u: float) -> int:
+    """Terms allowed to the series and the continued fraction at shape u.
+
+    Near x = u both need about sqrt(u) terms per factor e of their last
+    term's decay (about 9 sqrt(u) for the series, under sqrt(u) for the
+    continued fraction, measured up to u = 1e8); 1000 + 10 sqrt(u) covers
+    both.  Shapes above _U_MAX are refused.
+    """
+    if u > _U_MAX:
+        raise OutOfRange(f"shape u = {u:g} exceeds {_U_MAX:g}, beyond which the incomplete "
+                         f"gamma sums get no term budget")
+    return 1000 + 10 * math.ceil(math.sqrt(u))
+
+
+def _lower_series(u: float, x: float) -> tuple[float, float]:
     """Sum S of the ascending series, P(u, x) = S x^u e^-x / Gamma(u), for
     x < u + 1, with a bound on its relative error."""
     delt = 1.0 / u
     total = delt
-    for i in range(1, max_iter + 1):
+    for i in range(1, _term_budget(u) + 1):
         delt *= x / (u + i)
         total += delt
         if abs(delt) < abs(total) * _TOL:
@@ -36,7 +51,7 @@ def _lower_series(u: float, x: float, max_iter: int = 1_000) -> tuple[float, flo
     raise RuntimeError(f"incomplete gamma series stalled at u={u}, x={x}")
 
 
-def _upper_cf(u: float, x: float, max_iter: int = 10_000) -> tuple[float, float]:
+def _upper_cf(u: float, x: float) -> tuple[float, float]:
     """Continued fraction h of Q(u, x) = h x^u e^-x / Gamma(u) by modified
     Lentz, with an estimate of its relative error: the last step's change
     plus ten roundings per step (coefficients, the two ratios, the update)."""
@@ -44,7 +59,7 @@ def _upper_cf(u: float, x: float, max_iter: int = 10_000) -> tuple[float, float]
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _term_budget(u) + 1):
         an = -i * (i - u)
         b += 2.0
         d = an * d + b
@@ -73,7 +88,9 @@ def _tail(u: float, v: float, t: float) -> tuple[float, float]:
     * on the series branch, 1 - P multiplies P's relative error by P/Q and
       rounds once;
     * x = v t rounds once, which moves Q by x |Q'(x)| u = (x^u e^-x / Gamma(u)) u.
-    A tail that underflows to below the smallest normal float gets 1.
+    A tail that underflows to below the smallest normal float gets 1.  An x
+    that underflows to 0 keeps log x = log v + log t, so P = x^u / Gamma(u + 1)
+    to rounding; a v t that overflows is refused.
     """
     if not (0 < u < math.inf and 0 < v < math.inf):
         raise ValueError("shape and scale must be positive and finite")
@@ -82,7 +99,9 @@ def _tail(u: float, v: float, t: float) -> tuple[float, float]:
     if t == 0.0:
         return 1.0, 0.0
     x = v * t
-    u_log_x = u * math.log(x)
+    if x == math.inf:
+        raise OutOfRange(f"v*t = {v:g} * {t:g} overflows the float range")
+    u_log_x = u * (math.log(x) if x > 0.0 else math.log(v) + math.log(t))
     lg = math.lgamma(u)
     pref = math.exp(-x + u_log_x - lg)
     pref_err = _U * (2 * (x + abs(u_log_x) + abs(lg)) + 2 * abs(u_log_x) + 4 * abs(lg) + 1)

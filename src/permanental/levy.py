@@ -212,10 +212,13 @@ def log_power_model(
 
 def _sin_minus_lin(u: np.ndarray) -> np.ndarray:
     # sin(u) - u, by its Taylor series below 0.5 to avoid cancellation
-    u2 = u * u
-    series = -(u * u2) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0 * (
-        1.0 - u2 / 72.0 * (1.0 - u2 / 110.0 * (1.0 - u2 / 156.0)))))
-    return np.where(u < 0.5, series, np.sin(u) - u)
+    out = np.sin(u) - u
+    small = u < 0.5
+    s = u[small]
+    s2 = s * s
+    out[small] = -(s * s2) / 6.0 * (1.0 - s2 / 20.0 * (1.0 - s2 / 42.0 * (
+        1.0 - s2 / 72.0 * (1.0 - s2 / 110.0 * (1.0 - s2 / 156.0)))))
+    return out
 
 
 @functools.cache
@@ -574,10 +577,10 @@ class SpectralFns:
     """Evaluators for R = Re 1/(beta+psi) and I = Im 1/(beta+psi).
 
     ``resolvent`` takes a number or an array of lam and evaluates psi once
-    for all of it.  The asymptotic surrogate replaces psi by its
-    leading form (pi/2) lam g(lam) + i (p-q) lam G(lam); ``l1_tail``
-    integrates the drift-corrected surrogate over (Lam, infinity).  The
-    drift fit, the spectral table and u(0) are computed on first use.
+    for all of it.  ``surrogate`` replaces psi by its leading form
+    (pi/2) lam g(lam) + i (p-q) lam G(lam), ``far`` adds the fitted drift,
+    and ``l1_tail`` integrates it over (Lam, infinity).  The drift fit, the
+    spectral table, u(0) and G are computed on first use.
     """
 
     def __init__(self, model: LevyModel):
@@ -586,10 +589,14 @@ class SpectralFns:
         self._drift: dict[str, tuple[float, float, float]] | None = None
         self._table: _Panels | None = None
         self._u0: tuple[float, float] | None = None
-        w_cut = math.log(model.support_min) if model.support_min > 0 else 0.0
-        # G_log(w): integral of g(s)/s from the support edge to e^w, elementwise
-        self.G_log = _Antiderivative(model.g_of_log, w_cut)
         self._certify_integrability()
+
+    @functools.cached_property
+    def G_log(self) -> _Antiderivative:
+        """G_log(w): integral of g(s)/s from the support edge to e^w,
+        elementwise; only p != q reads it."""
+        m = self.model
+        return _Antiderivative(m.g_of_log, math.log(m.support_min) if m.support_min > 0 else 0.0)
 
     # -- exact evaluators ------------------------------------------------
     def resolvent(self, lam):
@@ -600,27 +607,15 @@ class SpectralFns:
         i = 0.0 * inv.real if self.model.symmetric else inv.imag
         return inv.real, i, err * np.abs(inv) ** 2
 
-    # -- asymptotic surrogate in w = log(lam) space ----------------------
-    def _asym_parts(self, w):
-        re = self.beta * np.exp(-w) + (math.pi / 2.0) * self.model.g_of_log(w)
-        im = 0.0 if self.model.symmetric else (self.model.p - self.model.q) * self.G_log(w)
-        return re, im
-
-    def R_asym_w(self, w):
-        """e^w * R_asym(e^w); the e^w factor cancels analytically.  Written
-        as 1/(re + im^2/re), so that g = inf far out gives 0."""
-        re, im = self._asym_parts(w)
-        return 1.0 / (re + im * (im / re))
-
-    def I_asym_w(self, w):
-        re, im = self._asym_parts(w)
-        return -im / (re * re + im * im)
-
-    def R_asym(self, lam):
-        return self.R_asym_w(np.log(lam)) / lam
-
-    def I_asym(self, lam):
-        return self.I_asym_w(np.log(lam)) / lam
+    # -- asymptotic surrogate --------------------------------------------
+    def surrogate(self, w):
+        """(e^w R, e^w I) of psi's leading form at lam = e^w; the e^w factor
+        cancels analytically.  R is written as 1/(re + im^2/re), so that
+        g = inf far out gives 0."""
+        m = self.model
+        re = self.beta * np.exp(-w) + (math.pi / 2.0) * m.g_of_log(w)
+        im = 0.0 if m.symmetric else (m.p - m.q) * self.G_log(w)
+        return 1.0 / (re + im * (im / re)), -im / (re * re + im * im)
 
     # -- drift correction: exact/asym ratio fitted as 1 + a/w + b/w^2 ----
     def drift(self, which: str) -> tuple[float, float, float]:
@@ -630,8 +625,9 @@ class SpectralFns:
             ws = np.linspace(math.log(_LAM_EXACT_MAX / 16.0), math.log(_LAM_EXACT_MAX), 5)
             lams = np.exp(ws)
             r, i, _ = self.resolvent(lams)
-            self._drift = {"R": self._fit(ws, r, self.R_asym(lams)),
-                           "I": self._fit(ws, i, self.I_asym(lams))}
+            r_asym, i_asym = self.surrogate(np.log(lams))
+            self._drift = {"R": self._fit(ws, r, r_asym / lams),
+                           "I": self._fit(ws, i, i_asym / lams)}
         return self._drift[which]
 
     @staticmethod
@@ -644,15 +640,12 @@ class SpectralFns:
         resid = float(np.abs(design @ coef - rhs).max())
         return float(coef[0]), float(coef[1]), resid
 
-    def R_far(self, lam):
-        a, b, _ = self.drift("R")
+    def far(self, lam):
+        """R and I of the drift-corrected surrogate at lam."""
+        (ar, br, _), (ai, bi, _) = self.drift("R"), self.drift("I")
         w = np.log(lam)
-        return self.R_asym(lam) * (1.0 + a / w + b / w**2)
-
-    def I_far(self, lam):
-        a, b, _ = self.drift("I")
-        w = np.log(lam)
-        return self.I_asym(lam) * (1.0 + a / w + b / w**2)
+        r, i = self.surrogate(w)
+        return r / lam * (1.0 + ar / w + br / w**2), i / lam * (1.0 + ai / w + bi / w**2)
 
     def l1_tail(self, lam: float) -> tuple[float, float]:
         """Integral of R over (lam, infinity) via the drift-corrected
@@ -660,7 +653,7 @@ class SpectralFns:
         and the bound on the range beyond the panels.
 
         For p = q with gamma = 1 that bound is the exact integral of
-        2/(pi g), which R_asym_w equals far out, where the panels stop
+        2/(pi g), which the surrogate's e^w R equals far out, where the panels stop
         (g overflows near w = e^696 and the drift factor is 1 to rounding);
         the rest is then added to the value.
         """
@@ -668,15 +661,16 @@ class SpectralFns:
         g = self.model.g
         exact = self.model.symmetric and isinstance(g, LogPowerProfile) and g.gamma == 1.0
         val, err = _tail_integral(
-            lambda w: self.R_asym_w(w) * (1.0 + a / w + b / w**2), math.log(lam),
+            lambda w: self.surrogate(w)[0] * (1.0 + a / w + b / w**2), math.log(lam),
             lambda w: (1.0 + abs(a) / w + abs(b) / w**2) * self._surrogate_rest(w), exact)
         return val, err + resid * abs(val)
 
     def _surrogate_rest(self, w):
-        """Closed-form bound on the integral of R_asym_w over (w, infinity).
+        """Closed-form bound on the integral of the surrogate's e^w R over
+        (w, infinity).
 
-        For p != q, R_asym_w <= re / im^2, and the integral of g/G^2 over
-        (w, infinity) is at most 1/G(w).  For p = q, R_asym_w <= 2/(pi g),
+        For p != q, e^w R <= re / im^2, and the integral of g/G^2 over
+        (w, infinity) is at most 1/G(w).  For p = q, e^w R <= 2/(pi g),
         whose tail the log-power profile bounds; no bound is known for
         other profiles (inf).
         """
@@ -692,7 +686,10 @@ class SpectralFns:
         """R and I on the panels of ``_table_edges`` up to _LAM_EXACT_MAX,
         one psi batch on first use."""
         if self._table is None:
-            self._table = _resolvent_panels(self, _table_edges(self.model.support_min))
+            table = _resolvent_panels(self, _table_edges(self.model.support_min))
+            if not (np.isfinite(table.coef).all() and np.isfinite(table.err).all()):
+                raise OutOfRange(f"R and I are not finite on the spectral table of {self.model.g}")
+            self._table = table
         return self._table
 
     def u_zero(self) -> tuple[float, float]:
@@ -724,7 +721,7 @@ class SpectralFns:
         # one panel per rung
         rungs = np.log(20.0 * 1.6 ** np.arange(13.0))
         _, half, t = _legendre_panels(rungs[:-1], rungs[1:])
-        pieces, _ = _legendre_integral(self.R_asym_w(np.exp(t)) * np.exp(t), half)
+        pieces, _ = _legendre_integral(self.surrogate(np.exp(t))[0] * np.exp(t), half)
         total = pieces.sum()
         if total > 0 and pieces[-1] > 0.25 * total:
             raise NotIntegrable("surrogate spectral tail does not Cauchy-converge")
@@ -773,10 +770,12 @@ class _Panels(NamedTuple):
 
 def _resolvent_panels(sf: SpectralFns, edges: np.ndarray) -> _Panels:
     """One psi batch over the Gauss-Legendre nodes of the panels between
-    consecutive edges."""
+    consecutive edges; where psi overflows, the panels are not finite and
+    the caller refuses them."""
     mid, half, lam = _legendre_panels(edges[:-1], edges[1:])
-    r, i, e = sf.resolvent(lam)
-    coef = np.stack([r, i, e]) @ _legendre_rule()[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, i, e = sf.resolvent(lam)
+        coef = np.stack([r, i, e]) @ _legendre_rule()[1]
     trailing = np.abs(coef[:2, :, -1]) + np.abs(coef[:2, :, -2])
     return _Panels(edges, mid, half, coef[:2], 2.0 * half * (trailing + coef[2, :, 0]))
 
@@ -822,9 +821,9 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
 
     The surrogate is psi's leading form only on the profile's support, and
     its drift factor 1 + a/w + b/w^2 is an expansion in 1/w: a lag whose
-    lam_split lies below the support cut or below e (w < 1) is refused."""
-    row, trig, far, which = ((0, np.cos, sf.R_far, "R") if kind == "cos"
-                             else (1, np.sin, sf.I_far, "I"))
+    lam_split lies below the support cut or below e (w < 1) is refused, and
+    so is one whose value or error bound is not finite."""
+    row, trig, which = (0, np.cos, "R") if kind == "cos" else (1, np.sin, "I")
     far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=_exact_lobe_count(z))
     split = far_edges[0]
     floor = max(sf.model.support_min, math.e)
@@ -832,20 +831,30 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
         raise OutOfRange(f"lag z = {z:g} is too large: its surrogate lobes would start at "
                          f"lam = {split:.4g}, below {floor:.4g}, where the surrogate is no "
                          f"asymptotic form of R")
+    no_bound = OutOfRange(f"lag z = {z:g} has no finite error bound: its exact range "
+                          f"reaches lam = {split:.4g}, where psi is not finite")
     table = sf.table()
     k = int(np.searchsorted(table.edges, split, side="right")) - 1
     lo = table.edges[k]
+    if split > _LAM_EXACT_MAX:
+        # psi's error bound grows with lam: try lam_split alone before the panels below it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(sf.resolvent(np.array([split]))[2]).all():
+                raise no_bound
     new = _resolvent_panels(sf, np.array([lo, split]) if split <= _LAM_EXACT_MAX else
                             np.geomspace(lo, split, math.ceil(2.0 * math.log2(split / lo)) + 1))
     exact = (_filon(table.mid[:k], table.half[:k], table.coef[row, :k], z)
              + _filon(new.mid, new.half, new.coef[row], z))
     _, half, nodes = _legendre_panels(far_edges[:-1], far_edges[1:])
-    far_terms, far_err = _legendre_integral(trig(nodes * z) * far(nodes), half)
+    far_terms, far_err = _legendre_integral(trig(nodes * z) * sf.far(nodes)[row], half)
     lobes, accel_err = euler_accelerate(far_terms)
     _, _, resid = sf.drift(which)
     err = (table.err[row, :k].sum() + new.err[row].sum() + far_err.sum() + accel_err
            + resid * abs(far_terms[0]) * 4.0)
-    return ((exact.real if kind == "cos" else exact.imag) + lobes) / math.pi, err / math.pi
+    value = (exact.real if kind == "cos" else exact.imag) + lobes
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise no_bound
+    return value / math.pi, err / math.pi
 
 
 def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
@@ -996,14 +1005,18 @@ def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid
     rows = []
     for n in n_grid:
         w_n = math.log(float(n))
+        stat = err = math.inf  # where G or 1/the tail is not finite
         if big_g is not None:
-            stat, err = big_g.with_error(w_n)
+            if w_n < big_g.finite_to:
+                stat, err = big_g.with_error(w_n)
         else:
             inv, inv_err = _tail_integral(lambda w: 1.0 / profile.of_log(w), max(w_n, w_cut),
                                           profile.inverse_tail_bound)
-            stat, err = 1.0 / inv, inv_err / inv**2
-        if not math.isfinite(err):
-            raise OutOfRange(f"no error bound for the Thm 1.6 statistic at n = {n:g}")
+            if inv > 0.0:
+                stat, err = 1.0 / inv, inv_err / inv**2
+        if not (math.isfinite(stat) and math.isfinite(err)):
+            raise OutOfRange(f"the Thm 1.6 statistic at n = {n:g} or its error bound is not "
+                             f"finite for gamma = {gamma:g}, delta = {delta:g}")
         rows.append(Thm16Row(n=float(n), statistic=stat, log_n=w_n, ratio=stat / w_n, err=err))
     return rows
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotMMatrix, SingularMatrix
+from .errors import DimensionTooLarge, NotMMatrix, OutOfRange, SingularMatrix
 
 # alpha_permanent beyond this n is refused: its time grows like 3^n, about
 # 2 s per call at n = 18 and 6 s at n = 19 on a 2-vCPU x86-64 VM.
@@ -211,8 +211,9 @@ def alpha_permanent(m, alpha: float) -> float:
     C(T) f(S \\ T), f(empty) = 1, perm = f({0..n-1}), with C from
     ``_cycle_sums``.  f is stored by bit mask; the sets with maximum a fill
     f[2^a : 2^(a+1)].  Cost O(2^n n^2) for the cycle sums and O(3^n) for the
-    partition step; n is capped at PERMANENT_CAP.
-    ``alpha_permanent_rel_err`` bounds the rounding error.
+    partition step; n is capped at PERMANENT_CAP, and a value that
+    overflows is refused.  ``alpha_permanent_rel_err`` bounds the rounding
+    error.
     """
     M = as_square_matrix(m)
     n = M.shape[0]
@@ -223,8 +224,12 @@ def alpha_permanent(m, alpha: float) -> float:
             f"alpha_permanent sums 3^(n-1) subset pairs; n = {n} exceeds cap {PERMANENT_CAP}"
         )
     f = np.ones(1)
-    for a in range(n):
-        f = np.concatenate([f, alpha * _disjoint_sum(_cycle_sums(M, a), f, a)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for a in range(n):
+            f = np.concatenate([f, alpha * _disjoint_sum(_cycle_sums(M, a), f, a)])
+    if not math.isfinite(f[-1]):
+        raise OutOfRange(f"the alpha-permanent overflows the float range at alpha = {alpha:g}, "
+                         f"max |M| = {float(np.abs(M).max()):g}")
     return float(f[-1])
 
 

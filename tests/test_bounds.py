@@ -261,9 +261,9 @@ def test_psi_star_refuses_p_outside_1_to_n(p):
 def test_unboundedness_statistic_refuses_p_before_the_scan(p):
     calls = []
 
-    def kernel(s, t):
-        calls.append((s, t))
-        return min(s, t)
+    def kernel(t):
+        calls.append(t)
+        return np.minimum.outer(t, t)
 
     with pytest.raises(OutOfRange, match="p must be an integer from 1 to n = 16"):
         unboundedness_statistic(kernel, 0.5, [32, 16], p=p)
@@ -271,7 +271,7 @@ def test_unboundedness_statistic_refuses_p_before_the_scan(p):
 
 
 def test_unboundedness_statistic_brownian():
-    rows = unboundedness_statistic(lambda s, t: min(s, t) + 0.5, 0.8, [4, 8, 16])
+    rows = unboundedness_statistic(lambda t: np.minimum.outer(t, t) + 0.5, 0.8, [4, 8, 16])
     for row in rows:
         n = row.n
         assert row.sigma_star2_log_n == pytest.approx(
@@ -282,11 +282,15 @@ def test_unboundedness_statistic_brownian():
 
 
 def test_unboundedness_statistic_log_kernels_trend():
-    def sigma_log(s, t):
-        return 1.0 if s == t else 1.0 - 0.5 / math.log(1.0 / abs(s - t))
+    def inverse_lags(t):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(np.subtract.outer(t, t))  # inf at lag 0
 
-    def sigma_loglog(s, t):
-        return 1.0 if s == t else 1.0 - 0.5 / math.log(math.log(1.0 / abs(s - t)))
+    def sigma_log(t):
+        return 1.0 - 0.5 / np.log(inverse_lags(t))
+
+    def sigma_loglog(t):
+        return 1.0 - 0.5 / np.log(np.log(inverse_lags(t)))
 
     ns = [8, 32, 128, 512]
     log_rows = unboundedness_statistic(sigma_log, 0.01, ns)

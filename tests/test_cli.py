@@ -13,8 +13,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from permanental import bounds, cli, gamma_tails, levy, markov, matio, sampler
+from permanental import bounds, cli, gamma_tails, levy, linalg, markov, matio, sampler
 from permanental.cli import _KERNEL_MODELS
+from permanental.errors import PermanentalError
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_chunks
 
@@ -146,6 +147,39 @@ def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and message in out.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["gamma-tail", "--u", "3e4", "--t", "3e4"], 0, None),
+    (["gamma-tail", "--u", "1e6", "--t", "0.999e6"], 0, None),
+    (["gamma-tail", "--u", "2e8", "--t", "2e8"], 2, "shape u = 2e+08"),
+    (["gamma-tail", "--u", 2, "--v", "1e200", "--t", "1e200"], 2, "v*t = 1e+200 * 1e+200"),
+    (["gamma-tail", "--u", 2, "--v", "1e-300", "--t", "1e-300"], 0, None),
+    (["permanent", "--alpha", "1e300", "--matrix"], 2, "alpha = 1e+300"),
+    (["levy", "--p", 0.8, "--gamma", "1e300", "--u", 0.3], 2, "gamma=1e+300"),
+    (["levy", "--p", 0.5, "--gamma", "1e300", "--scan-thm16", "1e2"], 2, "gamma = 1e+300"),
+    (["levy", "--p", 0.8, "--gamma", "1e300", "--scan-thm16", "1e2"], 2, "gamma = 1e+300"),
+    (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "1e-300"], 2, "lag z = 1e-300"),
+], ids=["gamma-tail-u-3e4", "gamma-tail-u-1e6", "gamma-tail-u-past-cap", "gamma-tail-vt-inf",
+        "gamma-tail-vt-zero", "permanent-overflow", "levy-gamma-1e300-table",
+        "levy-gamma-1e300-thm16-sym", "levy-gamma-1e300-thm16-asym", "levy-lag-1e-300"])
+def test_extreme_inputs_print_json_or_a_named_refusal(tmp_path, argv, code, message):
+    if argv[-1] == "--matrix":
+        path = tmp_path / "k4.json"
+        assert run_cli("gen-kernel", "--n", 4, "--seed", 1, "--out", path).returncode == 0
+        argv = argv + [path]
+    out = run_cli(*argv)
+    assert "RuntimeWarning" not in out.stderr
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        json.loads(out.stdout, parse_constant=_reject_constant)
+    else:
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and message in out.stderr
 
 
 @pytest.mark.parametrize("modes, message", [
@@ -530,6 +564,53 @@ def test_scan_csv_matches_loop_formatter():
     want = [loop_csv_line([r.delta, r.n, r.a_star, r.log_n_over_a_star,
                            r.sigma_star2_log_n, r.error]) for r in rows]
     assert out.stdout.splitlines()[1:] == want
+
+
+# the stand-in kernels as scalar functions K(s, t), as the scan once called them
+_SCALAR_MODELS = {
+    "brownian": lambda shift: (lambda s, t: min(s, t) + shift),
+    "log-smooth": lambda shift: (
+        lambda s, t: 1.0 + shift if s == t else 1.0 + shift - 0.5 / math.log(1.0 / abs(s - t))
+    ),
+    "loglog-smooth": lambda shift: (
+        lambda s, t: 1.0 + shift
+        if s == t
+        else 1.0 + shift - 0.5 / math.log(math.log(1.0 / abs(s - t)))
+    ),
+}
+
+
+def loop_scan(kernel_fn, delta, n_grid, p):
+    """Reference scan: K filled by n^2 scalar kernel_fn(s, t) calls on the
+    points j delta / n, then the library's inversion and statistics."""
+    rows = []
+    for n in n_grid:
+        pts = [j * delta / n for j in range(1, n + 1)]
+        K = np.array([[float(kernel_fn(s, t)) for t in pts] for s in pts])
+        logn = math.log(n)
+        star2_log_n = bounds.sigma_matrix(K).sigma_star2 * logn
+        try:
+            pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=linalg.KERNEL_TOL,
+                                            inverse_tol=linalg.KERNEL_TOL)
+        except PermanentalError as exc:
+            rows.append(bounds.ScanRow(delta, n, None, None, star2_log_n,
+                                       f"{type(exc).__name__}: {exc}"))
+            continue
+        a_star = bounds.psi_star(pair, p)
+        rows.append(bounds.ScanRow(delta, n, a_star, logn / a_star, star2_log_n, None))
+    return rows
+
+
+@pytest.mark.parametrize("grid", [[16, 64, 256], [2, 4, 40]], ids=["16-256", "2-40"])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("model", sorted(_KERNEL_MODELS))
+def test_scan_rows_match_the_scalar_kernel_loop(model, p, shift, grid):
+    kernel, kernel_fn = _KERNEL_MODELS[model](shift), _SCALAR_MODELS[model](shift)
+    t = np.arange(1, grid[-1] + 1) * 0.1 / grid[-1]
+    assert kernel(t).tolist() == [[kernel_fn(s, u) for u in t.tolist()] for s in t.tolist()]
+    rows = bounds.unboundedness_statistic(kernel, 0.1, grid, p=p)
+    assert rows == loop_scan(kernel_fn, 0.1, grid, p)
 
 
 def test_z_dist_output(spec_file):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from permanental.errors import PreconditionViolated
+from permanental.errors import OutOfRange, PreconditionViolated
 from permanental.gamma_tails import (
     gamma_tail_exact,
     gamma_tail_rel_err,
@@ -81,6 +81,32 @@ def test_scale_invariance():
 
 def test_tail_at_zero_is_one():
     assert gamma_tail_exact(2.3, 1.4, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("u", [3e4, 1e5, 1e6])
+def test_large_shapes_match_scipy_within_rel_err(u):
+    # near x = u the series needs about 9 sqrt(u) terms, the continued fraction fewer
+    for x in (0.999 * u, u, u + 1.0 - 1e-3, u + 1.0, 1.001 * u):
+        want = float(scipy.special.gammaincc(u, x))
+        got = gamma_tail_exact(u, 1.0, x)
+        assert abs(got - want) <= gamma_tail_rel_err(u, 1.0, x) * got
+
+
+def test_shapes_past_the_term_budget_cap_are_refused():
+    for x in (1e8, 2e8, 4e8):
+        with pytest.raises(OutOfRange, match="shape u = 2e\\+08"):
+            gamma_tail_exact(2e8, 1.0, x)
+
+
+def test_scale_times_t_beyond_the_float_range():
+    with pytest.raises(OutOfRange, match="v\\*t = 1e\\+200 \\* 1e\\+200 overflows"):
+        gamma_tail_exact(2.0, 1e200, 1e200)
+    # v t underflows to 0: P = x^u / Gamma(u + 1) from log x = log v + log t
+    assert gamma_tail_exact(2.0, 1e-300, 1e-300) == 1.0
+    for u in (1e-3, 0.1):
+        want = 1.0 - float(mpmath.mpf("1e-600") ** u / mpmath.gamma(1 + u))
+        got = gamma_tail_exact(u, 1e-300, 1e-300)
+        assert abs(got - want) <= gamma_tail_rel_err(u, 1e-300, 1e-300) * want
 
 
 def test_invalid_parameters():

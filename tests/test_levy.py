@@ -627,6 +627,38 @@ def test_kernel_matrix_costs_the_table_and_one_panel_per_lag(monkeypatch):
     assert sum(nodes) <= table_nodes + 5 + 15 * 2 * levy._N_LEG
 
 
+def test_kernel_matrix_builds_G_only_for_asymmetric_models():
+    # G enters psi's leading form only through (p - q); fresh models (beta = 2)
+    # build their evaluators inside the call
+    sym = levy.log_power_model(2.0, 0.5, 0.5, 1.5, 0.0)
+    asym = levy.log_power_model(2.0, 0.8, 0.2, -0.5, 0.0)
+    levy.kernel_matrix(sym, [0.0, 0.4])
+    levy.kernel_matrix(asym, [0.0, 0.4])
+    assert "G_log" not in vars(levy.spectral(sym))
+    assert "G_log" in vars(levy.spectral(asym))
+
+
+def test_sin_minus_lin_takes_the_series_only_below_one_half():
+    u = np.array([[1e-3, 0.49], [0.5, 1e200]])
+    got = levy._sin_minus_lin(u)  # the series would overflow at 1e200
+    for x in (1e-3, 0.49):
+        want = float(mp.sin(mp.mpf(x)) - mp.mpf(x))
+        assert got[u == x][0] == pytest.approx(want, rel=1e-15)
+    assert got[1].tolist() == (np.sin(u[1]) - u[1]).tolist()
+
+
+def test_non_finite_spectral_values_are_refused_by_input():
+    # g = (log y)^1e300 is inf on the whole support: psi and the table are not finite
+    with pytest.raises(OutOfRange, match="gamma=1e\\+300"):
+        levy.potential_bundle(levy.log_power_model(1.0, 0.8, 0.2, 1e300, 0.0), 0.3)
+    # lam_split = 7.9e300, where psi's error bound is not finite
+    with pytest.raises(OutOfRange, match="lag z = 1e-300"):
+        levy.potential_bundle(ASYM, 1e-300)
+    for p in (0.5, 0.8):
+        with pytest.raises(OutOfRange, match="gamma = 1e\\+300"):
+            levy.check_thm16_integrals(1e300, 0.0, p, 1.0 - p, [1e2])
+
+
 def test_spectral_parity_even_odd():
     sf = levy.spectral(ASYM)
     for lam in (3.0, 250.0):

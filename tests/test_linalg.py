@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permanental import markov
-from permanental.errors import DimensionTooLarge, NotMMatrix, SingularMatrix
+from permanental.errors import DimensionTooLarge, NotMMatrix, OutOfRange, SingularMatrix
 from permanental.linalg import (
     PERMANENT_CAP,
     alpha_permanent,
@@ -197,6 +197,14 @@ def test_alpha_permanent_identity():
 def test_alpha_permanent_ones_2x2():
     for alpha in (0.3, 1.0, 2.5):
         assert alpha_permanent(np.ones((2, 2)), alpha) == pytest.approx(alpha**2 + alpha)
+
+
+def test_alpha_permanent_overflow_is_refused():
+    # alpha^4 = 1e1200 overflows; so does a finite alpha on entries near the float limit
+    with pytest.raises(OutOfRange, match="alpha = 1e\\+300"):
+        alpha_permanent(np.eye(4) + 0.1, 1e300)
+    with pytest.raises(OutOfRange, match="max \\|M\\| = 1e\\+200"):
+        alpha_permanent(np.full((3, 3), 1e200), 1.0)
 
 
 def test_alpha_permanent_random_vs_naive_oracle():
