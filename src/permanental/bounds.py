@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     PermanentalError,
 )
-from .linalg import KERNEL_TOL, MMatrixPair, as_square_matrix, invert, validate_m_matrix
+from .linalg import KERNEL_TOL, MMatrixPair, as_square_matrix, validate_m_matrix
 
 
 def _increments(K: np.ndarray, normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +199,7 @@ def unboundedness_statistic(kernel, delta: float, n_grid, p: int = 1) -> list[Sc
         logn = math.log(n)
         star2_log_n = sigma_matrix(K).sigma_star2 * logn
         try:
-            pair = validate_m_matrix(invert(K), off_diag_tol=KERNEL_TOL, inverse_tol=KERNEL_TOL)
+            pair = validate_m_matrix(kernel=K, off_diag_tol=KERNEL_TOL, inverse_tol=KERNEL_TOL)
         except PermanentalError as exc:  # reported per row
             rows.append(ScanRow(delta, n, None, None, star2_log_n,
                                 f"{type(exc).__name__}: {exc}"))

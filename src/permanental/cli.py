@@ -14,9 +14,17 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 
-import numpy as np
+# One BLAS thread, set before numpy loads its BLAS: a threaded BLAS splits
+# the large inversions by core count and rounds them differently, and the
+# output bytes must not depend on the host.  No effect when numpy was loaded
+# before this module.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402 - after the BLAS pin
 
 # modules, not names: each executes on first use (see the package docstring)
 from . import bounds, gamma_tails, levy, linalg, markov, matio, model, sampler
@@ -36,7 +44,8 @@ def _json_default(obj):
 
 
 def _emit(args, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default,
+                      allow_nan=False) + "\n"
     _write(args, [text.encode()])
 
 
@@ -260,7 +269,7 @@ def cmd_bounds(args) -> int:
     if K.shape[0] < 2:
         raise OutOfRange(f"bounds need a kernel on at least 2 points, got n = {K.shape[0]}")
     tol = _kernel_tol(args)
-    pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=tol, inverse_tol=tol)
+    pair = linalg.validate_m_matrix(kernel=K, off_diag_tol=tol, inverse_tol=tol)
     payload: dict = {"which": args.which, "diag_a": list(pair.diag_a),
                      "rel_err": _EXACT_REL_ERR}
     if args.which == "simple":

@@ -8,8 +8,13 @@ is the single entry point that enforces squareness and finiteness.
 whose inf-norm condition number kappa = ||A|| ||A^-1|| exceeds
 SINGULAR_COND = 1e13 (or that LAPACK finds exactly singular) is refused
 with SingularMatrix, so no inverse whose relative error bound kappa u
-exceeds about 1e-3 is returned.  ``validate_m_matrix`` reports such a
-matrix as NotMMatrix("singular: ...").
+exceeds about 1e-3 is returned.
+
+``validate_m_matrix`` is the one K <-> A entry point.  It takes either the
+M-matrix A or the kernel K = A^-1 (``kernel=``), inverts the one it was
+given exactly once, and checks the signs of A, its diagonal and the signs
+of K.  A singular A is reported as NotMMatrix("singular: ..."); a singular
+kernel raises SingularMatrix from that inversion.
 
 ``alpha_permanent`` is a subset dynamic program, not an enumeration of the
 n! permutations: Held-Karp cycle sums over the subsets that share a largest
@@ -103,18 +108,24 @@ class MMatrixPair:
 
 
 def validate_m_matrix(
-    a, off_diag_tol: float = OFF_DIAG_TOL, inverse_tol: float = INVERSE_TOL
+    a=None, off_diag_tol: float = OFF_DIAG_TOL, inverse_tol: float = INVERSE_TOL,
+    *, kernel=None,
 ) -> MMatrixPair:
-    """Validate that ``a`` is a nonsingular M-matrix and return the split pair.
+    """Validate that A, given as ``a`` or as its inverse ``kernel`` (exactly
+    one), is a nonsingular M-matrix and return the split pair.
 
-    Off-diagonal entries in (0, off_diag_tol] are treated as rounding noise
-    and clamped to zero; inverse entries in [-inverse_tol, 0) likewise.  Both
-    tolerances must be finite and nonnegative.
+    The matrix given is the one inverted.  Off-diagonal entries of A in
+    (0, off_diag_tol] are treated as rounding noise and clamped to zero;
+    entries of K in [-inverse_tol, 0) likewise, so a kernel's ``pair.K`` is
+    the given K clamped at 0.  Both tolerances must be finite and nonnegative.
     """
     for name, tol in (("off_diag_tol", off_diag_tol), ("inverse_tol", inverse_tol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-    A = as_square_matrix(a).copy()
+    if (a is None) == (kernel is None):
+        raise ValueError("validate_m_matrix takes exactly one of a and kernel")
+    K = None if kernel is None else as_square_matrix(kernel)
+    A = as_square_matrix(a) if K is None else invert(K)
     n = A.shape[0]
     if n == 0:
         raise NotMMatrix("empty matrix")
@@ -131,10 +142,11 @@ def validate_m_matrix(
     if (diag_a <= 0).any():
         i = int(np.argmin(diag_a))
         raise NotMMatrix(f"nonpositive diagonal entry A[{i},{i}] = {diag_a[i]:.6g}")
-    try:
-        K = invert(A)
-    except SingularMatrix as exc:
-        raise NotMMatrix(f"singular: {exc}") from exc
+    if K is None:
+        try:
+            K = invert(A)
+        except SingularMatrix as exc:
+            raise NotMMatrix(f"singular: {exc}") from exc
     if K.min() < -inverse_tol:
         i, j = np.unravel_index(np.argmin(K), K.shape)
         raise NotMMatrix(
@@ -263,7 +275,7 @@ def alpha_permanent_rel_err(m, alpha: float, value: float) -> float:
     itself when M has no negative entry, and one more ``alpha_permanent``
     call otherwise; its own rounding adds the factor 1 / (1 - gamma_d).
     A zero value of a matrix with negative entries has no relative bound
-    (inf).
+    and is refused with OutOfRange, whose message carries the absolute bound.
     """
     M = as_square_matrix(m)
     du = _rounding_depth(M.shape[0]) * _UNIT_ROUNDOFF
@@ -271,7 +283,10 @@ def alpha_permanent_rel_err(m, alpha: float, value: float) -> float:
     magnitude = alpha_permanent(np.abs(M), alpha) if (M < 0).any() else value
     err = gamma / (1.0 - gamma) * magnitude
     if value == 0.0:
-        return math.inf if err else 0.0
+        if err:
+            raise OutOfRange(f"the alpha-permanent evaluates to 0, with an absolute error of "
+                             f"at most {err:.3g} and no relative error bound")
+        return 0.0
     return err / abs(value)
 
 

@@ -72,7 +72,7 @@ def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
     K = as_square_matrix(k)
     column_dominated = bool((K <= np.diag(K)[None, :] + tol).all())
     try:
-        pair = validate_m_matrix(invert(K), off_diag_tol=tol, inverse_tol=tol)
+        pair = validate_m_matrix(kernel=K, off_diag_tol=tol, inverse_tol=tol)
     except PermanentalError as exc:  # the report carries the reason
         return AppendixReport(
             passed=False,

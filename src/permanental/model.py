@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, TruncationInfeasible
-from .linalg import (
-    MMatrixPair,
-    as_square_matrix,
-    invert,
-    spectral_radius_nonneg,
-    validate_m_matrix,
-)
+from .linalg import MMatrixPair, spectral_radius_nonneg, validate_m_matrix
 
 # Roots-of-unity grids beyond this many points are refused outright.
 GRID_CAP = 40_000_000
@@ -60,7 +54,7 @@ class PermanentalSpec:
 
     @classmethod
     def from_kernel(cls, k, alpha: float) -> "PermanentalSpec":
-        return cls(validate_m_matrix(invert(as_square_matrix(k))), float(alpha))
+        return cls(validate_m_matrix(kernel=k), float(alpha))
 
 
 def _as_s_vector(s, n: int) -> np.ndarray:

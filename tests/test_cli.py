@@ -590,7 +590,7 @@ def loop_scan(kernel_fn, delta, n_grid, p):
         logn = math.log(n)
         star2_log_n = bounds.sigma_matrix(K).sigma_star2 * logn
         try:
-            pair = linalg.validate_m_matrix(linalg.invert(K), off_diag_tol=linalg.KERNEL_TOL,
+            pair = linalg.validate_m_matrix(kernel=K, off_diag_tol=linalg.KERNEL_TOL,
                                             inverse_tol=linalg.KERNEL_TOL)
         except PermanentalError as exc:
             rows.append(bounds.ScanRow(delta, n, None, None, star2_log_n,
@@ -682,6 +682,22 @@ def test_permanent_command(tmp_path):
     assert payload["value"] == pytest.approx(8.0)
 
 
+def test_permanent_refuses_a_signed_zero_value(tmp_path):
+    m = tmp_path / "m.json"
+    matio.save_matrix(str(m), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    out = run_cli("permanent", "--matrix", m, "--alpha", 1)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "absolute error of at most 1.11e-15" in out.stderr
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_emit_refuses_a_non_json_number(tmp_path, value):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit(argparse.Namespace(out=str(out)), {"value": value})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shift", [0.0, -0.4])
 def test_permanent_rel_err_is_computed_and_covers_oracle(tmp_path, shift):
     matrix = np.random.default_rng(31).random((6, 6)) + shift
@@ -719,18 +735,42 @@ def test_bounds_psi_star_is_an_entry_of_the_printed_diag_a(tmp_path):
             assert payload["psi_star"] == sorted(payload["diag_a"])[n // p - 1]
 
 
-def test_bounds_psi_star_inverts_twice(kernel_file, tmp_path, monkeypatch):
+# each path that takes a kernel K, as a call on (K, its file, an output path)
+# that is true on success, with the number of kernels it validates
+_KERNEL_PATHS = {
+    "bounds": (lambda k, path, out: cli.main(["bounds", "--kernel", path, "--which",
+                                              "psi-star", "--out", out]) == 0, 1),
+    "validate-kernel": (lambda k, path, out: cli.main(["validate-kernel", path,
+                                                       "--out", out]) == 0, 1),
+    "from_kernel": (lambda k, path, out: PermanentalSpec.from_kernel(k, 1.0).n == 3, 1),
+    "appendix-lemma": (lambda k, path, out: markov.validate_appendix_lemma(k).passed, 1),
+    "unbounded-scan": (lambda k, path, out: cli.main(["unbounded-scan", "--kernel-model",
+                                                      "log-smooth", "--n", "16,64,256",
+                                                      "--out", out]) == 0, 3),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_KERNEL_PATHS))
+def test_kernel_paths_invert_once_per_kernel(path, kernel_file, tmp_path, monkeypatch):
     calls = []
-    inv = np.linalg.inv
+    for owner, name in ((linalg, "invert"), (np.linalg, "inv")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda a, real=real, name=name: calls.append(name) or real(a))
+    run, kernels = _KERNEL_PATHS[path]
+    assert run(matio.load_matrix(kernel_file), kernel_file, str(tmp_path / "out"))
+    assert calls == ["invert", "inv"] * kernels
 
-    def counted(a):
-        calls.append(a.shape)
-        return inv(a)
 
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    assert cli.main(["bounds", "--kernel", kernel_file, "--which", "psi-star",
-                     "--out", str(tmp_path / "out.json")]) == 0
-    assert len(calls) == 2
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    argv = CLI + ["unbounded-scan", "--kernel-model", "log-smooth", "--n", "16,64,256"]
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    outs = [subprocess.run(argv, capture_output=True, env=env, timeout=300)
+            for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"},
+                        {**unset, "OPENBLAS_NUM_THREADS": "2"})]
+    assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
+    assert outs[0].stdout and all(o.stdout == outs[0].stdout for o in outs)
 
 
 def _list_csv_commands():
@@ -1000,11 +1040,10 @@ def test_levy_kernel_never_imports_numpy_ma(spec_file, kernel_file, tmp_path):
 
 
 # span names of traced runs, recorded while `import permanental.cli` still
-# executed every layer module: the launcher must see the lazy modules as it
-# saw those
+# executed every layer module (the sample list with the kernel inverted once):
+# the launcher must see the lazy modules as it saw those
 _TRACED_SPANS = {
     "sample": ["cli.main", "matio.load_spec_file", "matio.matrix_from_json_obj",
-               "linalg.as_square_matrix", "linalg.as_square_matrix", "linalg.invert",
                "linalg.as_square_matrix", "linalg.validate_m_matrix", "linalg.as_square_matrix",
                "linalg.invert", "linalg.as_square_matrix", "sampler.sample_chunks"],
     "levy-kernel": ["cli.main", "levy.log_power_model", "levy.kernel_matrix",

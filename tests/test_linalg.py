@@ -173,6 +173,42 @@ def test_validate_m_matrix_refuses_a_bad_tolerance(name, tol):
             validate_m_matrix(a, **{name: tol})
 
 
+def test_validate_m_matrix_inverts_the_form_it_was_given():
+    K = scipy.linalg.block_diag(brownian_min_matrix(3), brownian_min_matrix(3))
+    K[0, 5] = -1e-12  # rounding noise within the tolerance
+    pair = validate_m_matrix(kernel=K, off_diag_tol=1e-10, inverse_tol=1e-10)
+    assert pair.K.tobytes() == np.maximum(K, 0.0).tobytes()
+    want_a = invert(K)
+    assert want_a[0, 5] > 0.0
+    want_a[~np.eye(6, dtype=bool) & (want_a > 0.0)] = 0.0
+    assert pair.A.tobytes() == want_a.tobytes()
+    # an A-form input keeps its A and gets the clamped inverse of it
+    a_pair = validate_m_matrix(pair.A)
+    assert a_pair.A.tobytes() == pair.A.tobytes()
+    assert a_pair.K.tobytes() == np.maximum(invert(pair.A), 0.0).tobytes()
+    for name in ("diag_a", "B", "row_sums"):
+        assert getattr(a_pair, name).tobytes() == getattr(pair, name).tobytes()
+
+
+@pytest.mark.parametrize("kernel, error, text", [
+    ([[1.0, 1.0], [1.0, 1.0]], SingularMatrix, "condition number inf above 1e+13 (inf-norm)"),
+    ([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]], NotMMatrix,
+     "positive off-diagonal entry A[0,2] = 0.25"),
+    ([[-1 / 3, -2 / 3], [-2 / 3, -1 / 3]], NotMMatrix,
+     "inverse entry K[0,1] = -0.666667 below -1e-10"),
+])
+def test_validate_m_matrix_refuses_a_kernel(kernel, error, text):
+    with pytest.raises(error) as exc:
+        validate_m_matrix(kernel=kernel, off_diag_tol=1e-10, inverse_tol=1e-10)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("given", [{}, {"a": np.eye(2), "kernel": np.eye(2)}])
+def test_validate_m_matrix_takes_exactly_one_form(given):
+    with pytest.raises(ValueError, match="exactly one of a and kernel"):
+        validate_m_matrix(**given)
+
+
 def test_validate_m_matrix_geometric_series_example():
     P = np.array([[0.0, 0.5], [0.5, 0.0]])
     pair = validate_m_matrix(np.eye(2) - P)
@@ -232,6 +268,14 @@ def test_alpha_permanent_within_reported_bound(n):
             bound = alpha_permanent_rel_err(m, alpha, got) * abs(got)
             # plus the oracle's own rounding: n + 1 per term, then one
             assert abs(got - want) <= bound + (n + 2) * 2.0**-53 * magnitude
+
+
+def test_alpha_permanent_rel_err_of_a_zero_value():
+    assert alpha_permanent_rel_err(np.zeros((2, 2)), 1.0, 0.0) == 0.0
+    signed = [[1.0, 1.0], [1.0, -1.0]]
+    assert alpha_permanent(signed, 1.0) == 0.0
+    with pytest.raises(OutOfRange, match="absolute error of at most 1.11e-15"):
+        alpha_permanent_rel_err(signed, 1.0, 0.0)
 
 
 def test_alpha_permanent_cap():
