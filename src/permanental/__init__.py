@@ -7,8 +7,7 @@ including kernels built from Levy-process potential densities.
 
 The layer modules are registered in ``sys.modules`` at import but execute on
 first attribute access (``importlib.util.LazyLoader``), so a command runs only
-the modules it touches.  ``LazyLoader`` is not thread-safe: touch a module on
-the main thread before handing its functions to worker threads.
+the modules it touches.
 """
 
 import importlib.util

@@ -1,9 +1,8 @@
 """Command-line interface: one executable, subcommand per operation.
 
 Structured reports are JSON (sorted keys), tabular scans are CSV; identical
-run configurations produce byte-identical output regardless of the worker
-count.  Exit status: 0 success, 2 validation or precondition failure,
-1 internal error.
+run configurations produce byte-identical output.  Exit status: 0 success,
+2 validation or precondition failure, 1 internal error.
 """
 
 from __future__ import annotations
@@ -167,10 +166,8 @@ def cmd_z_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    chunks = sampler.sample_chunks(
-        spec, args.n, sampler.RngStream(args.seed, args.stream_id),
-        with_coupling=args.couple, workers=args.workers,
-    )
+    chunks = sampler.sample_chunks(spec, args.n, sampler.RngStream(args.seed, args.stream_id),
+                                   with_coupling=args.couple)
     n = spec.n
     header = [f"X_{i+1}" for i in range(n)]
     if args.couple:
@@ -193,8 +190,7 @@ def _sample_blocks(chunks):
             yield floats, z[rows]
 
 
-def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: int,
-                workers: int | None = None) -> dict:
+def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: int) -> dict:
     """Full pipeline check: empirical vs determinant Laplace transform on
     deterministic s-points, pathwise coupling violations, and the
     increasing-functional margins, all read from one coupled stream of
@@ -218,7 +214,7 @@ def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: 
             yield chunk
 
     rng = sampler.RngStream(seed)
-    chunks = sampler.sample_chunks(spec, n_draws, rng, with_coupling=True, workers=workers)
+    chunks = sampler.sample_chunks(spec, n_draws, rng, with_coupling=True)
     ineq = sampler.check_permanental_inequality(spec, tallied(chunks), rng)
     points = []
     for s, acc in zip(s_list, moments):
@@ -237,7 +233,7 @@ def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: 
 
 def cmd_mc_validate(args) -> int:
     spec = _load_spec(args.spec)
-    report = mc_validate(spec, args.n, args.seed, args.s_points, workers=args.workers)
+    report = mc_validate(spec, args.n, args.seed, args.s_points)
     _emit(args, report)
     return 0
 
@@ -393,6 +389,9 @@ def cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_WORKERS_HELP = ("at least 1; changes neither the output nor the work: "
+                 "the chunks are drawn in order on one thread")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--couple", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--s-points", type=int, default=10, dest="s_points")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mc_validate)
 

@@ -1,8 +1,8 @@
 """Dense real matrix algebra: alpha-permanents, M-matrix validation, Perron roots.
 
-All operations are pure functions of their inputs and safe to call
-concurrently.  Matrices are plain ``numpy`` arrays; ``as_square_matrix``
-is the single entry point that enforces squareness and finiteness.
+All operations are pure functions of their inputs.  Matrices are plain
+``numpy`` arrays; ``as_square_matrix`` is the single entry point that
+enforces squareness and finiteness.
 
 ``invert`` is numpy's LAPACK inverse with one singularity rule: a matrix
 whose inf-norm condition number kappa = ||A|| ||A^-1|| exceeds

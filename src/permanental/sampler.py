@@ -12,17 +12,15 @@ a_i^{-1} xi_{alpha,1} + xi_{Z_i, a_i}, so the coordinatewise lower bound
 holds pathwise by construction (xi_{0,.} := 0).
 
 Draws come from one source, ``sample_chunks``: chunk c holds the next
-_CHUNK rows and is drawn from substream c, so a consumer that reads the
-chunks as they arrive holds one chunk per worker, whatever the draw count,
-and results are bit-for-bit reproducible for a given (seed, stream_id)
-regardless of the worker count.  Means and standard errors over a stream
-are merged chunk by chunk (``Moments``).
+_CHUNK rows and is drawn from substream c when it is read, so a consumer
+that reads the chunks in turn holds one chunk, whatever the draw count, and
+results are bit-for-bit reproducible for a given (seed, stream_id).  Means
+and standard errors over a stream are merged chunk by chunk (``Moments``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -110,24 +108,22 @@ def sample_chunks(
     n_draws: int,
     rng: RngStream,
     with_coupling: bool = False,
-    workers: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
     """Draw n_draws exact alpha-permanental vectors as an iterator of chunks
     (X, L, Z), in chunk order; L is None without coupling.  Chunk c holds
-    _CHUNK rows (the last one the rest) drawn from substream c: loop-soup Z,
-    then the lower gammas, then the upper gammas.  With more than one
-    worker, at most ``workers`` chunks are being drawn or waiting to be
-    read.  A spec whose draw takes more than _MAX_MEAN_VISITS walker steps
-    on average is refused here, before any chunk is drawn."""
+    _CHUNK rows (the last one the rest) drawn from substream c, on the
+    calling thread as it is read: loop-soup Z, then the lower gammas, then
+    the upper gammas.  A spec whose draw takes more than _MAX_MEAN_VISITS
+    walker steps on average is refused here, before any chunk is drawn."""
     if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
+        raise ValueError(f"the number of draws must be at least 1, got n = {n_draws}")
     if not isinstance(rng, RngStream):
         raise TypeError("the sampler needs an RngStream for reproducibility")
     a = spec.pair.diag_a
     mean_visits = spec.alpha * float((a * np.diag(spec.pair.K) - 1.0).sum())
     if mean_visits > _MAX_MEAN_VISITS:
         raise TruncationInfeasible(f"a draw would take {mean_visits:.6g} loop-soup steps on "
-                                   f"average; the sampler stops at {_MAX_MEAN_VISITS:g}")
+                                   f"average, which exceeds cap {_MAX_MEAN_VISITS:g}")
     bt = _b_tilde(spec.pair)
     laws = _excursion_laws(bt)
     n_chunks = -(-n_draws // _CHUNK)
@@ -150,23 +146,7 @@ def sample_chunks(
             x += lower
         return x, lower, z
 
-    def chunks():
-        if not (workers and workers > 1 and n_chunks > 1):
-            for c in range(n_chunks):
-                yield run_chunk(c)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for c in range(n_chunks):
-                pending.append(pool.submit(run_chunk, c))
-                if len(pending) == workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-
-    return chunks()
+    return map(run_chunk, range(n_chunks))
 
 
 @dataclass

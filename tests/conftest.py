@@ -83,11 +83,10 @@ def block_expand(c, k) -> np.ndarray:
     return np.asarray(c, dtype=float)[np.ix_(idx, idx)]
 
 
-def oracle_chunks(spec, n_draws, rng, with_coupling=False, workers=None):
+def oracle_chunks(spec, n_draws, rng, with_coupling=False):
     """The sampler's chunks by their former layout: each chunk of
     ``sampler._CHUNK`` rows draws arrays of its own from substream c, in the
-    order loop-soup Z, lower gammas, upper gammas, and yields (X, L, Z).
-    ``workers`` is ignored (chunks run in order)."""
+    order loop-soup Z, lower gammas, upper gammas, and yields (X, L, Z)."""
     bt = _b_tilde(spec.pair)
     laws = sampler._excursion_laws(bt)
     a = spec.pair.diag_a

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -164,13 +165,20 @@ def _reject_constant(name):
     (["levy", "--p", 0.5, "--gamma", "1e300", "--scan-thm16", "1e2"], 2, "gamma = 1e+300"),
     (["levy", "--p", 0.8, "--gamma", "1e300", "--scan-thm16", "1e2"], 2, "gamma = 1e+300"),
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "1e-300"], 2, "lag z = 1e-300"),
+    (["sample", "--n", 0, "--seed", 1, "--spec"], 2, "got n = 0"),
+    (["sample", "--n", -3, "--seed", 1, "--spec"], 2, "got n = -3"),
 ], ids=["gamma-tail-u-3e4", "gamma-tail-u-1e6", "gamma-tail-u-past-cap", "gamma-tail-vt-inf",
         "gamma-tail-vt-zero", "permanent-overflow", "levy-gamma-1e300-table",
-        "levy-gamma-1e300-thm16-sym", "levy-gamma-1e300-thm16-asym", "levy-lag-1e-300"])
+        "levy-gamma-1e300-thm16-sym", "levy-gamma-1e300-thm16-asym", "levy-lag-1e-300",
+        "sample-n-0", "sample-n-negative"])
 def test_extreme_inputs_print_json_or_a_named_refusal(tmp_path, argv, code, message):
     if argv[-1] == "--matrix":
         path = tmp_path / "k4.json"
         assert run_cli("gen-kernel", "--n", 4, "--seed", 1, "--out", path).returncode == 0
+        argv = argv + [path]
+    elif argv[-1] == "--spec":
+        path = tmp_path / "spec.json"
+        path.write_text(_SPEC_1X1)
         argv = argv + [path]
     out = run_cli(*argv)
     assert "RuntimeWarning" not in out.stderr
@@ -509,8 +517,7 @@ def test_sample_stdout_bytes_match_out_file(spec_file, tmp_path, couple, workers
 
 @pytest.mark.parametrize("command", ["sample", "mc-validate"])
 def test_fresh_interpreter_bytes_match_across_worker_counts(spec_file, tmp_path, command):
-    # two chunks, drawn on two threads: the layer modules execute on first use,
-    # which must come from the main thread before the workers start
+    # two chunks, each layer module executed on its first use in a fresh process
     outs = []
     for workers in (1, 2):
         path = tmp_path / f"w{workers}"
@@ -549,6 +556,11 @@ def test_streaming_peak_does_not_grow_with_the_draw_count(spec_file, tmp_path, m
 @pytest.mark.parametrize("command", ["sample", "mc-validate"])
 def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatch, command):
     monkeypatch.setattr(sampler, "_CHUNK", 1000)  # four chunks
+
+    def refuse(self):
+        raise AssertionError(f"a command started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     outs = []
     for workers in (1, 2, 4):
         path = tmp_path / f"w{workers}"
@@ -658,7 +670,8 @@ def test_sample_refuses_a_spec_past_the_mean_visit_cap(tmp_path):
     save_spec_file(str(spec), 1.0, a_matrix=[[1.0, -0.9995], [-0.9995, 1.0]])
     out = run_cli("sample", "--spec", spec, "--n", 10, "--seed", 1)
     assert out.returncode == 2
-    assert "loop-soup steps" in out.stderr and out.stdout == ""
+    assert "loop-soup steps" in out.stderr and "exceeds cap 1000" in out.stderr
+    assert out.stdout == ""
 
 
 def test_gamma_tail_with_bounds():
