@@ -89,9 +89,7 @@ def _column_gaps(K: np.ndarray) -> np.ndarray:
     gaps = np.diag(K) - np.where(np.eye(n, dtype=bool), -np.inf, K).max(axis=0)
     if (gaps <= 0).any():
         row = int(np.argmin(gaps))
-        raise HypothesisFailed(
-            row, f"K[{row},{row}] does not exceed its column maximum"
-        )
+        raise HypothesisFailed(f"K[{row},{row}] does not exceed its column maximum")
     return gaps
 
 
@@ -103,7 +101,7 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     """
     if (pair.row_sums <= 0).any():
         row = int(np.argmin(pair.row_sums))
-        raise HypothesisFailed(row, f"row sum {pair.row_sums[row]:.6g} not positive")
+        raise HypothesisFailed(f"row sum {pair.row_sums[row]:.6g} not positive")
     bounds = 1.0 / _column_gaps(pair.K)
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "diagonal bound violated"
     return bounds
@@ -136,8 +134,8 @@ def diag_bound_sigma(pair: MMatrixPair, c: float | None = None) -> tuple[float, 
 def diag_bound_scaled(pair: MMatrixPair) -> np.ndarray:
     """Per-row bounds A_ii <= 2 / ((1-C) min sigma2_hat K_ii), where sigma2_hat
     are the increments of K divided columnwise by its diagonal (the paper's
-    scale K_hat cancels) and C = ``asymmetry_constant(K, normalized=True)``,
-    the minimal scaled asymmetry constant, which must come out below 1.
+    scale K_hat cancels) and C is the minimal constant with
+    |K_hat_ij - K_hat_ji| <= C sigma2_hat_ij, which must come out below 1.
     """
     K = pair.K
     _column_gaps(K)
@@ -150,15 +148,6 @@ def diag_bound_scaled(pair: MMatrixPair) -> np.ndarray:
     bounds = 2.0 / ((1.0 - c) * float(sigma2.min()) * np.diag(K))
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "scaled diagonal bound violated"
     return bounds
-
-
-def asymmetry_constant(k, normalized: bool = False) -> float:
-    """Minimal C with |K_ij - K_ji| <= C sigma2_ij over i != j.
-
-    With ``normalized`` the entries are first divided columnwise by the
-    kernel diagonal (the ratio form used when the diagonal is not constant).
-    """
-    return _min_asymmetry(*_increments(as_square_matrix(k), normalized))
 
 
 def _check_p(p: int, n: int) -> None:
@@ -178,14 +167,15 @@ def psi_star(pair: MMatrixPair, p: int = 1) -> float:
 class ScanRow:
     delta: float
     n: int
-    a_star: float | None
-    log_n_over_a_star: float | None
+    psi_star: float | None
+    log_n_over_psi_star: float | None
     sigma_star2_log_n: float | None
     error: str | None
 
 
 def unboundedness_statistic(kernel, delta: float, n_grid, p: int = 1) -> list[ScanRow]:
-    """Diagnostic scan of log n / a*_{[n/p]} on the points j delta / n, j = 1..n.
+    """Diagnostic scan of log n / psi_star (``psi_star(pair, p)``, entry [n/p]
+    of the sorted diagonal of A) on the points j delta / n, j = 1..n.
 
     ``kernel(t)`` takes the array t of points and returns the matrix
     K[i, j] = K(t_i, t_j).  A diverging column is numerical evidence for the
@@ -204,8 +194,8 @@ def unboundedness_statistic(kernel, delta: float, n_grid, p: int = 1) -> list[Sc
             rows.append(ScanRow(delta, n, None, None, star2_log_n,
                                 f"{type(exc).__name__}: {exc}"))
             continue
-        a_star = psi_star(pair, p)
-        rows.append(ScanRow(delta, n, a_star, logn / a_star, star2_log_n, None))
+        star = psi_star(pair, p)
+        rows.append(ScanRow(delta, n, star, logn / star, star2_log_n, None))
     return rows
 
 

@@ -35,10 +35,6 @@ _EXACT_REL_ERR = 1e-14  # nominal float-rounding scale for exact computations
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -313,7 +309,7 @@ def cmd_unbounded_scan(args) -> int:
     kernel = _KERNEL_MODELS[args.kernel_model](args.shift)
     rows = bounds.unboundedness_statistic(kernel, args.delta, grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
-    _write_csv(args, header, [[[r.delta, r.n, r.a_star, r.log_n_over_a_star,
+    _write_csv(args, header, [[[r.delta, r.n, r.psi_star, r.log_n_over_psi_star,
                                 r.sigma_star2_log_n, r.error] for r in rows]])
     return 0
 

@@ -19,10 +19,6 @@ class SingularMatrix(PermanentalError):
 class NotMMatrix(PermanentalError):
     """Matrix failed nonsingular M-matrix validation."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class DimensionTooLarge(PermanentalError):
     """Requested exact computation exceeds the hard size cap."""
@@ -41,11 +37,7 @@ class PreconditionViolated(PermanentalError):
 
 
 class HypothesisFailed(PermanentalError):
-    """A lemma hypothesis fails; ``row`` locates the violation."""
-
-    def __init__(self, row: int, message: str = ""):
-        super().__init__(message or f"hypothesis fails at row {row}")
-        self.row = row
+    """A lemma hypothesis (positive row sums, column domination) fails."""
 
 
 class AsymmetryTooLarge(PermanentalError):

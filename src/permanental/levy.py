@@ -18,12 +18,12 @@ trailing Legendre coefficients.  The spectral functions
 R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) are evaluated once
 per model on a fixed table of 20-point Gauss-Legendre panels in lam up to
 _LAM_EXACT_MAX, which keeps their Legendre coefficients.  The table gives
-u(0), the Cor 1.4 integrals, and at each lag the exact range of the killed
-potential density u(+-z) = R_part(z) +- H_part(z): Filon weights in lam (the
-moments of the same Legendre polynomials against e^{i lam z}) times the
-coefficients of R and I, plus one new panel that ends where the surrogate
-lobes begin.  Those lobes are summed with Euler acceleration; the increment
-metric is sigma^2(z) = 2 (u(0) - R_part(z)).
+u(0) and, at each lag, the exact range of the killed potential density
+u(+-z) = R_part(z) +- H_part(z): Filon weights in lam (the moments of the
+same Legendre polynomials against e^{i lam z}) times the coefficients of R
+and I, plus one new panel that ends where the surrogate lobes begin.  Those
+lobes are summed with Euler acceleration; the increment metric is
+sigma^2(z) = 2 (u(0) - R_part(z)).
 
 Because R decays only like 1/(lam log^c lam), every integral over
 (0, infinity) is split at a finite boundary: exact evaluation below it and
@@ -59,12 +59,14 @@ _N_FAR_LOBES = 512
 _LAG_REL = 1e-12
 
 # psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds
-# the node arrays at _PSI_BLOCK * _N_LEG per banked panel and at about
-# 2 _PSI_BLOCK clipped panels of 6 * _N_LEG weights), the upper log-y limit
-# of the truncation bound, and the length in w of the plain tail of
-# full-support profiles beyond x_cut
+# the node arrays at _PSI_BLOCK * _N_LEG per banked panel), clipped panels
+# per weight batch (bounds their weights at _PANEL_BATCH * 6 * _N_LEG: a lam
+# with u1 = 1 in _psi_block clips 2 to 4 panels, any other all its 9 to 41),
+# the upper log-y limit of the truncation bound, and the length in w of the
+# plain tail of full-support profiles beyond x_cut
 _N_LEG = 20
 _PSI_BLOCK = 512
+_PANEL_BATCH = 256
 _OMEGA_RECUR = 20.0  # Filon moments by recurrence above this lam * half width
 _W_HI_TAIL = 80.0
 _W_PLAIN_TAIL = 50.0
@@ -459,7 +461,9 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
     remainder beyond x_cut.  When u1 = 1 every head panel that lam X_LO
     leaves whole and every oscillatory panel [2^k, 2^{k+1}] that lam x_cut
     and x = 1 leave whole is one of ``_scaled_bank``'s; the others get
-    their weights here.
+    their weights here, _PANEL_BATCH panels at a time, head panels first,
+    so that each lam adds up its panels in the same order whatever the
+    batch.
     The cut below X_LO is bounded by (lam x)^2 / 2 against the jump
     density, i.e. by lam^2 / 2 times ``cut_tail``.
     """
@@ -502,7 +506,7 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
     # with the terms' absolute values summed per lam: the banked panels one
     # at a time over the lam that hold them (a slice where those are
     # consecutive), then the clipped ones and every panel of a lam with
-    # lam x_cut < 1 at once
+    # lam x_cut < 1 in batches
     log_u, weights = _scaled_bank(n_head, n_osc)
     sums = np.zeros((n, 6))
     for k in np.flatnonzero(member.any(axis=1)):
@@ -513,12 +517,20 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
         np.abs(part[:, 2:], out=part[:, 2:])
         sums[own] += part
     h_rows, h_cols = np.nonzero((head_hi > head_lo) & ~head_banked)
-    own = np.concatenate([h_rows, rows[~osc_banked]])
-    log_u, weights = _scaled_weights(head_lo[h_rows, h_cols], head_hi[h_rows, h_cols],
-                                     lo[~osc_banked], hi[~osc_banked], comp[~osc_banked])
-    part = (weights @ model.g_of_log(log_lam[own, None] - log_u)[..., None])[..., 0]
-    np.abs(part[:, 2:], out=part[:, 2:])
-    np.add.at(sums, own, part)
+    head_lo, head_hi = head_lo[h_rows, h_cols], head_hi[h_rows, h_cols]
+    clipped = ~osc_banked
+    lo, hi, comp = lo[clipped], hi[clipped], comp[clipped]
+    own = np.concatenate([h_rows, rows[clipped]])
+    n_h = h_rows.size
+    for start in range(0, own.size, _PANEL_BATCH):
+        stop = start + _PANEL_BATCH
+        h = slice(min(start, n_h), min(stop, n_h))
+        o = slice(max(start - n_h, 0), max(stop - n_h, 0))
+        log_u, weights = _scaled_weights(head_lo[h], head_hi[h], lo[o], hi[o], comp[o])
+        batch = own[start:stop]
+        part = (weights @ model.g_of_log(log_lam[batch, None] - log_u)[..., None])[..., 0]
+        np.abs(part[:, 2:], out=part[:, 2:])
+        np.add.at(sums, batch, part)
     re = lam * sums[:, 0]
     im = lam * sums[:, 1]
     err = lam * (0.5 * lam * cut_tail + sums[:, 2:].sum(axis=1))
@@ -882,73 +894,6 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
         sigma2=max(2.0 * (u0 - r_part), 0.0),
         abserr=2.0 * (u0_err + r_err) + h_err,
     )
-
-
-@dataclass(frozen=True)
-class Cor14Row:
-    z: float
-    lhs: float
-    tail_integral: float
-    implied_c: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class Cor14Report:
-    rows: list[Cor14Row]
-    monotone_verified: bool
-    divergence: list[tuple[float, float]]
-
-
-def check_cor14(model: LevyModel, z_grid, n_grid=(1e2, 1e3, 1e4, 1e5, 1e6)) -> Cor14Report:
-    """|z| integral of lam |I| over (0, pi/|z|) against half the R tail from
-    pi/(2|z|); the implied constant must be below 1 for the criterion.
-
-    The integrals come from the spectral table: the panels below the upper
-    end and the antiderivative of its own panel's interpolant (absolute
-    values panel by panel).  Every R tail is the table's part up to
-    _LAM_EXACT_MAX plus ``l1_tail(_LAM_EXACT_MAX)``."""
-    sf = spectral(model)
-    leg = np.polynomial.legendre
-    edges, mid, half, coef, _ = sf.table()
-    r_coef = coef[0]
-    lam_i_coef = (mid[:, None] * np.pad(coef[1], ((0, 0), (0, 1)))
-                  + half[:, None] * np.apply_along_axis(leg.legmulx, 1, coef[1]))
-
-    def below(c, x):
-        k = min(int(np.searchsorted(edges, x, side="right")) - 1, half.size - 1)
-        part = half[k] * leg.legval((x - mid[k]) / half[k], leg.legint(c[k], lbnd=-1))
-        return float(np.abs(2.0 * half[:k] * c[:k, 0]).sum() + abs(part))
-
-    far_tail, _ = sf.l1_tail(_LAM_EXACT_MAX)
-    r_total = below(r_coef, _LAM_EXACT_MAX)
-    rows = []
-    for z in z_grid:
-        z = abs(z)
-        if math.pi / z > _LAM_EXACT_MAX:
-            raise OutOfRange(f"check_cor14 needs |z| >= pi / {_LAM_EXACT_MAX:g}, got {z:g}")
-        lhs = z * below(lam_i_coef, math.pi / z)
-        tail_integral = r_total - below(r_coef, math.pi / (2 * z)) + far_tail
-        implied = 2.0 * lhs / tail_integral
-        rows.append(Cor14Row(z=z, lhs=lhs, tail_integral=tail_integral,
-                             implied_c=implied, holds=implied < 1.0))
-    lams = np.geomspace(1e3, _LAM_EXACT_MAX, 25)
-    r_vals, i_vals, _ = sf.resolvent(lams)
-    i_vals = np.abs(i_vals)
-    slack = 1e-9
-    monotone = bool(
-        (np.diff(r_vals) <= slack * r_vals[:-1]).all()
-        and (model.symmetric or (np.diff(i_vals) <= slack * np.maximum(i_vals[:-1], 1e-300)).all())
-    )
-    divergence = []
-    for n in n_grid:
-        split = max(float(n), 1e3)
-        if split < _LAM_EXACT_MAX:
-            tail = r_total - below(r_coef, split) + far_tail
-        else:
-            tail, _ = sf.l1_tail(split)
-        divergence.append((float(n), tail * math.log(n)))
-    return Cor14Report(rows=rows, monotone_verified=monotone, divergence=divergence)
 
 
 UNBOUNDED_THM = "unbounded-by-Thm1.6"

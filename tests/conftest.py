@@ -1,18 +1,21 @@
 """Shared fixtures: the Markov-generated kernel corpus used across tests, the
 brute-force alpha-permanent oracle, the block matrix C(k) of the series
 coefficients, the sampler's chunk oracle, the helpers that read a chunk
-stream whole and the model-spec file writer."""
+stream whole, the model-spec file writer, the minimal asymmetry constant of
+a kernel and the paper's Cor 1.4 check."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from permanental import markov, matio, sampler
+from permanental import bounds, levy, markov, matio, sampler
+from permanental.linalg import as_square_matrix
 from permanental.model import PermanentalSpec, _b_tilde
 
 
@@ -136,3 +139,58 @@ def save_spec_file(path: str, alpha: float, kernel=None, a_matrix=None) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
+
+
+def asymmetry_constant(k, normalized: bool = False) -> float:
+    """Minimal C with |K_ij - K_ji| <= C sigma2_ij over i != j.
+
+    With ``normalized`` the entries are first divided columnwise by the
+    kernel diagonal (the ratio form used when the diagonal is not constant).
+    """
+    return bounds._min_asymmetry(*bounds._increments(as_square_matrix(k), normalized))
+
+
+class Cor14(NamedTuple):
+    lhs: float
+    tail_integral: float
+    implied_c: float
+    holds: bool
+    monotone_verified: bool
+
+
+def check_cor14(model: levy.LevyModel, z: float) -> Cor14:
+    """|z| integral of lam |I| over (0, pi/|z|) against half the R tail from
+    pi/(2|z|); the implied constant must be below 1 for the criterion, and
+    R and |I| must decrease on [1e3, _LAM_EXACT_MAX].
+
+    The integrals come from the model's spectral table: the panels below the
+    upper end and the antiderivative of its own panel's interpolant
+    (absolute values panel by panel).  The R tail is the table's part up to
+    _LAM_EXACT_MAX plus ``l1_tail(_LAM_EXACT_MAX)``."""
+    sf = levy.spectral(model)
+    leg = np.polynomial.legendre
+    edges, mid, half, coef, _ = sf.table()
+    r_coef = coef[0]
+    lam_i_coef = (mid[:, None] * np.pad(coef[1], ((0, 0), (0, 1)))
+                  + half[:, None] * np.apply_along_axis(leg.legmulx, 1, coef[1]))
+
+    def below(c, x):
+        k = min(int(np.searchsorted(edges, x, side="right")) - 1, half.size - 1)
+        part = half[k] * leg.legval((x - mid[k]) / half[k], leg.legint(c[k], lbnd=-1))
+        return float(np.abs(2.0 * half[:k] * c[:k, 0]).sum() + abs(part))
+
+    z = abs(z)
+    assert math.pi / z <= levy._LAM_EXACT_MAX, "the range of lam |I| must lie in the table"
+    far_tail, _ = sf.l1_tail(levy._LAM_EXACT_MAX)
+    lhs = z * below(lam_i_coef, math.pi / z)
+    tail_integral = below(r_coef, levy._LAM_EXACT_MAX) - below(r_coef, math.pi / (2 * z)) + far_tail
+    implied = 2.0 * lhs / tail_integral
+    r_vals, i_vals, _ = sf.resolvent(np.geomspace(1e3, levy._LAM_EXACT_MAX, 25))
+    i_vals = np.abs(i_vals)
+    slack = 1e-9
+    monotone = bool(
+        (np.diff(r_vals) <= slack * r_vals[:-1]).all()
+        and (model.symmetric or (np.diff(i_vals) <= slack * np.maximum(i_vals[:-1], 1e-300)).all())
+    )
+    return Cor14(lhs=lhs, tail_integral=tail_integral, implied_c=implied,
+                 holds=implied < 1.0, monotone_verified=monotone)

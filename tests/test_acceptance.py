@@ -26,7 +26,7 @@ from permanental.markov import green_kernel, random_transient_chain, validate_ap
 from permanental.model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
 from permanental.sampler import RngStream, check_permanental_inequality, sample_chunks
 
-from conftest import brownian_min_matrix, laplace_means, make_corpus, save_spec_file
+from conftest import brownian_min_matrix, check_cor14, laplace_means, make_corpus, save_spec_file
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -241,15 +241,15 @@ def test_criterion_11_levy_asymptotics():
     u_lo = min(bundle.u_plus, bundle.u_minus)
     rel_shallow = (bundle.u_zero - u_hi) / ((bundle.sigma2 / 2) * (1 - dpq))
     rel_steep = (bundle.u_zero - u_lo) / ((bundle.sigma2 / 2) * (1 + dpq))
-    cor = levy.check_cor14(model, [1e-4])
-    direction_ok = (not cor.rows[0].holds) and cor.rows[0].implied_c > 1.0
+    cor = check_cor14(model, 1e-4)
+    direction_ok = (not cor.holds) and cor.implied_c > 1.0
     ok = (abs(ratio / (dpq / 2) - 1.0) <= 0.20
           and abs(rel_shallow - 1.0) <= 0.20
           and abs(rel_steep - 1.0) <= 0.20
           and direction_ok)
     _report(11, ok, f"|H|/sigma2 = {ratio:.4f} vs 0.3 (within 20%); potential "
                     f"relations {rel_shallow:.3f}/{rel_steep:.3f} (within 20%); "
-                    f"implied Cor-1.4 constant {cor.rows[0].implied_c:.2f} > 1 so the "
+                    f"implied Cor-1.4 constant {cor.implied_c:.2f} > 1 so the "
                     f"criterion correctly fails at |p-q| = 0.6")
 
 

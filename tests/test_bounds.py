@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from permanental.bounds import (
-    asymmetry_constant,
     diag_bound_scaled,
     diag_bound_sigma,
     diag_bound_simple,
@@ -22,7 +21,7 @@ from permanental.errors import (
 )
 from permanental.linalg import MMatrixPair, invert, validate_m_matrix
 
-from conftest import brownian_min_matrix, make_corpus
+from conftest import asymmetry_constant, brownian_min_matrix, make_corpus
 
 PAIR2 = validate_m_matrix([[2.0, -1.0], [-1.0, 2.0]])
 
@@ -278,7 +277,7 @@ def test_unboundedness_statistic_brownian():
             0.8 / n * math.log(n), rel=1e-9
         )
         if row.error is None:
-            assert row.a_star > 0 and row.log_n_over_a_star > 0
+            assert row.psi_star > 0 and row.log_n_over_psi_star > 0
 
 
 def test_unboundedness_statistic_log_kernels_trend():

@@ -572,8 +572,8 @@ def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatc
 def test_scan_csv_matches_loop_formatter():
     out = run_cli("unbounded-scan", "--kernel-model", "loglog-smooth", "--n", "8,16")
     rows = bounds.unboundedness_statistic(_KERNEL_MODELS["loglog-smooth"](0.0), 0.1, [8, 16])
-    assert rows[0].error is None and rows[1].a_star is None  # numbers, empty and text cells
-    want = [loop_csv_line([r.delta, r.n, r.a_star, r.log_n_over_a_star,
+    assert rows[0].error is None and rows[1].psi_star is None  # numbers, empty and text cells
+    want = [loop_csv_line([r.delta, r.n, r.psi_star, r.log_n_over_psi_star,
                            r.sigma_star2_log_n, r.error]) for r in rows]
     assert out.stdout.splitlines()[1:] == want
 
@@ -608,8 +608,8 @@ def loop_scan(kernel_fn, delta, n_grid, p):
             rows.append(bounds.ScanRow(delta, n, None, None, star2_log_n,
                                        f"{type(exc).__name__}: {exc}"))
             continue
-        a_star = bounds.psi_star(pair, p)
-        rows.append(bounds.ScanRow(delta, n, a_star, logn / a_star, star2_log_n, None))
+        star = bounds.psi_star(pair, p)
+        rows.append(bounds.ScanRow(delta, n, star, logn / star, star2_log_n, None))
     return rows
 
 
@@ -792,7 +792,7 @@ def _list_csv_commands():
     for model in sorted(_KERNEL_MODELS):
         rows = bounds.unboundedness_statistic(_KERNEL_MODELS[model](0.0), 0.1, [16, 64])
         yield (["unbounded-scan", "--kernel-model", model, "--n", "16,64"],
-               [[r.delta, r.n, r.a_star, r.log_n_over_a_star, r.sigma_star2_log_n, r.error]
+               [[r.delta, r.n, r.psi_star, r.log_n_over_psi_star, r.sigma_star2_log_n, r.error]
                 for r in rows])
     rows = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [1e2, 1e4])
     yield (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", "1e2,1e4"],

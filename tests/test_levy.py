@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,8 @@ from permanental import levy
 from permanental.errors import NotIntegrable, OutOfRange
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import validate_appendix_lemma
+
+from conftest import check_cor14
 
 # shared models so the spectral caches persist across tests in this module
 ASYM = levy.log_power_model(1.0, 0.8, 0.2, -0.5, 0.0)   # p != q, g = (log)^(-1/2)
@@ -208,6 +211,21 @@ def test_psi_batch_matches_batches_of_one():
         assert abs(value - one) <= 1e-13 * abs(one)
         # error estimates of rounding-level size may differ in their last bits
         assert abs(err - one_err) <= 1e-14 * abs(one) + 1e-6 * one_err
+
+
+@pytest.mark.parametrize("model", [ASYM, SYM15])
+def test_psi_memory_is_bounded_below_lam_1(model):
+    # a block of lam below 1 banks no panel, so all its panels get their
+    # weights in the block; batching them keeps the peak near one batch
+    lams = np.geomspace(1e-6, 0.99, levy._PSI_BLOCK)
+    levy.psi_with_error(model, lams[:2])  # the per-model and per-process caches
+    tracemalloc.start()
+    try:
+        levy.psi_with_error(model, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_filon_moments_match_spherical_bessel():
@@ -487,28 +505,22 @@ def test_potential_r_part_oracle_at_large_lag():
 
 
 def test_cor14_symmetric_trivially_holds():
-    rep = levy.check_cor14(SYM2, [1e-4])
-    assert rep.rows[0].lhs == pytest.approx(0.0, abs=1e-12)
-    assert rep.rows[0].holds
+    rep = check_cor14(SYM2, 1e-4)
+    assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+    assert rep.holds
 
 
 def test_cor14_small_asymmetry_holds_near_2dpq():
-    rep = levy.check_cor14(MILD, [1e-4])
-    row = rep.rows[0]
-    assert row.holds
-    assert 0.4 * 0.8 <= row.implied_c <= 1.0  # approaches 2|p-q| = 0.4 from above
+    rep = check_cor14(MILD, 1e-4)
+    assert rep.holds
+    assert 0.4 * 0.8 <= rep.implied_c <= 1.0  # approaches 2|p-q| = 0.4 from above
     assert rep.monotone_verified
 
 
 def test_cor14_large_asymmetry_fails():
-    rep = levy.check_cor14(ASYM, [1e-4])
-    assert not rep.rows[0].holds
-    assert rep.rows[0].implied_c > 1.0
-
-
-def test_cor14_refuses_lags_whose_range_passes_the_table():
-    with pytest.raises(OutOfRange):
-        levy.check_cor14(ASYM, [1e-9])
+    rep = check_cor14(ASYM, 1e-4)
+    assert not rep.holds
+    assert rep.implied_c > 1.0
 
 
 # ---------------------------------------------------------------- classifier
