@@ -101,7 +101,7 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     """
     if (pair.row_sums <= 0).any():
         row = int(np.argmin(pair.row_sums))
-        raise HypothesisFailed(f"row sum {pair.row_sums[row]:.6g} not positive")
+        raise HypothesisFailed(f"row sum of A[{row},:] = {pair.row_sums[row]:.6g} is not positive")
     bounds = 1.0 / _column_gaps(pair.K)
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "diagonal bound violated"
     return bounds

@@ -301,6 +301,8 @@ def cmd_unbounded_scan(args) -> int:
     grid = _parse_ints(args.n)
     if min(grid, default=0) < 2:
         raise OutOfRange(f"every grid size n must be at least 2, got {args.n!r}")
+    if not 0.0 < args.delta < math.inf:
+        raise OutOfRange(f"delta must be positive and finite, got {args.delta}")
     n_max = max(grid)
     lag = n_max * args.delta / n_max - args.delta / n_max  # as the scan's points give it
     if not lag < _MAX_LAG[args.kernel_model]:

@@ -1,7 +1,8 @@
 """Numerical potential densities for a family of asymmetric Levy processes.
 
-The jump measure has density x^{-2} g(1/|x|) (p 1_{x>0} + q 1_{x<0}) with a
-positive quasi-monotonic slowly varying profile g.  The exponent psi is
+The jump measure has density x^{-2} g(1/|x|) (p 1_{x>0} + q 1_{x<0}) with
+the slowly varying profile g(y) = (log y)^gamma (log log y)^delta, zero below
+its cut > 1.  The exponent psi is
 evaluated exactly for whole arrays of lam at once, in fixed-size blocks,
 from a fixed composite rule on the jump integral in u = lam x, where only
 the profile factor g(lam/u) depends on lam: Gauss-Legendre panels in
@@ -11,9 +12,9 @@ density times the moments 2 i^k j_k of the half width) over the
 oscillatory part, so the cost grows only like log lam.  Each panel is a
 per-node weight tensor, with the trig factors and the Filon moments folded
 in; the panels that no lam clips are built once per process, and a block
-builds weights only for the panels clipped at lam X_LO, at the support cut
-or at x = 1, so that it costs one profile evaluation per node and one
-matrix product per panel.  Each panel's error is estimated from its
+builds weights only for the panels clipped at lam X_LO or at the support
+cut, so that it costs one profile evaluation per node and one matrix
+product per panel.  Each panel's error is estimated from its
 trailing Legendre coefficients.  The spectral functions
 R(lam) = Re 1/(beta + psi) and I(lam) = Im 1/(beta + psi) are evaluated once
 per model on a fixed table of 20-point Gauss-Legendre panels in lam up to
@@ -30,9 +31,9 @@ Because R decays only like 1/(lam log^c lam), every integral over
 an asymptotic surrogate above it, with the surrogate corrected by a fitted
 1/log-lambda drift measured against the exact values.  The remaining 1-D
 integrals (the antiderivative G of g(s)/s, the surrogate tail of R, the
-surrogate lobes, the Thm 1.6 statistics and the profile checks) use the
-same Gauss-Legendre panels as psi, in log w for the tails, which end where
-a closed-form bound on the rest is negligible.  Reported error estimates include the fit
+surrogate lobes and the Thm 1.6 statistics) use the same Gauss-Legendre
+panels as psi, in log w for the tails, which end where a closed-form bound
+on the rest is negligible.  Reported error estimates include the fit
 residual, the quadrature estimates of every panel (converged or not), the
 bound on the part of a tail the panels leave out, and the psi error carried
 through R and I.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,17 +62,15 @@ _LAG_REL = 1e-12
 # psi rule: Gauss-Legendre nodes per panel, lam values per block (bounds
 # the node arrays at _PSI_BLOCK * _N_LEG per banked panel), clipped panels
 # per weight batch (bounds their weights at _PANEL_BATCH * 6 * _N_LEG: a lam
-# with u1 = 1 in _psi_block clips 2 to 4 panels, any other all its 9 to 41),
-# the upper log-y limit of the truncation bound, and the length in w of the
-# plain tail of full-support profiles beyond x_cut
+# with u1 = 1 in _psi_block clips at most 2 panels, any other all its at most
+# 9), and the upper log-y limit of the truncation bound
 _N_LEG = 20
 _PSI_BLOCK = 512
 _PANEL_BATCH = 256
 _OMEGA_RECUR = 20.0  # Filon moments by recurrence above this lam * half width
 _W_HI_TAIL = 80.0
-_W_PLAIN_TAIL = 50.0
 
-# spectral table: the width of its uniform panels in periods 2 pi support_min
+# spectral table: the width of its uniform panels in periods 2 pi cut
 # of the ripple that the support cut puts into R (about 14 Gauss nodes per
 # period), and their number
 _RIPPLE_PERIODS = 1.38
@@ -84,8 +83,6 @@ _UNIFORM_PANELS = 64
 _T_STEP = 0.5
 _T_MAX = 700.0
 _REST_RTOL = 1e-17
-# depth in v = log y of the check that g is integrable over (0, 1)
-_V_LOW = 60.0
 
 
 def _check_finite(**values: float) -> None:
@@ -114,15 +111,6 @@ class LogPowerProfile:
             raise OutOfRange("delta != 0 needs cut > e so log log y stays positive")
         if self.delta == 0.0 and self.cut <= 1.0:
             raise OutOfRange("cut must exceed 1 so log y stays positive")
-
-    def __call__(self, y: float) -> float:
-        if y <= self.cut:
-            return 0.0
-        ly = math.log(y)
-        val = ly**self.gamma
-        if self.delta != 0.0:
-            val *= math.log(ly) ** self.delta
-        return val
 
     def of_log(self, w):
         """g(e^w), elementwise; the w-space form used by tail integrands."""
@@ -161,52 +149,30 @@ class LogPowerProfile:
 class LevyModel:
     """Killing rate beta, jump-sign weights (p, q), and the profile g.
 
-    ``support_min`` is the point below which g vanishes (0 for full
-    support); the Levy integrability condition integral from 0 to 1 of g
-    is checked at construction when the support reaches below 1.
+    g vanishes below its cut > 1, so every jump has |x| < 1 / cut < 1: the
+    Levy integrability condition holds, and the compensator lam x runs over
+    the whole support.
     """
 
     beta: float
     p: float
     q: float
-    g: Callable[[float], float]
-    support_min: float
+    g: LogPowerProfile
 
     def __post_init__(self):
         if not 0.0 < self.beta < math.inf:
             raise OutOfRange(f"beta must be positive and finite, got {self.beta}")
         _check_weights(self.p, self.q)
-        if self.support_min < 1.0:
-            # integral of g(y) dy = g(e^v) e^v dv on unit panels in v up to
-            # v = 0; with full support down to v = -_V_LOW, where the lowest
-            # panel must have died out against the total
-            lo = math.log(self.support_min) if self.support_min > 0 else -_V_LOW
-            edges = np.linspace(lo, 0.0, math.ceil(-lo) + 1)
-            _, half, v = _legendre_panels(edges[:-1], edges[1:])
-            pieces, _ = _legendre_integral(self.g_of_log(v) * np.exp(v), half)
-            total = float(pieces.sum())
-            if not math.isfinite(total) or (
-                    self.support_min <= 0 and abs(pieces[0]) > 1e-6 * abs(total) + 1e-9):
-                raise OutOfRange("integral of g over (0, 1) must be finite")
 
     @property
     def symmetric(self) -> bool:
         return self.p == self.q
 
-    def g_of_log(self, w):
-        """g(e^w), elementwise; a general profile is called once per point."""
-        if isinstance(self.g, LogPowerProfile):
-            return self.g.of_log(w)
-        if np.ndim(w) == 0:
-            return self.g(math.exp(w)) if w < 700 else self.g(math.inf)
-        return np.array([self.g_of_log(v) for v in np.ravel(w)]).reshape(np.shape(w))
-
 
 def log_power_model(
     beta: float, p: float, q: float, gamma: float, delta: float, cut: float = DEFAULT_CUT
 ) -> LevyModel:
-    profile = LogPowerProfile(gamma=gamma, delta=delta, cut=cut)
-    return LevyModel(beta=beta, p=p, q=q, g=profile, support_min=cut)
+    return LevyModel(beta=beta, p=p, q=q, g=LogPowerProfile(gamma=gamma, delta=delta, cut=cut))
 
 
 # ---------------------------------------------------------------- psi
@@ -270,18 +236,9 @@ def _graded_edges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
                    np.maximum(start, stop)[:, None])
 
 
-def _w_integrals(owner, lo, hi, integrand, n: int):
-    """Per-row sums of Gauss-Legendre panel integrals in w of integrand(rows,
-    w) (values of shape (m, P, _N_LEG)), with their error estimates."""
-    _, half, w = _legendre_panels(lo, hi)
-    val, err = _legendre_integral(integrand(owner, w), half)
-    return (np.array([np.bincount(owner, v, minlength=n) for v in val]),
-            np.bincount(owner, err.sum(axis=0), minlength=n))
-
-
 class _Antiderivative:
-    """G(w) = integral of g(e^u) du over (w_cut, w), elementwise, for the
-    profile g_of_log; 0 at and below w_cut.
+    """G(w) = integral of g(e^u) du over (w_cut, w), elementwise, for a
+    profile's of_log and w_cut = log(cut) > 0; 0 at and below w_cut.
 
     The panels are geometric, ratio sqrt 2, in the distance from the nearest
     point below w_cut where the log-power profiles are singular (u = 1,
@@ -292,13 +249,13 @@ class _Antiderivative:
     exact to rounding and smooth in w.
     """
 
-    def __init__(self, g_of_log, w_cut: float):
-        base = 1.0 if w_cut > 1.0 else (0.0 if w_cut > 0.0 else w_cut - 1.0)
+    def __init__(self, of_log, w_cut: float):
+        base = 1.0 if w_cut > 1.0 else 0.0
         count = math.ceil(2.0 * math.log2((math.exp(_T_MAX) - base) / (w_cut - base)))
         edges = base + (w_cut - base) * 2.0 ** (0.5 * np.arange(count + 1.0))
         _, half, u = _legendre_panels(edges[:-1], edges[1:])
         with np.errstate(over="ignore", invalid="ignore"):
-            coef = g_of_log(u) @ _legendre_rule()[1]
+            coef = of_log(u) @ _legendre_rule()[1]
             cum = np.concatenate([[0.0], np.cumsum(2.0 * half * coef[:, 0])])
         ok = np.isfinite(coef).all(axis=1) & np.isfinite(cum[1:])
         keep = ok.size if ok.all() else int(np.argmin(ok))
@@ -389,7 +346,7 @@ def _filon_moments(omega: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi, compensated):
+def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi):
     """log u at the Gauss-Legendre nodes (P, _N_LEG) of panels in u = lam x,
     and the weights (P, 6, _N_LEG) that take the profile g(lam/u) at those
     nodes to each panel's part of Re psi / lam and of J / lam, then to four
@@ -399,10 +356,9 @@ def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi, compensated):
     v = log u, where the jump integrand is 2 sin^2(u/2) G and (sin u - u) G;
     their error terms are the two trailing Legendre coefficients of each.
     The oscillatory panels [osc_lo, osc_hi] that follow run in u, with Filon
-    weights for (1 - cos u) G/u and sin(u) G/u, less the compensator G where
-    ``compensated`` (the panel lies below x = 1); their error terms are
-    three times the trailing coefficients of G/u (the plain, cos and sin
-    parts) and those of the compensator."""
+    weights for (1 - cos u) G/u and sin(u) G/u, less the compensator G;
+    their error terms are three times the trailing coefficients of G/u (the
+    plain, cos and sin parts) and those of the compensator."""
     _, legendre = _legendre_rule()
     # the panel integral and the two trailing coefficients, per node value
     ends = 2.0 * legendre.T[[0, -1, -2]]
@@ -425,7 +381,7 @@ def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi, compensated):
     phi = (half_osc * np.exp(1j * mid))[:, None] * (_filon_moments(half_osc) @ legendre.T)
     osc[:, :, 0] = 3.0 * basis * inv2[:, None]
     osc[:, 0, 0] = (basis[:, 0] - phi.real) * inv2
-    osc[:, :, 1] = basis * (compensated[:, None] * inv)[:, None]
+    osc[:, :, 1] = basis * inv[:, None]
     osc[:, 0, 1] = phi.imag * inv2 - osc[:, 0, 1]
     return np.concatenate([v, np.log(x)]), weights.reshape(-1, 6, _N_LEG)
 
@@ -434,12 +390,10 @@ def _scaled_weights(head_lo, head_hi, osc_lo, osc_hi, compensated):
 def _scaled_bank(n_head: int, n_osc: int):
     """``_scaled_weights`` of the panels that no lam clips, with the weights
     as (P, _N_LEG, 6): the first n_head head panels [-O_{k+1}, -O_k] (O the
-    _graded_offsets), then [2^k, 2^{k+1}] for k < n_osc with the compensator,
-    and again without it."""
+    _graded_offsets), then [2^k, 2^{k+1}] for k < n_osc."""
     offsets = _graded_offsets(4.0 * n_head)[:n_head + 1]
     pow2 = 2.0 ** np.arange(n_osc + 1.0)
-    log_u, weights = _scaled_weights(-offsets[1:], -offsets[:-1], np.tile(pow2[:-1], 2),
-                                     np.tile(pow2[1:], 2), np.arange(2 * n_osc) < n_osc)
+    log_u, weights = _scaled_weights(-offsets[1:], -offsets[:-1], pow2[:-1], pow2[1:])
     return log_u, np.ascontiguousarray(weights.swapaxes(1, 2))
 
 
@@ -449,30 +403,24 @@ def _bank_size(count: int) -> int:
 
 
 def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
-    """Re psi, the integral J of (sin(lam x) - lam x 1_{x<1}) against the
-    jump density (Im psi = -(p - q) J), and the error bound, at lam > 0.
+    """Re psi, the integral J of (sin(lam x) - lam x) against the jump
+    density (Im psi = -(p - q) J), and the error bound, at lam > 0.
 
-    The jump integral runs over [X_LO, x_cut] in u = lam x, where only the
-    profile factor g(lam/u) lam/u depends on lam, in three parts: the head
-    u <= u1 = min(1, lam, lam x_cut) on graded panels in v = log u, which
-    ends at x = 1 at the latest, the oscillatory part [u1, lam x_cut] on
-    panels [u1 2^k, u1 2^{k+1}] (split at x = 1 where the compensator
-    stops) with Filon-type weights, and for full-support profiles the plain
-    remainder beyond x_cut.  When u1 = 1 every head panel that lam X_LO
+    The jump integral runs over [X_LO, x_cut = 1/cut] in u = lam x, where
+    only the profile factor g(lam/u) lam/u depends on lam, in two parts:
+    the head u <= u1 = min(1, lam x_cut) on graded panels in v = log u, and
+    the oscillatory part [u1, lam x_cut] on panels [u1 2^k, u1 2^{k+1}]
+    with Filon-type weights.  When u1 = 1 every head panel that lam X_LO
     leaves whole and every oscillatory panel [2^k, 2^{k+1}] that lam x_cut
-    and x = 1 leave whole is one of ``_scaled_bank``'s; the others get
-    their weights here, _PANEL_BATCH panels at a time, head panels first,
-    so that each lam adds up its panels in the same order whatever the
-    batch.
+    leaves whole is one of ``_scaled_bank``'s; the others get their weights
+    here, _PANEL_BATCH panels at a time, head panels first, so that each
+    lam adds up its panels in the same order whatever the batch.
     The cut below X_LO is bounded by (lam x)^2 / 2 against the jump
     density, i.e. by lam^2 / 2 times ``cut_tail``.
     """
     n = lam.size
-    full = model.support_min <= 0
-    x_cut = np.maximum(1e3, 3e3 / lam) if full else np.full(n, 1.0 / model.support_min)
-    u_cut = lam * x_cut
-    split = np.minimum(lam, u_cut)  # x = 1, where the compensator stops, or x_cut
-    u1 = np.minimum(split, 1.0)
+    u_cut = lam * (1.0 / model.g.cut)
+    u1 = np.minimum(u_cut, 1.0)
     v1 = np.log(u1)
     v_lo = np.log(lam * _X_LO)
     log_lam = np.log(lam)
@@ -484,24 +432,22 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
     head_lo = np.minimum(head_edges[:, :-1], head_edges[:, 1:])
     head_hi = np.maximum(head_edges[:, :-1], head_edges[:, 1:])
 
-    # oscillatory panels: u1 2^k (clipped at lam x_cut) and x = 1 as edges
+    # oscillatory panels: u1 2^k clipped at lam x_cut, which closes every row
+    # (log2 may round a ratio just past 2^k down to k)
     steps = 2.0 ** np.arange(math.ceil(math.log2(np.max(u_cut / u1))) + 1.0)
-    rows, lo, hi = _panels(np.sort(np.column_stack(
-        [np.minimum(u1[:, None] * steps, u_cut[:, None]), u_cut, split]), axis=1))
-    comp = hi <= lam[rows]
+    rows, lo, hi = _panels(np.column_stack(
+        [np.minimum(u1[:, None] * steps, u_cut[:, None]), u_cut]))
     # a banked panel is exactly [2^k, 2^{k+1}], k = exponent - 1 >= 0
     mantissa, exponent = np.frexp(lo)
     osc_banked = (mantissa == 0.5) & (hi == 2.0 * lo) & (lo >= 1.0)
 
-    # the lam that hold each bank panel: head panels, then the oscillatory
-    # ones with the compensator, then without it
+    # the lam that hold each bank panel: head panels, then oscillatory ones
     h_rows, h_cols = np.nonzero(head_banked)
     n_head = _bank_size(int(h_cols.max(initial=0)))
     n_osc = _bank_size(int(exponent[osc_banked].max(initial=0)))
-    member = np.zeros((n_head + 2 * n_osc, n), dtype=bool)
+    member = np.zeros((n_head + n_osc, n), dtype=bool)
     member[h_cols, h_rows] = True
-    member[n_head + exponent[osc_banked] - 1 + n_osc * ~comp[osc_banked],
-           rows[osc_banked]] = True
+    member[n_head + exponent[osc_banked] - 1, rows[osc_banked]] = True
     # Re psi / lam, J / lam and the four error terms over lam of each panel,
     # with the terms' absolute values summed per lam: the banked panels one
     # at a time over the lam that hold them (a slice where those are
@@ -513,47 +459,38 @@ def _psi_block(model: LevyModel, lam: np.ndarray, cut_tail: float):
         own = np.flatnonzero(member[k])
         if own[-1] - own[0] + 1 == own.size:
             own = slice(own[0], own[-1] + 1)
-        part = model.g_of_log(log_lam[own, None] - log_u[k]) @ weights[k]
+        part = model.g.of_log(log_lam[own, None] - log_u[k]) @ weights[k]
         np.abs(part[:, 2:], out=part[:, 2:])
         sums[own] += part
     h_rows, h_cols = np.nonzero((head_hi > head_lo) & ~head_banked)
     head_lo, head_hi = head_lo[h_rows, h_cols], head_hi[h_rows, h_cols]
     clipped = ~osc_banked
-    lo, hi, comp = lo[clipped], hi[clipped], comp[clipped]
+    lo, hi = lo[clipped], hi[clipped]
     own = np.concatenate([h_rows, rows[clipped]])
     n_h = h_rows.size
     for start in range(0, own.size, _PANEL_BATCH):
         stop = start + _PANEL_BATCH
         h = slice(min(start, n_h), min(stop, n_h))
         o = slice(max(start - n_h, 0), max(stop - n_h, 0))
-        log_u, weights = _scaled_weights(head_lo[h], head_hi[h], lo[o], hi[o], comp[o])
+        log_u, weights = _scaled_weights(head_lo[h], head_hi[h], lo[o], hi[o])
         batch = own[start:stop]
-        part = (weights @ model.g_of_log(log_lam[batch, None] - log_u)[..., None])[..., 0]
+        part = (weights @ model.g.of_log(log_lam[batch, None] - log_u)[..., None])[..., 0]
         np.abs(part[:, 2:], out=part[:, 2:])
         np.add.at(sums, batch, part)
-    re = lam * sums[:, 0]
-    im = lam * sums[:, 1]
     err = lam * (0.5 * lam * cut_tail + sums[:, 2:].sum(axis=1))
-    if full:
-        # exact non-oscillatory remainder beyond x_cut; the trig remainders
-        # are bounded by 2 f(x_cut) / lam each (integration by parts)
-        w_cut = np.log(x_cut)
-        (plain_tail,), e = _w_integrals(
-            *_panels(_graded_edges(w_cut, w_cut + _W_PLAIN_TAIL)),
-            lambda rows, w: (model.g_of_log(-w) * np.exp(-w))[None], n)
-        re += plain_tail
-        err += e + 4.0 * model.g_of_log(-w_cut) / (x_cut * x_cut * lam)
-    return re, im, err
+    return lam * sums[:, 0], lam * sums[:, 1], err
 
 
 @functools.lru_cache(maxsize=8)
 def _cut_tail(model: LevyModel) -> float:
     """The integral of g(1/x) over (0, X_LO) plus its quadrature error, for
     the bound on psi's cut there; kept for the most recently used models."""
-    (tail,), err = _w_integrals(
-        *_panels(_graded_edges(np.array([-math.log(_X_LO)]), np.array([_W_HI_TAIL]))),
-        lambda rows, w: (model.g_of_log(w) * np.exp(-w))[None], 1)
-    return abs(tail[0]) + err[0]
+    _, lo, hi = _panels(_graded_edges(np.array([-math.log(_X_LO)]), np.array([_W_HI_TAIL])))
+    _, half, w = _legendre_panels(lo, hi)
+    val, err = _legendre_integral(model.g.of_log(w) * np.exp(-w), half)
+    # summed panel by panel, first to last: the order fixes the last bits of
+    # every psi error bound
+    return abs(np.cumsum(val)[-1]) + np.cumsum(err)[-1]
 
 
 def psi_with_error(model: LevyModel, lam):
@@ -605,10 +542,9 @@ class SpectralFns:
 
     @functools.cached_property
     def G_log(self) -> _Antiderivative:
-        """G_log(w): integral of g(s)/s from the support edge to e^w,
+        """G_log(w): integral of g(s)/s from the support cut to e^w,
         elementwise; only p != q reads it."""
-        m = self.model
-        return _Antiderivative(m.g_of_log, math.log(m.support_min) if m.support_min > 0 else 0.0)
+        return _Antiderivative(self.model.g.of_log, math.log(self.model.g.cut))
 
     # -- exact evaluators ------------------------------------------------
     def resolvent(self, lam):
@@ -625,7 +561,7 @@ class SpectralFns:
         cancels analytically.  R is written as 1/(re + im^2/re), so that
         g = inf far out gives 0."""
         m = self.model
-        re = self.beta * np.exp(-w) + (math.pi / 2.0) * m.g_of_log(w)
+        re = self.beta * np.exp(-w) + (math.pi / 2.0) * m.g.of_log(w)
         im = 0.0 if m.symmetric else (m.p - m.q) * self.G_log(w)
         return 1.0 / (re + im * (im / re)), -im / (re * re + im * im)
 
@@ -670,8 +606,7 @@ class SpectralFns:
         the rest is then added to the value.
         """
         a, b, resid = self.drift("R")
-        g = self.model.g
-        exact = self.model.symmetric and isinstance(g, LogPowerProfile) and g.gamma == 1.0
+        exact = self.model.symmetric and self.model.g.gamma == 1.0
         val, err = _tail_integral(
             lambda w: self.surrogate(w)[0] * (1.0 + a / w + b / w**2), math.log(lam),
             lambda w: (1.0 + abs(a) / w + abs(b) / w**2) * self._surrogate_rest(w), exact)
@@ -683,22 +618,19 @@ class SpectralFns:
 
         For p != q, e^w R <= re / im^2, and the integral of g/G^2 over
         (w, infinity) is at most 1/G(w).  For p = q, e^w R <= 2/(pi g),
-        whose tail the log-power profile bounds; no bound is known for
-        other profiles (inf).
+        whose tail the profile bounds.
         """
         m = self.model
         if not m.symmetric:
             big_g = self.G_log(w)
             return ((math.pi / 2.0) / big_g + self.beta * np.exp(-w) / big_g**2) / (m.p - m.q) ** 2
-        if isinstance(m.g, LogPowerProfile):
-            return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
-        return np.full(np.shape(w), math.inf)
+        return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
 
     def table(self) -> _Panels:
         """R and I on the panels of ``_table_edges`` up to _LAM_EXACT_MAX,
         one psi batch on first use."""
         if self._table is None:
-            table = _resolvent_panels(self, _table_edges(self.model.support_min))
+            table = _resolvent_panels(self, _table_edges(self.model.g.cut))
             if not (np.isfinite(table.coef).all() and np.isfinite(table.err).all()):
                 raise OutOfRange(f"R and I are not finite on the spectral table of {self.model.g}")
             self._table = table
@@ -716,27 +648,13 @@ class SpectralFns:
 
     # -- integrability certificate ---------------------------------------
     def _certify_integrability(self) -> None:
-        m = self.model
-        if isinstance(m.g, LogPowerProfile) and m.symmetric:
-            # R ~ 2/(pi lam g): the w-integral of 1/g converges iff
-            # gamma > 1, or gamma = 1 with delta > 1
-            ok = m.g.gamma > 1.0 or (m.g.gamma == 1.0 and m.g.delta > 1.0)
-            if not ok:
-                raise NotIntegrable(
-                    f"R is not integrable for p = q with gamma = {m.g.gamma}, "
-                    f"delta = {m.g.delta} (needs gamma > 1)"
-                )
-            return
-        if isinstance(m.g, LogPowerProfile):
-            return  # p != q with gamma > -1: the surrogate tail integrates finitely
-        # tabulated profile: the surrogate tail on a geometric ladder of w,
-        # one panel per rung
-        rungs = np.log(20.0 * 1.6 ** np.arange(13.0))
-        _, half, t = _legendre_panels(rungs[:-1], rungs[1:])
-        pieces, _ = _legendre_integral(self.surrogate(np.exp(t))[0] * np.exp(t), half)
-        total = pieces.sum()
-        if total > 0 and pieces[-1] > 0.25 * total:
-            raise NotIntegrable("surrogate spectral tail does not Cauchy-converge")
+        # p != q with gamma > -1: the surrogate tail integrates finitely; for
+        # p = q, R ~ 2/(pi lam g), and the w-integral of 1/g converges iff
+        # gamma > 1, or gamma = 1 with delta > 1
+        g = self.model.g
+        if self.model.symmetric and not (g.gamma > 1.0 or (g.gamma == 1.0 and g.delta > 1.0)):
+            raise NotIntegrable(f"R is not integrable for p = q with gamma = {g.gamma}, "
+                                f"delta = {g.delta} (needs gamma > 1)")
 
 
 @functools.lru_cache(maxsize=8)
@@ -751,13 +669,13 @@ def spectral(model: LevyModel) -> SpectralFns:
 # ---------------------------------------------------------------- quadrature
 
 
-def _table_edges(support_min: float) -> np.ndarray:
+def _table_edges(cut: float) -> np.ndarray:
     """Panel edges of a model's spectral table over [0, _LAM_EXACT_MAX]: [0, 1],
     ratio-2 panels up to w, _UNIFORM_PANELS panels of width w, then ratio-sqrt 2
-    panels.  w = _RIPPLE_PERIODS ripple periods 2 pi support_min, at least 1:
-    the uniform panels resolve the ripple where it matters, and beyond them
-    it is small against R."""
-    w = max(_RIPPLE_PERIODS * 2.0 * math.pi * support_min, 1.0)
+    panels.  w = _RIPPLE_PERIODS ripple periods 2 pi cut (above 8.6 for
+    cut > 1): the uniform panels resolve the ripple where it matters, and
+    beyond them it is small against R."""
+    w = _RIPPLE_PERIODS * 2.0 * math.pi * cut
     top = min(_UNIFORM_PANELS * w, _LAM_EXACT_MAX)
     edges = np.sort(np.concatenate([
         [0.0], np.geomspace(1.0, w, math.ceil(math.log2(w)) + 1),
@@ -838,7 +756,7 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     row, trig, which = (0, np.cos, "R") if kind == "cos" else (1, np.sin, "I")
     far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=_exact_lobe_count(z))
     split = far_edges[0]
-    floor = max(sf.model.support_min, math.e)
+    floor = max(sf.model.g.cut, math.e)
     if split < floor:
         raise OutOfRange(f"lag z = {z:g} is too large: its surrogate lobes would start at "
                          f"lam = {split:.4g}, below {floor:.4g}, where the surrogate is no "

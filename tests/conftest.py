@@ -2,7 +2,8 @@
 brute-force alpha-permanent oracle, the block matrix C(k) of the series
 coefficients, the sampler's chunk oracle, the helpers that read a chunk
 stream whole, the model-spec file writer, the minimal asymmetry constant of
-a kernel and the paper's Cor 1.4 check."""
+a kernel, the paper's Cor 1.4 check and psi of the flat Levy profile in
+closed form."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import math
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -194,3 +196,21 @@ def check_cor14(model: levy.LevyModel, z: float) -> Cor14:
     )
     return Cor14(lhs=lhs, tail_integral=tail_integral, implied_c=implied,
                  holds=implied < 1.0, monotone_verified=monotone)
+
+
+def flat_psi(lam: float, p: float, q: float, cut: float) -> complex:
+    """psi of the profile g == 1 beyond cut in closed form, over the jump
+    range [X_LO, 1/cut] that psi itself integrates: with u = lam x,
+    Re psi = lam [F(u)] and J = lam [H(u)] from u = lam X_LO to lam/cut,
+    where F = Si(u) - (1 - cos u)/u and H = Ci(u) - log u - sin(u)/u + 1 -
+    gamma_E (both vanish at u = 0), and Im psi = -(p - q) J; evaluated by
+    mpmath at 30 digits."""
+    with mp.workdps(30):
+        lam = mp.mpf(lam)
+
+        def between(f):
+            return f(lam / mp.mpf(cut)) - f(lam * mp.mpf(levy._X_LO))
+
+        re = between(lambda u: mp.si(u) - (1 - mp.cos(u)) / u)
+        j = between(lambda u: mp.ci(u) - mp.log(u) - mp.sin(u) / u + 1 - mp.euler)
+        return complex(float(lam * re), float(-(p - q) * lam * j))

@@ -26,7 +26,8 @@ from permanental.markov import green_kernel, random_transient_chain, validate_ap
 from permanental.model import PermanentalSpec, direct_laplace, series_laplace_report, z_masses
 from permanental.sampler import RngStream, check_permanental_inequality, sample_chunks
 
-from conftest import brownian_min_matrix, check_cor14, laplace_means, make_corpus, save_spec_file
+from conftest import (brownian_min_matrix, check_cor14, flat_psi, laplace_means, make_corpus,
+                      save_spec_file)
 
 CLI = [sys.executable, "-m", "permanental.cli"]
 
@@ -214,14 +215,14 @@ def test_criterion_09_diagonal_bounds(corpus):
 
 def test_criterion_10_characteristic_exponent():
     start = time.time()
-    flat = levy.LevyModel(1.0, 0.5, 0.5, lambda y: 1.0, 0.0)
+    flat = levy.log_power_model(1.0, 0.8, 0.2, 0.0, 0.0)  # g == 1 beyond the cut
     worst_flat = max(
-        abs(levy.psi_with_error(flat, lam)[0].real / ((math.pi / 2) * lam) - 1.0)
+        abs(levy.psi_with_error(flat, lam)[0] / flat_psi(lam, 0.8, 0.2, flat.g.cut) - 1.0)
         for lam in (0.5, 3.0, 47.0)
     )
     logm = levy.log_power_model(1.0, 0.8, 0.2, 1.0, 0.0)
     value = levy.psi_with_error(logm, 1e4)[0]
-    re_ratio = value.real / ((math.pi / 2) * 1e4 * logm.g(1e4))
+    re_ratio = value.real / ((math.pi / 2) * 1e4 * logm.g.of_log(math.log(1e4)))
     sf = levy.spectral(logm)
     im_ratio = value.imag / (0.6 * 1e4 * sf.G_log(math.log(1e4)))
     elapsed = time.time() - start

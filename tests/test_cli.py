@@ -167,14 +167,23 @@ def _reject_constant(name):
     (["levy", "--p", 0.8, "--gamma", -0.5, "--u", "1e-300"], 2, "lag z = 1e-300"),
     (["sample", "--n", 0, "--seed", 1, "--spec"], 2, "got n = 0"),
     (["sample", "--n", -3, "--seed", 1, "--spec"], 2, "got n = -3"),
+    (["bounds", "--which", "simple", "--kernel"], 2, "row sum of A[0,:] = -1 is not positive"),
+    *[(["unbounded-scan", "--kernel-model", "brownian", "--n", 4, "--delta", delta], 2,
+       f"delta must be positive and finite, got {delta}") for delta in ("0.0", "-0.1", "inf")],
 ], ids=["gamma-tail-u-3e4", "gamma-tail-u-1e6", "gamma-tail-u-past-cap", "gamma-tail-vt-inf",
         "gamma-tail-vt-zero", "permanent-overflow", "levy-gamma-1e300-table",
         "levy-gamma-1e300-thm16-sym", "levy-gamma-1e300-thm16-asym", "levy-lag-1e-300",
-        "sample-n-0", "sample-n-negative"])
+        "sample-n-0", "sample-n-negative", "bounds-simple-row-sum", "unbounded-scan-delta-0",
+        "unbounded-scan-delta-negative", "unbounded-scan-delta-inf"])
 def test_extreme_inputs_print_json_or_a_named_refusal(tmp_path, argv, code, message):
     if argv[-1] == "--matrix":
         path = tmp_path / "k4.json"
         assert run_cli("gen-kernel", "--n", 4, "--seed", 1, "--out", path).returncode == 0
+        argv = argv + [path]
+    elif argv[-1] == "--kernel":
+        # A = K^-1 = [[1, -2], [-0.1, 1]]: row 0 sums to -1
+        path = tmp_path / "row-sum.json"
+        path.write_text('{"n": 2, "rows": [[1.25, 2.5], [0.125, 1.25]]}')
         argv = argv + [path]
     elif argv[-1] == "--spec":
         path = tmp_path / "spec.json"

@@ -12,13 +12,12 @@ from permanental.errors import NotIntegrable, OutOfRange
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import validate_appendix_lemma
 
-from conftest import check_cor14
+from conftest import check_cor14, flat_psi
 
 # shared models so the spectral caches persist across tests in this module
 ASYM = levy.log_power_model(1.0, 0.8, 0.2, -0.5, 0.0)   # p != q, g = (log)^(-1/2)
 MILD = levy.log_power_model(1.0, 0.6, 0.4, -0.5, 0.0)
 SYM2 = levy.log_power_model(1.0, 0.5, 0.5, 2.0, 0.0)    # p = q, g = (log)^2
-FLAT = levy.LevyModel(1.0, 0.5, 0.5, lambda y: 1.0, 0.0)  # g == 1
 LOGLOG = levy.log_power_model(1.0, 0.8, 0.2, 0.0, 3.0)  # g = (log log)^3
 SYM1 = levy.log_power_model(1.0, 0.5, 0.5, 1.0, 2.0)    # p = q, g = log (log log)^2
 SYM15 = levy.log_power_model(1.0, 0.5, 0.5, 1.5, 0.0)   # p = q, g = (log)^1.5
@@ -30,7 +29,7 @@ def panel_edge_lams(model):
     cut (where lam x_cut passes 1), the cut times 2^10 (the clipped
     oscillatory panel is empty or a sliver) and 1e12 e^-24 (the head ends
     on a graded offset, lam X_LO = e^-24)."""
-    cut = model.support_min
+    cut = model.g.cut
     return [cut * (1.0 - 1e-9), cut * (1.0 + 1e-9), cut * 2.0**10, 1e12 * math.exp(-24.0)]
 
 
@@ -140,11 +139,16 @@ def oracle_u_zero(sf):
 # ---------------------------------------------------------------- psi
 
 
-def test_psi_flat_profile_is_exactly_linear():
-    for lam in (0.5, 3.0, 47.0):
-        value = levy.psi_with_error(FLAT, lam)[0]
-        assert value.real == pytest.approx((math.pi / 2) * lam, rel=1e-6)
-        assert value.imag == 0.0
+def test_psi_flat_profile_matches_closed_form():
+    # g == 1 beyond the cut, symmetric and not
+    lams = np.array([0.5, 3.0, 47.0, 1e3, 1e5, 2e8])
+    for p in (0.5, 0.8):
+        model = levy.log_power_model(1.0, p, 1.0 - p, 0.0, 0.0)
+        values, errs = levy.psi_with_error(model, lams)
+        for lam, value, err in zip(lams, values, errs):
+            want = flat_psi(lam, model.p, model.q, model.g.cut)
+            assert abs(value - want) <= 1e-14 * abs(want)
+            assert abs(value - want) <= err
 
 
 def test_psi_hermitian_symmetry():
@@ -158,7 +162,7 @@ def test_psi_hermitian_symmetry():
 def test_psi_log_profile_real_ratio_at_1e4():
     model = levy.log_power_model(1.0, 0.8, 0.2, 1.0, 0.0)  # g = log
     value = levy.psi_with_error(model, 1e4)[0]
-    target = (math.pi / 2) * 1e4 * model.g(1e4)
+    target = (math.pi / 2) * 1e4 * model.g.of_log(math.log(1e4))
     assert abs(value.real / target - 1.0) <= 0.10
 
 
@@ -184,22 +188,6 @@ def test_psi_matches_independent_oracle(model):
         assert abs(value - want) <= err
         # the rule itself is exact to rounding; err is dominated by the X_LO cut
         assert abs(value - want) <= 1e-13 * abs(want)
-
-
-def test_psi_full_support_below_lam_1_matches_quad():
-    # g(y) = y^-1/2 on (0, inf): jump density x^-3/2, whose compensator
-    # lam x stops at x = 1 although sin(lam x) - lam x is smooth out to 1/lam
-    model = levy.LevyModel(1.0, 0.7, 0.3, lambda y: y**-0.5, 0.0)
-    quad = scipy.integrate.quad
-    for lam in (0.01, 0.1, 0.5, 0.9):
-        re = [quad(lambda x: (1.0 - math.cos(lam * x)) * x**-1.5, 0.0, 1.0),
-              quad(lambda x: x**-1.5, 1.0, math.inf),
-              quad(lambda x: -x**-1.5, 1.0, math.inf, weight="cos", wvar=lam)]
-        jump = [quad(lambda x: (math.sin(lam * x) - lam * x) * x**-1.5, 0.0, 1.0),
-                quad(lambda x: x**-1.5, 1.0, math.inf, weight="sin", wvar=lam)]
-        want = complex(sum(v for v, _ in re), -(0.7 - 0.3) * sum(v for v, _ in jump))
-        value, err = levy.psi_with_error(model, lam)
-        assert abs(value - want) <= err + sum(e for _, e in re + jump)
 
 
 def test_psi_batch_matches_batches_of_one():
@@ -320,21 +308,6 @@ def test_G_log_matches_closed_form():
         assert sf.G_log(2.0 + 1e-6) == pytest.approx(2.0**gam * 1e-6, rel=1e-6)
 
 
-def test_tabulated_profile_matches_log_power_G():
-    # the same profile as ASYM given pointwise: same panels, same G
-    tab = levy.spectral(levy.LevyModel(1.0, 0.8, 0.2, ASYM.g, math.e**2))
-    w = np.array([2.5, 30.0, 1e4])
-    assert np.allclose(tab.G_log(w), levy.spectral(ASYM).G_log(w), rtol=1e-15, atol=0.0)
-
-
-def test_tabulated_profile_refusals():
-    with pytest.raises(OutOfRange):  # integral of 1/y over (0, 1) diverges
-        levy.LevyModel(1.0, 0.5, 0.5, lambda y: 1.0 / y, 0.0)
-    levy.LevyModel(1.0, 0.5, 0.5, lambda y: y**-0.5, 0.0)  # integrable
-    with pytest.raises(NotIntegrable):  # g == 1 makes R ~ 2/(pi lam)
-        levy.spectral(FLAT)
-
-
 @pytest.mark.parametrize("model", [ASYM, SYM2, SYM1], ids=["asym", "sym2", "sym-g1-d2"])
 def test_l1_tail_matches_mpmath(model):
     sf = levy.spectral(model)
@@ -388,10 +361,10 @@ def test_sigma2_symmetric_vs_tail_integral_formula():
     # (6.5m): sigma^2(z) ~ (4/pi^2) integral of 1/(lam g) over (1/z, inf)
     value = levy.potential_bundle(SYM2, 1e-4).sigma2
     v1, _ = scipy.integrate.quad(
-        lambda w: 1.0 / SYM2.g_of_log(w), math.log(1e4), 400, limit=500
+        lambda w: 1.0 / SYM2.g.of_log(w), math.log(1e4), 400, limit=500
     )
     v2, _ = scipy.integrate.quad(
-        lambda w: 1.0 / SYM2.g_of_log(w), 400, np.inf, limit=500
+        lambda w: 1.0 / SYM2.g.of_log(w), 400, np.inf, limit=500
     )
     pred = (4 / math.pi**2) * (v1 + v2)
     assert abs(value / pred - 1.0) <= 0.15
@@ -486,7 +459,7 @@ def test_lags_whose_surrogate_starts_below_the_cut_are_refused(z):
 
 
 def test_refusal_starts_where_lam_split_passes_the_cut():
-    edge = 97.0 * math.pi / (2.0 * ASYM.support_min)  # lam_split of the cos lobes
+    edge = 97.0 * math.pi / (2.0 * ASYM.g.cut)  # lam_split of the cos lobes
     assert levy.potential_bundle(ASYM, edge * (1.0 - 1e-9)).u_plus > 0.0
     with pytest.raises(OutOfRange):
         levy.potential_bundle(ASYM, edge * (1.0 + 1e-9))
