@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     PermanentalError,
 )
-from .linalg import KERNEL_TOL, MMatrixPair, as_square_matrix, validate_m_matrix
+from .linalg import MMatrixPair, as_square_matrix, validate_m_matrix
 
 
 def _increments(K: np.ndarray, normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -107,25 +107,20 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     return bounds
 
 
-def diag_bound_sigma(pair: MMatrixPair, c: float | None = None) -> tuple[float, float]:
+def diag_bound_sigma(pair: MMatrixPair) -> tuple[float, float]:
     """(C, bound) with A_ii <= bound = 2 / ((1-C) sigma_star2), for
-    constant-diagonal kernels.
-
-    A supplied C must satisfy |K_ij - K_ji| <= C sigma2_ij with C < 1, else
-    the minimal feasible C is reported; without one, C is that minimum.
+    constant-diagonal kernels, where C is the minimal constant with
+    |K_ij - K_ji| <= C sigma2_ij (the tightest bound), which must come out
+    below 1.
     """
     K = pair.K
     d = np.diag(K)
     if not np.allclose(d, d[0], rtol=1e-10, atol=1e-12 * max(1.0, abs(d[0]))):
         raise NotConstantDiagonal(f"kernel diagonal varies: {d}")
-    if c is not None and not 0.0 <= c < 1.0:
-        raise ValueError("need 0 <= C < 1")
     sigma2, asym = _increments(K)
-    min_c = _min_asymmetry(sigma2, asym)
-    c = min_c if c is None else c
-    # inverses computed in floating point carry harmless asymmetry noise
-    if min_c > c + 1e-10 or c >= 1.0:
-        raise AsymmetryTooLarge(min_c)
+    c = _min_asymmetry(sigma2, asym)
+    if c >= 1.0:
+        raise AsymmetryTooLarge(c)
     bound = 2.0 / ((1.0 - c) * float(sigma2.min()))
     assert (pair.diag_a <= bound * (1 + 1e-12)).all(), "diagonal bound violated"
     return c, bound
@@ -189,7 +184,7 @@ def unboundedness_statistic(kernel, delta: float, n_grid, p: int = 1) -> list[Sc
         logn = math.log(n)
         star2_log_n = sigma_matrix(K).sigma_star2 * logn
         try:
-            pair = validate_m_matrix(kernel=K, off_diag_tol=KERNEL_TOL, inverse_tol=KERNEL_TOL)
+            pair = validate_m_matrix(kernel=K)
         except PermanentalError as exc:  # reported per row
             rows.append(ScanRow(delta, n, None, None, star2_log_n,
                                 f"{type(exc).__name__}: {exc}"))

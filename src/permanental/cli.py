@@ -247,27 +247,17 @@ def cmd_gamma_tail(args) -> int:
     return 0
 
 
-def _kernel_tol(args) -> float:
-    """--tol, else linalg.KERNEL_TOL: read here, so that parsing does not
-    execute linalg."""
-    tol = linalg.KERNEL_TOL if args.tol is None else args.tol
-    if not 0.0 <= tol < math.inf:
-        raise OutOfRange(f"--tol must be finite and nonnegative, got {tol}")
-    return tol
-
-
 def cmd_bounds(args) -> int:
     K = matio.load_matrix(args.kernel)
     if K.shape[0] < 2:
         raise OutOfRange(f"bounds need a kernel on at least 2 points, got n = {K.shape[0]}")
-    tol = _kernel_tol(args)
-    pair = linalg.validate_m_matrix(kernel=K, off_diag_tol=tol, inverse_tol=tol)
+    pair = linalg.validate_m_matrix(kernel=K)
     payload: dict = {"which": args.which, "diag_a": list(pair.diag_a),
                      "rel_err": _EXACT_REL_ERR}
     if args.which == "simple":
         payload["bounds"] = list(bounds.diag_bound_simple(pair))
     elif args.which == "sigma":
-        payload["c"], payload["bound"] = bounds.diag_bound_sigma(pair, args.c)
+        payload["c"], payload["bound"] = bounds.diag_bound_sigma(pair)
     elif args.which == "scaled":
         payload["bounds"] = list(bounds.diag_bound_scaled(pair))
     elif args.which == "psi-star":
@@ -329,7 +319,7 @@ def cmd_gen_kernel(args) -> int:
 
 def cmd_validate_kernel(args) -> int:
     K = matio.load_matrix(args.kernel)
-    report = markov.validate_appendix_lemma(K, tol=_kernel_tol(args))
+    report = markov.validate_appendix_lemma(K)
     payload = {
         "passed": report.passed,
         "reason": report.reason,
@@ -450,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--which", required=True,
                    choices=("simple", "sigma", "scaled", "psi-star", "sudakov"))
-    p.add_argument("--c", type=float)
     p.add_argument("--p", type=int, default=1)
-    p.add_argument("--tol", type=float, help="default: linalg.KERNEL_TOL")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -476,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-kernel", help="M-matrix validation report")
     p.add_argument("kernel")
-    p.add_argument("--tol", type=float, help="default: linalg.KERNEL_TOL")
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate_kernel)
 

@@ -29,11 +29,7 @@ class TruncationInfeasible(PermanentalError):
 
 
 class PreconditionViolated(PermanentalError):
-    """A stated precondition fails; ``which`` names the offending bound."""
-
-    def __init__(self, which: str, message: str = ""):
-        super().__init__(message or which)
-        self.which = which
+    """A stated precondition fails; the message starts with the offending bound."""
 
 
 class HypothesisFailed(PermanentalError):

@@ -142,13 +142,13 @@ def tail_bounds(u: float, lam: float) -> tuple[float, float]:
     upper_floor = max(2.0 * (u - 1.0), 0.0)
     if not lam > upper_floor:
         raise PreconditionViolated(
-            "upper", f"upper bound needs lam > 2(u-1) v 0 = {upper_floor:g}; got {lam:g}"
+            f"upper bound needs lam > 2(u-1) v 0 = {upper_floor:g}; got {lam:g}"
         )
     if lam < 2.0:
-        raise PreconditionViolated("lower", f"lower bound needs lam >= 2; got {lam:g}")
+        raise PreconditionViolated(f"lower bound needs lam >= 2; got {lam:g}")
     if u < 1.0 and not lam > 2.0 * (1.0 - u):
         raise PreconditionViolated(
-            "lower", f"lower bound with u < 1 needs lam > 2(1-u) = {2 * (1 - u):g}"
+            f"lower bound with u < 1 needs lam > 2(1-u) = {2 * (1 - u):g}"
         )
     core, _ = _bounds_core(u, lam)
     return (2.0 / 3.0) * core, 2.0 * core

@@ -752,7 +752,9 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     The surrogate is psi's leading form only on the profile's support, and
     its drift factor 1 + a/w + b/w^2 is an expansion in 1/w: a lag whose
     lam_split lies below the support cut or below e (w < 1) is refused, and
-    so is one whose value or error bound is not finite."""
+    so is one whose value or error bound is not finite.  Past the table, the
+    last exact panel is built first: a lag is refused when that panel's
+    error bound alone reaches u(0), which bounds every u(+-z)."""
     row, trig, which = (0, np.cos, "R") if kind == "cos" else (1, np.sin, "I")
     far_edges = lobe_boundaries(z, kind, _N_FAR_LOBES, start_index=_exact_lobe_count(z))
     split = far_edges[0]
@@ -766,13 +768,17 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     table = sf.table()
     k = int(np.searchsorted(table.edges, split, side="right")) - 1
     lo = table.edges[k]
-    if split > _LAM_EXACT_MAX:
-        # psi's error bound grows with lam: try lam_split alone before the panels below it
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(sf.resolvent(np.array([split]))[2]).all():
-                raise no_bound
-    new = _resolvent_panels(sf, np.array([lo, split]) if split <= _LAM_EXACT_MAX else
-                            np.geomspace(lo, split, math.ceil(2.0 * math.log2(split / lo)) + 1))
+    if split <= _LAM_EXACT_MAX:
+        edges = np.array([lo, split])
+    else:
+        edges = np.geomspace(lo, split, math.ceil(2.0 * math.log2(split / lo)) + 1)
+        # psi's error bound grows with lam: try the last panel before the ones below it
+        last_err = _resolvent_panels(sf, edges[-2:]).err[row, 0] / math.pi
+        if not math.isfinite(last_err):
+            raise no_bound
+        if last_err >= sf.u_zero()[0]:
+            raise _vanishing_lag(z, last_err, sf.u_zero()[0])
+    new = _resolvent_panels(sf, edges)
     exact = (_filon(table.mid[:k], table.half[:k], table.coef[row, :k], z)
              + _filon(new.mid, new.half, new.coef[row], z))
     _, half, nodes = _legendre_panels(far_edges[:-1], far_edges[1:])
@@ -787,11 +793,17 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
     return value / math.pi, err / math.pi
 
 
+def _vanishing_lag(z: float, err: float, u0: float) -> OutOfRange:
+    return OutOfRange(f"lag z = {z:g} is too small: its error bound {err:.3g} reaches "
+                      f"u(0) = {u0:.6g}, and every u(+-z) lies in [0, u(0)]")
+
+
 def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
     """All potential quantities at lag z (its sign is dropped).
 
     u(0) is the model's (``SpectralFns.u_zero``); the lag integrates only
-    cos(lam z) R and, for p != q, sin(lam z) I."""
+    cos(lam z) R and, for p != q, sin(lam z) I.  Every u(+-z) lies in
+    [0, u(0)], so a lag whose error bound reaches u(0) is refused."""
     if not math.isfinite(z):
         raise OutOfRange(f"lag z = {z} is not finite")
     sf = spectral(model)
@@ -802,6 +814,9 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
                                u_zero=u0, sigma2=0.0, abserr=u0_err)
     r_part, r_err = _trig_transform(sf, z, "cos")
     h_part, h_err = (0.0, 0.0) if model.symmetric else _trig_transform(sf, z, "sin")
+    abserr = 2.0 * (u0_err + r_err) + h_err
+    if abserr >= u0:
+        raise _vanishing_lag(z, abserr, u0)
     return PotentialValues(
         z=z,
         u_plus=r_part + h_part,
@@ -810,7 +825,7 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
         h_part=h_part,
         u_zero=u0,
         sigma2=max(2.0 * (u0 - r_part), 0.0),
-        abserr=2.0 * (u0_err + r_err) + h_err,
+        abserr=abserr,
     )
 
 

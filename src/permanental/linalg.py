@@ -13,8 +13,9 @@ exceeds about 1e-3 is returned.
 ``validate_m_matrix`` is the one K <-> A entry point.  It takes either the
 M-matrix A or the kernel K = A^-1 (``kernel=``), inverts the one it was
 given exactly once, and checks the signs of A, its diagonal and the signs
-of K.  A singular A is reported as NotMMatrix("singular: ..."); a singular
-kernel raises SingularMatrix from that inversion.
+of K, every sign against the one tolerance SIGN_TOL.  A singular A is
+reported as NotMMatrix("singular: ..."); a singular kernel raises
+SingularMatrix from that inversion.
 
 ``alpha_permanent`` is a subset dynamic program, not an enumeration of the
 n! permutations: Held-Karp cycle sums over the subsets that share a largest
@@ -37,12 +38,11 @@ from .errors import DimensionTooLarge, NotMMatrix, OutOfRange, SingularMatrix
 # 2 s per call at n = 18 and 6 s at n = 19 on a 2-vCPU x86-64 VM.
 PERMANENT_CAP = 18
 
-# Default tolerances for M-matrix membership of empirically computed inverses.
-OFF_DIAG_TOL = 1e-12
-INVERSE_TOL = 1e-10
-# both tolerances for the inverse of a kernel given in floating point, as the
-# kernel statistics (bounds, scans, the appendix-lemma check) validate it
-KERNEL_TOL = 1e-10
+# The one tolerance of every M-matrix sign decision: off-diagonal entries of A
+# in (0, SIGN_TOL] and entries of K in [-SIGN_TOL, 0) are rounding noise.  The
+# inverse of the Brownian kernel min(s, t) on 256 points of (0, 0.1] carries
+# 6.5e-12 of it.
+SIGN_TOL = 1e-10
 # invert refuses a matrix whose inf-norm condition number exceeds this
 SINGULAR_COND = 1e13
 
@@ -107,21 +107,15 @@ class MMatrixPair:
         return self.A.shape[0]
 
 
-def validate_m_matrix(
-    a=None, off_diag_tol: float = OFF_DIAG_TOL, inverse_tol: float = INVERSE_TOL,
-    *, kernel=None,
-) -> MMatrixPair:
+def validate_m_matrix(a=None, *, kernel=None) -> MMatrixPair:
     """Validate that A, given as ``a`` or as its inverse ``kernel`` (exactly
     one), is a nonsingular M-matrix and return the split pair.
 
     The matrix given is the one inverted.  Off-diagonal entries of A in
-    (0, off_diag_tol] are treated as rounding noise and clamped to zero;
-    entries of K in [-inverse_tol, 0) likewise, so a kernel's ``pair.K`` is
-    the given K clamped at 0.  Both tolerances must be finite and nonnegative.
+    (0, SIGN_TOL] are treated as rounding noise and clamped to zero; entries
+    of K in [-SIGN_TOL, 0) likewise, so a kernel's ``pair.K`` is the given K
+    clamped at 0.
     """
-    for name, tol in (("off_diag_tol", off_diag_tol), ("inverse_tol", inverse_tol)):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     if (a is None) == (kernel is None):
         raise ValueError("validate_m_matrix takes exactly one of a and kernel")
     K = None if kernel is None else as_square_matrix(kernel)
@@ -132,7 +126,7 @@ def validate_m_matrix(
     off_mask = ~np.eye(n, dtype=bool)
     if n > 1:
         worst = float(A[off_mask].max())
-        if worst > off_diag_tol:
+        if worst > SIGN_TOL:
             i, j = np.unravel_index(np.argmax(np.where(off_mask, A, -np.inf)), A.shape)
             raise NotMMatrix(
                 f"positive off-diagonal entry A[{i},{j}] = {A[i, j]:.6g}"
@@ -147,10 +141,10 @@ def validate_m_matrix(
             K = invert(A)
         except SingularMatrix as exc:
             raise NotMMatrix(f"singular: {exc}") from exc
-    if K.min() < -inverse_tol:
+    if K.min() < -SIGN_TOL:
         i, j = np.unravel_index(np.argmin(K), K.shape)
         raise NotMMatrix(
-            f"inverse entry K[{i},{j}] = {K[i, j]:.6g} below -{inverse_tol:g}"
+            f"inverse entry K[{i},{j}] = {K[i, j]:.6g} below -{SIGN_TOL:g}"
         )
     K = np.maximum(K, 0.0)
     B = 0.0 - A  # D - A off the diagonal (-A would turn a zero of A into -0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotTransient, PermanentalError
-from .linalg import KERNEL_TOL, as_square_matrix, invert, spectral_radius_nonneg, validate_m_matrix
+from .linalg import SIGN_TOL, as_square_matrix, invert, spectral_radius_nonneg, validate_m_matrix
 
 _ROW_SUM_TOL = 1e-12
 _RADIUS_CEILING = 1.0 - 1e-9
@@ -66,13 +66,15 @@ class AppendixReport:
     column_dominated: bool
 
 
-def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
+def validate_appendix_lemma(k) -> AppendixReport:
     """Check that the inverse of ``k`` is a nonsingular M-matrix, report its
-    row sums and whether K_ij <= K_jj holds columnwise."""
+    row sums and whether K_ij <= K_jj holds columnwise.  The sign decisions,
+    the row sums' and the column domination's included, all read
+    linalg.SIGN_TOL."""
     K = as_square_matrix(k)
-    column_dominated = bool((K <= np.diag(K)[None, :] + tol).all())
+    column_dominated = bool((K <= np.diag(K)[None, :] + SIGN_TOL).all())
     try:
-        pair = validate_m_matrix(kernel=K, off_diag_tol=tol, inverse_tol=tol)
+        pair = validate_m_matrix(kernel=K)
     except PermanentalError as exc:  # the report carries the reason
         return AppendixReport(
             passed=False,
@@ -86,7 +88,7 @@ def validate_appendix_lemma(k, tol: float = KERNEL_TOL) -> AppendixReport:
         passed=True,
         reason="",
         row_sums=row_sums,
-        positive_row_sums=bool((row_sums > tol).all()),
+        positive_row_sums=bool((row_sums > SIGN_TOL).all()),
         column_dominated=column_dominated,
     )
 

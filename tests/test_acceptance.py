@@ -159,7 +159,7 @@ def test_criterion_08_appendix_lemma_corpus():
         n = 2 + i % 5
         chain = random_transient_chain(n, 0.4, seed=20_000 + i)
         K = green_kernel(chain)
-        rep = validate_appendix_lemma(K, tol=1e-10)
+        rep = validate_appendix_lemma(K)
         ok = ok and rep.passed and rep.positive_row_sums and rep.column_dominated
     _report(8, ok, "100 random transient chains (n <= 6): inverse is a nonsingular "
                    "M-matrix with positive row sums; K_ij <= K_jj columnwise")
@@ -179,7 +179,7 @@ def test_criterion_09_diagonal_bounds(corpus):
         d = np.diag(pair.K)
         if np.ptp(d) <= 1e-9 * abs(d[0]):
             try:
-                _, bound = diag_bound_sigma(pair, 0.999)
+                _, bound = diag_bound_sigma(pair)
                 ok = ok and (pair.diag_a <= bound * (1 + 1e-10)).all()
                 sigma_held += 1
             except AsymmetryTooLarge:
@@ -198,7 +198,7 @@ def test_criterion_09_diagonal_bounds(corpus):
                   [0.2, 0.4, 1.0, 0.4], [0.1, 0.2, 0.4, 1.0]]),
     ):
         pair = validate_m_matrix(invert(K))
-        _, bound = diag_bound_sigma(pair, 0.0)
+        _, bound = diag_bound_sigma(pair)
         ok = ok and (pair.diag_a <= bound * (1 + 1e-10)).all()
         sigma_held += 1
     failure_path = False

@@ -27,8 +27,8 @@ PAIR2 = validate_m_matrix([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def pair_of(K) -> MMatrixPair:
-    """The validated pair of a kernel, at the scan's M-matrix tolerances."""
-    return validate_m_matrix(invert(K), off_diag_tol=1e-10, inverse_tol=1e-10)
+    """The validated pair of a kernel, given through its A."""
+    return validate_m_matrix(invert(K))
 
 
 def scaled_brownian(n: int) -> np.ndarray:
@@ -109,7 +109,7 @@ def test_diag_bound_simple_markov_corpus():
 
 
 def test_diag_bound_sigma_symmetric():
-    c, bound = diag_bound_sigma(PAIR2, 0.0)
+    c, bound = diag_bound_sigma(PAIR2)
     sm = sigma_matrix(PAIR2.K)
     assert c == 0.0 and bound == pytest.approx(2.0 / sm.sigma_star2)
     assert (PAIR2.diag_a <= bound).all()
@@ -119,14 +119,13 @@ def test_diag_bound_sigma_defaults_to_the_minimal_c():
     pair = pair_of([[1.0, 0.5], [0.2, 1.0]])  # C = |0.5 - 0.2| / (2 - 0.5 - 0.2)
     c, bound = diag_bound_sigma(pair)
     assert c == asymmetry_constant(pair.K) == pytest.approx(0.3 / 1.3, rel=1e-12)
-    assert (c, bound) == diag_bound_sigma(pair, c)
 
 
 def test_diag_bound_sigma_tridiagonal_bridge_style():
     # symmetric constant-diagonal kernel with Brownian-bridge flavor
     K = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     pair = validate_m_matrix(invert(K))
-    _, bound = diag_bound_sigma(pair, 0.0)
+    _, bound = diag_bound_sigma(pair)
     assert (pair.diag_a <= bound).all()
 
 
@@ -136,7 +135,7 @@ def test_diag_bound_sigma_scaled_brownian_asymmetry_is_critical():
     K = scaled_brownian(5)
     pair = validate_m_matrix(invert(K))
     with pytest.raises(AsymmetryTooLarge) as err:
-        diag_bound_sigma(pair, 0.9)
+        diag_bound_sigma(pair)
     assert err.value.min_feasible_c == pytest.approx(1.0, rel=1e-10)
 
 
@@ -156,7 +155,7 @@ def test_scaled_brownian_sudakov_bound_2n():
 
 def test_diag_bound_scaled_reduces_to_sigma_for_constant_diagonal():
     scaled = diag_bound_scaled(PAIR2)
-    _, plain = diag_bound_sigma(PAIR2, 0.0)
+    _, plain = diag_bound_sigma(PAIR2)
     np.testing.assert_allclose(scaled, plain)
 
 
@@ -347,4 +346,4 @@ def test_diag_bound_sigma_rejects_varying_diagonal():
 
     pair = validate_m_matrix([[2.0, -1.0], [-1.0, 4.0]])
     with pytest.raises(NotConstantDiagonal):
-        diag_bound_sigma(pair, 0.5)
+        diag_bound_sigma(pair)

@@ -95,7 +95,7 @@ def test_hundred_chains_pass_appendix_lemma():
         n = 2 + i % 5  # n in 2..6
         chain = random_transient_chain(n, 0.4, seed=10_000 + i)
         K = green_kernel(chain)
-        rep = validate_appendix_lemma(K, tol=1e-10)
+        rep = validate_appendix_lemma(K)
         assert rep.passed, rep.reason
         assert rep.positive_row_sums
         assert rep.column_dominated
