@@ -59,6 +59,14 @@ def _min_asymmetry(sigma2: np.ndarray, asym: np.ndarray) -> float:
     return float((asym[good] / sigma2[good]).max())
 
 
+def _admissible_c(sigma2: np.ndarray, asym: np.ndarray) -> float:
+    """The minimal asymmetry constant C, refused unless it is below 1."""
+    c = _min_asymmetry(sigma2, asym)
+    if c >= 1.0:
+        raise AsymmetryTooLarge(f"asymmetry condition needs C >= {c:.6g}, but C < 1 is required")
+    return c
+
+
 @dataclass(frozen=True)
 class SigmaMatrix:
     """sigma2[i, j] = K_ii + K_jj - K_ij - K_ji (+inf on the diagonal) and
@@ -118,9 +126,7 @@ def diag_bound_sigma(pair: MMatrixPair) -> tuple[float, float]:
     if not np.allclose(d, d[0], rtol=1e-10, atol=1e-12 * max(1.0, abs(d[0]))):
         raise NotConstantDiagonal(f"kernel diagonal varies: {d}")
     sigma2, asym = _increments(K)
-    c = _min_asymmetry(sigma2, asym)
-    if c >= 1.0:
-        raise AsymmetryTooLarge(c)
+    c = _admissible_c(sigma2, asym)
     bound = 2.0 / ((1.0 - c) * float(sigma2.min()))
     assert (pair.diag_a <= bound * (1 + 1e-12)).all(), "diagonal bound violated"
     return c, bound
@@ -137,9 +143,7 @@ def diag_bound_scaled(pair: MMatrixPair) -> np.ndarray:
     sigma2, asym = _increments(K, normalized=True)
     if (sigma2 <= 0).any():
         raise DegenerateSigma("scaled sigma^2 vanishes off the diagonal")
-    c = _min_asymmetry(sigma2, asym)
-    if c >= 1.0:
-        raise AsymmetryTooLarge(c)
+    c = _admissible_c(sigma2, asym)
     bounds = 2.0 / ((1.0 - c) * float(sigma2.min()) * np.diag(K))
     assert (pair.diag_a <= bounds * (1 + 1e-12)).all(), "scaled diagonal bound violated"
     return bounds

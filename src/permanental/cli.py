@@ -510,5 +510,28 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of ``python -m permanental.cli`` and the ``permanental``
+    script: ``main()``, then flush both streams and end the process with
+    ``os._exit``, skipping the interpreter's teardown (finalizing numpy and
+    the module graph, about 20 ms on a 2-vCPU host), on which no output
+    depends.
+
+    A write that fails in the final flush (closed pipe, full device) exits 2
+    with ``main``'s ``error:`` line, unless ``main`` failed and reported it
+    already.  ``SystemExit`` from argparse and ``KeyboardInterrupt`` leave
+    through the interpreter's normal exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            sys.stderr.write(f"error: {exc}\n")
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -37,13 +37,7 @@ class HypothesisFailed(PermanentalError):
 
 
 class AsymmetryTooLarge(PermanentalError):
-    """Kernel asymmetry exceeds the admissible constant; reports the minimum feasible C."""
-
-    def __init__(self, min_feasible_c: float):
-        super().__init__(
-            f"asymmetry condition needs C >= {min_feasible_c:.6g}, but C < 1 is required"
-        )
-        self.min_feasible_c = min_feasible_c
+    """Kernel asymmetry exceeds the admissible constant; the message reports the minimum feasible C."""
 
 
 class NotConstantDiagonal(PermanentalError):

@@ -720,8 +720,14 @@ def _filon(mid: np.ndarray, half: np.ndarray, coef: np.ndarray, z: float) -> com
 @dataclass(frozen=True)
 class PotentialValues:
     """u(z), u(-z) with their even/odd parts, u(0) and the increment metric
-    sigma^2(z) = 2 u(0) - u(z) - u(-z) = 2 (u(0) - r_part); ``abserr``
-    bounds the error of every field."""
+    sigma^2(z) = 2 u(0) - u(z) - u(-z) = 2 (u(0) - r_part).
+
+    ``abserr`` is 2 (err_u0 + err_R) + err_I, the computed errors of u(0),
+    r_part and h_part (the table's panel errors, the new panel's, the lobe
+    estimates, the acceleration error and the drift-fit residual), so it is
+    at least the computed error of each field.  It does not count the bias of
+    the surrogate where the lobes splice onto exact R and I, so for p != q
+    it does not bound the fields."""
 
     z: float
     u_plus: float

@@ -134,9 +134,9 @@ def test_diag_bound_sigma_scaled_brownian_asymmetry_is_critical():
     # feasible C is 1 and no admissible C < 1 exists
     K = scaled_brownian(5)
     pair = validate_m_matrix(invert(K))
-    with pytest.raises(AsymmetryTooLarge) as err:
+    assert asymmetry_constant(K, normalized=True) == pytest.approx(1.0, rel=1e-10)
+    with pytest.raises(AsymmetryTooLarge):
         diag_bound_sigma(pair)
-    assert err.value.min_feasible_c == pytest.approx(1.0, rel=1e-10)
 
 
 def test_scaled_brownian_sudakov_bound_2n():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -1039,7 +1040,13 @@ def modules_executed(*args):
 def _probe_argv(case, spec_file, kernel_file, tmp_path):
     points = tmp_path / "points.json"
     points.write_text('{"points": [0.0, 0.3]}')
+    not_m = tmp_path / "not_m.json"
+    matio.save_matrix(str(not_m), [[1.0, 2.0], [2.0, 1.0]])
     return {
+        "permanent": ["permanent", "--matrix", kernel_file, "--alpha", 1.5],
+        "z-dist": ["z-dist", "--spec", spec_file],
+        "unbounded-scan": ["unbounded-scan", "--kernel-model", "brownian", "--n", "4,8"],
+        "validate-kernel-refused": ["validate-kernel", not_m],
         "classify": ["classify", "--gamma", -0.5, "--p", 0.8],
         "gamma-tail": ["gamma-tail", "--u", 2, "--t", 5, "--bounds"],
         "laplace": ["laplace", "--spec", spec_file, "--s", "1,1,1", "--method", "det"],
@@ -1167,3 +1174,75 @@ def test_scan_thm16_slowly_decaying_symmetric_tail_matches_mpmath():
                       for seg in ([t0, t0 + 10], [t0 + 10, t0 + 100], [t0 + 100, mp.inf]))
             assert abs(float(stat) - float(1 / inv)) <= err
             assert err <= 1e-13 * float(stat)
+
+
+# The process entry flushes its streams and ends with os._exit: the bytes and
+# the exit code of a fresh process must be those of an in-process main().
+# PYTHONUNBUFFERED would flush every write on its own and hide a missing
+# flush, so the processes below run without it.
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _out_bytes(argv):
+    """The bytes of the file that --out names, None without --out."""
+    return Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+
+
+@pytest.mark.parametrize("case", ["permanent", "laplace", "z-dist", "sample", "mc-validate",
+                                  "gamma-tail", "bounds", "unbounded-scan", "gen-kernel",
+                                  "validate-kernel-refused", "levy-u", "classify"])
+def test_process_writes_the_bytes_and_code_of_main(case, spec_file, kernel_file, tmp_path,
+                                                   capsysbinary):
+    argv = [str(a) for a in _probe_argv(case, spec_file, kernel_file, tmp_path)]
+    code = cli.main(argv)
+    want = (code, capsysbinary.readouterr().out, _out_bytes(argv))
+    with open(tmp_path / "stdout", "wb") as fh:
+        proc = subprocess.run(CLI + argv, stdout=fh, env=_BUFFERED_ENV, timeout=300)
+    got = (proc.returncode, (tmp_path / "stdout").read_bytes(), _out_bytes(argv))
+    assert got == want
+    assert code == (2 if case == "validate-kernel-refused" else 0)
+    assert want[1] or want[2]  # the command wrote its output somewhere
+
+
+def test_gen_kernel_report_is_complete_in_a_file(tmp_path):
+    with open(tmp_path / "report.json", "wb") as fh:
+        proc = subprocess.run(CLI + ["gen-kernel", "--n", "4", "--seed", "2", "--out",
+                                     str(tmp_path / "k.json")],
+                              stdout=fh, env=_BUFFERED_ENV, timeout=300)
+    assert proc.returncode == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report) == ["kill_min", "n", "out", "radius", "seed"]
+
+
+def test_help_exits_0_and_a_usage_error_exits_2():
+    help_ = subprocess.run(CLI + ["--help"], capture_output=True, env=_BUFFERED_ENV)
+    assert help_.returncode == 0 and help_.stdout.startswith(b"usage: permanental")
+    usage = subprocess.run(CLI + ["gamma-tail", "--u", "1"], capture_output=True,
+                           env=_BUFFERED_ENV)
+    assert usage.returncode == 2 and usage.stdout == b""
+    assert b"the following arguments are required: --t" in usage.stderr
+
+
+def test_closed_pipe_exits_2_with_one_error_line(spec_file):
+    # as `sample ... | head -c 100`: the CSV is far larger than a pipe buffer
+    with subprocess.Popen(CLI + ["sample", "--spec", spec_file, "--n", "20000", "--seed", "1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_BUFFERED_ENV) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 2
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["sample", "gen-kernel"])
+def test_full_device_exits_2_with_one_error_line(command, spec_file, tmp_path):
+    # sample fails in its own flush, gen-kernel's report in the final one
+    argv = {"sample": ["sample", "--spec", spec_file, "--n", "200", "--seed", "1"],
+            "gen-kernel": ["gen-kernel", "--n", "3", "--seed", "5",
+                           "--out", str(tmp_path / "k.json")]}[command]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(CLI + argv, stdout=full, stderr=subprocess.PIPE,
+                              env=_BUFFERED_ENV, timeout=300)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
