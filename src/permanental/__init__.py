@@ -26,7 +26,7 @@ def _lazy(short: str):
     return module
 
 
-bounds, gamma_tails, levy, linalg, markov, matio, model, oscillatory, sampler = map(
-    _lazy, ("bounds", "gamma_tails", "levy", "linalg", "markov", "matio", "model",
-            "oscillatory", "sampler"))
+(bounds, example11, gamma_tails, levy, linalg, markov, matio, model, oscillatory,
+ sampler) = map(_lazy, ("bounds", "example11", "gamma_tails", "levy", "linalg", "markov",
+                        "matio", "model", "oscillatory", "sampler"))
 

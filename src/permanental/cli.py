@@ -8,9 +8,6 @@ run configurations produce byte-identical output.  Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
 import json
 import math
 import os
@@ -19,21 +16,21 @@ import sys
 # One BLAS thread, set before numpy loads its BLAS: a threaded BLAS splits
 # the large inversions by core count and rounds them differently, and the
 # output bytes must not depend on the host.  No effect when numpy was loaded
-# before this module.
+# before this module.  numpy is imported only by the handlers and helpers
+# that use arrays, so gamma-tail and classify never load it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import numpy as np  # noqa: E402 - after the BLAS pin
-
 # modules, not names: each executes on first use (see the package docstring)
-from . import bounds, gamma_tails, levy, linalg, markov, matio, model, sampler
+from . import bounds, example11, gamma_tails, levy, linalg, markov, matio, model, sampler
 from .errors import OutOfRange, PermanentalError
 
 _EXACT_REL_ERR = 1e-14  # nominal float-rounding scale for exact computations
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # without numpy loaded there is no numpy scalar
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not serializable: {type(obj)}")
 
@@ -51,17 +48,32 @@ def _write(args, parts) -> None:
             for part in parts:
                 fh.write(part)
     else:
-        sys.stdout.flush()
+        _write_stdout(parts)
+
+
+def _write_stdout(parts) -> None:
+    """Write an iterable of bytes to stdout and flush them.
+
+    A write that fails leaves its bytes in the stream's buffer, where the
+    interpreter's exit would fail on them again: the stream is pointed at
+    the null device before the error propagates.
+    """
+    out = sys.stdout
+    out.flush()
+    try:
         for part in parts:
-            sys.stdout.buffer.write(part)
-        sys.stdout.buffer.flush()
+            out.buffer.write(part)
+        out.buffer.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        raise
 
 
 def _repr_only(x):
     """Where orjson's layout of a float is not repr's: nonzero values below
     1e-4 or from 1e16 in magnitude (orjson writes 0.00005 and 1e16 for
     repr's 5e-05 and 1e+16), inf and nan (orjson writes null)."""
-    a = np.abs(x)
+    a = abs(x)
     return (x != 0) & ~((a >= 1e-4) & (a < 1e16))
 
 
@@ -89,11 +101,14 @@ def _write_csv(args, header, blocks) -> None:
             if not len(floats):
                 return
             float_rows = rows_of(floats)
-            for i in np.flatnonzero(_repr_only(floats).any(axis=1)):
+            for i in _repr_only(floats).any(axis=1).nonzero()[0]:
                 float_rows[i] = ",".join(map(repr, floats[i].tolist())).encode()
             yield b"\n".join(map(b",".join, zip(float_rows, rows_of(ints))))
             yield b"\n"
             return
+        import csv
+        import io
+
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(block)
         yield text.getvalue().encode()
@@ -179,6 +194,8 @@ _CSV_BLOCK = 2048  # rows of a sample chunk formatted per write
 def _sample_blocks(chunks):
     """The CSV blocks of each chunk as it arrives, _CSV_BLOCK rows at a
     time: the floats (X, then L if coupled) and the ints Z."""
+    import numpy as np
+
     for x, lower, z in chunks:
         for start in range(0, len(x), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
@@ -191,13 +208,17 @@ def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: 
     deterministic s-points, pathwise coupling violations, and the
     increasing-functional margins, all read from one coupled stream of
     draws, one chunk at a time."""
+    import dataclasses
+
+    import numpy as np
+
     if s_points < 0:
         raise ValueError(f"s_points must be nonnegative, got {s_points}")
     if n_draws < 2:
         raise OutOfRange(f"a standard error needs at least 2 draws, got n = {n_draws}")
     g = np.random.default_rng([seed, 555])
     s_list = [g.random(spec.n) * 2.0 for _ in range(s_points)]
-    moments = [sampler.Moments() for _ in s_list]
+    laplace = sampler.Moments()  # one stream of exp(-<s, X>) per s
     violations = 0
 
     def tallied(chunks):  # each chunk on its way to the inequality check
@@ -205,16 +226,16 @@ def mc_validate(spec: model.PermanentalSpec, n_draws: int, seed: int, s_points: 
         for chunk in chunks:
             x, lower, _ = chunk
             violations += int(np.sum(x - lower < 0))
-            for s, acc in zip(s_list, moments):
-                acc.add(sampler._laplace_terms(x, s))
+            if s_list:
+                laplace.add(np.array([sampler._laplace_terms(x, s) for s in s_list]))
             yield chunk
 
     rng = sampler.RngStream(seed)
     chunks = sampler.sample_chunks(spec, n_draws, rng, with_coupling=True)
     ineq = sampler.check_permanental_inequality(spec, tallied(chunks), rng)
     points = []
-    for s, acc in zip(s_list, moments):
-        emp, se = acc.mean, acc.se
+    for i, s in enumerate(s_list):
+        emp, se = float(laplace.mean[i]), float(laplace.se[i])
         direct = model.direct_laplace(spec, s)
         points.append({"s": [float(x) for x in s], "empirical": emp, "se": se,
                        "direct": direct, "z_score": (emp - direct) / se if se > 0 else 0.0})
@@ -264,27 +285,32 @@ def cmd_bounds(args) -> int:
         payload["p"] = args.p
         payload["psi_star"] = bounds.psi_star(pair, args.p)
     else:  # sudakov
+        import dataclasses
+
         rep = bounds.sudakov_compare(pair)
         payload.update(dataclasses.asdict(rep))
     _emit(args, payload)
     return 0
 
 
-def _log_inverse_lags(t):
-    """log(1 / |t_i - t_j|): inf at lag 0, where the log stand-ins then give 1 + shift."""
-    with np.errstate(divide="ignore"):
-        return np.log(1.0 / np.abs(np.subtract.outer(t, t)))
-
-
-# each model maps the scan's points t to the kernel matrix on them
-_KERNEL_MODELS = {
-    "brownian": lambda shift: (lambda t: np.minimum.outer(t, t) + shift),
-    "log-smooth": lambda shift: (lambda t: 1.0 + shift - 0.5 / _log_inverse_lags(t)),
-    "loglog-smooth": lambda shift: (lambda t: 1.0 + shift - 0.5 / np.log(_log_inverse_lags(t))),
-}
-
-# the lags below which each stand-in kernel is defined: log(1/d) > 0, log log(1/d) > 0
+# the scan's kernel models, each with the lags below which it is defined:
+# log(1/d) > 0, log log(1/d) > 0
 _MAX_LAG = {"brownian": math.inf, "log-smooth": 1.0, "loglog-smooth": 1.0 / math.e}
+
+
+def _scan_kernel(model: str, shift: float):
+    """The function that maps the scan's points t to the model's kernel matrix on them."""
+    import numpy as np
+
+    def log_inverse_lags(t):  # inf at lag 0, where the log stand-ins then give 1 + shift
+        with np.errstate(divide="ignore"):
+            return np.log(1.0 / np.abs(np.subtract.outer(t, t)))
+
+    return {
+        "brownian": lambda t: np.minimum.outer(t, t) + shift,
+        "log-smooth": lambda t: 1.0 + shift - 0.5 / log_inverse_lags(t),
+        "loglog-smooth": lambda t: 1.0 + shift - 0.5 / np.log(log_inverse_lags(t)),
+    }[model]
 
 
 def cmd_unbounded_scan(args) -> int:
@@ -298,7 +324,7 @@ def cmd_unbounded_scan(args) -> int:
     if not lag < _MAX_LAG[args.kernel_model]:
         raise OutOfRange(f"largest lag delta*(n-1)/n = {lag:.6g} is outside the domain "
                          f"of {args.kernel_model}, lags below {_MAX_LAG[args.kernel_model]:.6g}")
-    kernel = _KERNEL_MODELS[args.kernel_model](args.shift)
+    kernel = _scan_kernel(args.kernel_model, args.shift)
     rows = bounds.unboundedness_statistic(kernel, args.delta, grid, p=args.p)
     header = ["delta", "n", "psi_star", "log_n_over_psi_star", "sigma_star2_log_n", "error"]
     _write_csv(args, header, [[[r.delta, r.n, r.psi_star, r.log_n_over_psi_star,
@@ -310,10 +336,11 @@ def cmd_gen_kernel(args) -> int:
     chain = markov.random_transient_chain(args.n, args.kill_min, args.seed)
     K = markov.green_kernel(chain)
     matio.save_matrix(args.out, K)
-    sys.stdout.write(json.dumps({
+    # the report goes to stdout: --out names the matrix file
+    _write_stdout([(json.dumps({
         "n": args.n, "seed": args.seed, "kill_min": args.kill_min,
         "radius": chain.radius, "out": args.out,
-    }, sort_keys=True) + "\n")
+    }, sort_keys=True) + "\n").encode()])
     return 0
 
 
@@ -363,13 +390,14 @@ def cmd_levy(args) -> int:
         raise ValueError(f"{args.kernel}: 'points' must be a list of finite numbers")
     points = [float(t) for t in points]
     K, err = levy.kernel_matrix(levy_model, points)
-    _emit(args, {"points": points, "kernel": matio.matrix_to_json_obj(K), "quad_err": err})
+    _emit(args, {"points": points, "kernel": {"n": len(K), "rows": K.tolist()},
+                 "quad_err": err})
     return 0
 
 
 def cmd_classify(args) -> int:
     q = args.q if args.q is not None else 1.0 - args.p
-    label = levy.classify_example11(args.gamma, args.delta, args.p, q)
+    label = example11.classify_example11(args.gamma, args.delta, args.p, q)
     _emit(args, {"label": label, "gamma": args.gamma, "delta": args.delta,
                  "p": args.p, "q": q})
     return 0
@@ -381,35 +409,27 @@ _WORKERS_HELP = ("at least 1; changes neither the output nor the work: "
                  "the chunks are drawn in order on one thread")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permanental",
-        description="alpha-permanental vectors with M-matrix kernels: "
-                    "simulation, Laplace transforms, bounds and Levy kernels",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("permanent", help="exact alpha-permanent of a matrix")
+def _permanent_options(p) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_permanent)
 
-    p = sub.add_parser("laplace", help="Laplace transform by determinant or series")
+
+def _laplace_options(p) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--s", required=True, help="comma-separated s vector")
     p.add_argument("--method", choices=("det", "series"), default="det")
     p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_laplace)
 
-    p = sub.add_parser("z-dist", help="masses of the latent index vector Z")
+
+def _z_dist_options(p) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--target-mass", type=float, default=1 - 1e-9, dest="target_mass")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_z_dist)
 
-    p = sub.add_parser("sample", help="draw permanental vectors to CSV")
+
+def _sample_options(p) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -417,57 +437,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--couple", action="store_true")
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("mc-validate", help="end-to-end Monte Carlo validation")
+
+def _mc_validate_options(p) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--s-points", type=int, default=10, dest="s_points")
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_mc_validate)
 
-    p = sub.add_parser("gamma-tail", help="exact gamma tail with optional bounds")
+
+def _gamma_tail_options(p) -> None:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, default=1.0)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--bounds", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gamma_tail)
 
-    p = sub.add_parser("bounds", help="diagonal bounds for a kernel file")
+
+def _bounds_options(p) -> None:
     p.add_argument("--kernel", required=True)
     p.add_argument("--which", required=True,
                    choices=("simple", "sigma", "scaled", "psi-star", "sudakov"))
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("unbounded-scan",
-                       help="log n / a* scan on equally spaced configurations")
+
+def _unbounded_scan_options(p) -> None:
     p.add_argument("--kernel-model", required=True, dest="kernel_model",
-                   choices=sorted(_KERNEL_MODELS))
+                   choices=sorted(_MAX_LAG))
     p.add_argument("--n", required=True, help="comma-separated grid sizes")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_unbounded_scan)
 
-    p = sub.add_parser("gen-kernel", help="random transient-chain Green kernel")
+
+def _gen_kernel_options(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kill-min", type=float, default=0.5, dest="kill_min")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_kernel)
 
-    p = sub.add_parser("validate-kernel", help="M-matrix validation report")
+
+def _validate_kernel_options(p) -> None:
     p.add_argument("kernel")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_validate_kernel)
 
-    p = sub.add_parser("levy", help="Levy potential densities and criteria")
+
+def _levy_options(p) -> None:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float)
@@ -480,24 +499,64 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--scan-thm16", dest="scan_thm16")
     mode.add_argument("--kernel", help="JSON file with a points array")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_levy)
 
-    p = sub.add_parser("classify", help="boundedness verdict for the log-power family")
+
+def _classify_options(p) -> None:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
+
+# name: (help, handler, options), in the order of the help listing
+_SUBCOMMANDS = {
+    "permanent": ("exact alpha-permanent of a matrix", cmd_permanent, _permanent_options),
+    "laplace": ("Laplace transform by determinant or series", cmd_laplace, _laplace_options),
+    "z-dist": ("masses of the latent index vector Z", cmd_z_dist, _z_dist_options),
+    "sample": ("draw permanental vectors to CSV", cmd_sample, _sample_options),
+    "mc-validate": ("end-to-end Monte Carlo validation", cmd_mc_validate,
+                    _mc_validate_options),
+    "gamma-tail": ("exact gamma tail with optional bounds", cmd_gamma_tail,
+                   _gamma_tail_options),
+    "bounds": ("diagonal bounds for a kernel file", cmd_bounds, _bounds_options),
+    "unbounded-scan": ("log n / a* scan on equally spaced configurations", cmd_unbounded_scan,
+                       _unbounded_scan_options),
+    "gen-kernel": ("random transient-chain Green kernel", cmd_gen_kernel, _gen_kernel_options),
+    "validate-kernel": ("M-matrix validation report", cmd_validate_kernel,
+                        _validate_kernel_options),
+    "levy": ("Levy potential densities and criteria", cmd_levy, _levy_options),
+    "classify": ("boundedness verdict for the log-power family", cmd_classify,
+                 _classify_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command``'s alone when it names
+    one: that parser reads its arguments into the same namespace and prints
+    the same usage on an error, since its usage line still lists every name."""
+    parser = argparse.ArgumentParser(
+        prog="permanental",
+        description="alpha-permanental vectors with M-matrix kernels: "
+                    "simulation, Laplace transforms, bounds and Levy kernels",
+    )
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, handler, add_options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         # the parser is cyclic: bound here, it lives to the end of the command
         # instead of waiting, as garbage, for whichever collection frees it
-        parser = build_parser()
+        parser = build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise OutOfRange(f"--workers must be at least 1, got {args.workers}")

@@ -48,7 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import example11
 from .errors import NotIntegrable, OutOfRange
+from .example11 import _check_finite, _check_weights
 from .oscillatory import euler_accelerate, lobe_boundaries
 
 DEFAULT_CUT = math.e**2
@@ -83,18 +85,6 @@ _UNIFORM_PANELS = 64
 _T_STEP = 0.5
 _T_MAX = 700.0
 _REST_RTOL = 1e-17
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise OutOfRange(f"{name} must be finite, got {value}")
-
-
-def _check_weights(p: float, q: float) -> None:
-    """The jump-sign weights: p, q >= 0 with p + q = 1 (NaN fails)."""
-    if not (p >= 0.0 and q >= 0.0 and abs(p + q - 1.0) <= 1e-12):
-        raise OutOfRange(f"need p, q >= 0 with p + q = 1, got p = {p}, q = {q}")
 
 
 @dataclass(frozen=True)
@@ -835,35 +825,6 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
     )
 
 
-UNBOUNDED_THM = "unbounded-by-Thm1.6"
-UNBOUNDED_DISCUSSION = "unbounded-per-paper-discussion"
-BOUNDED_DISCUSSION = "bounded-per-paper-discussion"
-INDETERMINATE = "indeterminate-by-this-paper"
-
-
-def classify_example11(gamma: float, delta: float, p: float, q: float) -> str:
-    """Boundedness verdict for the log-power jump family."""
-    _check_weights(p, q)
-    _check_finite(gamma=gamma, delta=delta)
-    if p != q:
-        if gamma <= -1.0:
-            raise OutOfRange("p != q needs gamma > -1")
-        pivot = 0.0
-    else:
-        if gamma <= 1.0:
-            raise OutOfRange("p = q needs gamma > 1")
-        pivot = 2.0
-    if gamma < pivot:
-        return UNBOUNDED_THM
-    if gamma == pivot:
-        if delta < 0:
-            return UNBOUNDED_THM
-        if delta <= 2:
-            return UNBOUNDED_DISCUSSION
-        return BOUNDED_DISCUSSION
-    return INDETERMINATE
-
-
 @dataclass(frozen=True)
 class Thm16Row:
     n: float
@@ -879,7 +840,7 @@ def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid
     each statistic: the integral of g(s)/s up to n for p != q, or the
     reciprocal of the integral of 1/g(e^w) over w > log n for p = q; g is
     supported on (cut, inf)."""
-    classify_example11(gamma, delta, p, q)  # validates the parameter ranges
+    example11.classify_example11(gamma, delta, p, q)  # validates the parameter ranges
     for n in n_grid:
         if not 1.0 < n < math.inf:
             raise OutOfRange(f"every n must be finite and above 1, got {n:g}")

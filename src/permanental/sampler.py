@@ -152,18 +152,20 @@ def sample_chunks(
 @dataclass
 class Moments:
     """Count, mean and sum of squared deviations (M2) of a stream of values,
-    merged one chunk at a time by the update of Chan, Golub and LeVeque.
-    A single chunk gives the bits of ``np.mean`` and ``np.std(ddof=1)``."""
+    or of k streams read side by side, merged one chunk at a time by the
+    update of Chan, Golub and LeVeque.  A single chunk gives the bits of
+    ``np.mean`` and ``np.std(ddof=1)`` of each stream."""
 
     count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    mean: np.ndarray | float = 0.0
+    m2: np.ndarray | float = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        m = values.size
-        mean = float(values.mean())
-        d = values - mean
-        m2 = float((d * d).sum())
+        """Merge a chunk: m values, or a (k, m) array of m values per stream."""
+        m = values.shape[-1]
+        mean = values.mean(axis=-1)
+        d = values - mean[..., None]
+        m2 = (d * d).sum(axis=-1)
         if self.count == 0:
             self.count, self.mean, self.m2 = m, mean, m2
             return
@@ -174,11 +176,11 @@ class Moments:
         self.count = total
 
     @property
-    def se(self) -> float:
+    def se(self) -> np.ndarray | float:
         """Standard error of the mean, from the ddof=1 standard deviation."""
         if self.count < 2:
             return 0.0
-        return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        return np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
 def _laplace_terms(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -219,27 +221,30 @@ def check_permanental_inequality(
     ``chunks`` are the (X, L, Z) triples of ``sample_chunks`` for ``spec``,
     of which only X is read; the iid side is drawn from rng's _TAG_IID
     substream."""
-    a = spec.pair.diag_a
+    a = spec.pair.diag_a[:, None]
+    above = np.array(lambdas, dtype=float)[:, None]
     g = rng.generator(_TAG_IID)
-    scaled_max, iid_max = Moments(), Moments()
-    hits = [Moments() for _ in lambdas]
+    # one stream per statistic: max a_i X_i, the iid max, then 1{max X_i >= lam}
+    stats = Moments()
     for x, _, _ in chunks:
-        scaled_max.add((x * a).max(axis=1))
-        iid_max.add(g.standard_gamma(spec.alpha, size=x.shape).max(axis=1))
-        raw_max = x.max(axis=1)
-        for lam, acc in zip(lambdas, hits):
-            acc.add(raw_max >= lam)
-    if scaled_max.count < 2:
-        raise ValueError(f"a standard error needs at least 2 draws, got {scaled_max.count}")
+        # coordinates as rows, so that each maximum runs over contiguous rows
+        xt = np.ascontiguousarray(x.T)
+        iid = np.ascontiguousarray(g.standard_gamma(spec.alpha, size=x.shape).T)
+        stats.add(np.vstack([(xt * a).max(axis=0), iid.max(axis=0),
+                             xt.max(axis=0) >= above]))
+    if stats.count < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {stats.count}")
+    (scaled_mean, iid_mean, *hit_means), (scaled_se, iid_se, *hit_ses) = (
+        stats.mean.tolist(), stats.se.tolist())
     tails = []
     for p in p_values:
         m = spec.n // p
         if m < 1:
             continue
         a_star = bounds.psi_star(spec.pair, p)
-        for lam, acc in zip(lambdas, hits):
+        for lam, prob, se in zip(lambdas, hit_means, hit_ses):
             exact = max_iid_tail(m, gamma_tail_exact(spec.alpha, 1.0, a_star * lam))
-            tails.append(TailComparison(p=p, lam=float(lam), prob_perm=acc.mean, se=acc.se,
-                                        prob_iid_exact=exact, margin=acc.mean - exact))
-    return InequalityReport(n_draws=scaled_max.count, diff_mean=scaled_max.mean - iid_max.mean,
-                            diff_se=math.hypot(scaled_max.se, iid_max.se), tails=tails)
+            tails.append(TailComparison(p=p, lam=float(lam), prob_perm=prob, se=se,
+                                        prob_iid_exact=exact, margin=prob - exact))
+    return InequalityReport(n_draws=stats.count, diff_mean=scaled_mean - iid_mean,
+                            diff_se=math.hypot(scaled_se, iid_se), tails=tails)

@@ -20,6 +20,7 @@ from permanental.bounds import (
     sigma_matrix,
 )
 from permanental.errors import AsymmetryTooLarge, HypothesisFailed
+from permanental.example11 import classify_example11
 from permanental.gamma_tails import gamma_tail_exact, tail_bounds
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import green_kernel, random_transient_chain, validate_appendix_lemma
@@ -274,9 +275,9 @@ def test_criterion_12_classifier_table():
         (2.5, 0.0, 0.5, 0.5, "indeterminate-by-this-paper"),
     ]
     bad = [
-        (g, d, p, q, want, levy.classify_example11(g, d, p, q))
+        (g, d, p, q, want, classify_example11(g, d, p, q))
         for g, d, p, q, want in table
-        if levy.classify_example11(g, d, p, q) != want
+        if classify_example11(g, d, p, q) != want
     ]
     _report(12, not bad, f"classifier reproduces all {len(table)} tabulated verdicts"
                          + (f"; mismatches: {bad}" if bad else ""))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from permanental import bounds, cli, gamma_tails, levy, linalg, markov, matio, sampler
-from permanental.cli import _KERNEL_MODELS
+from permanental.cli import _MAX_LAG, _scan_kernel
 from permanental.errors import PermanentalError
 from permanental.model import PermanentalSpec
 from permanental.sampler import RngStream, sample_chunks
@@ -643,7 +643,7 @@ def test_stream_bytes_match_across_worker_counts(spec_file, tmp_path, monkeypatc
 
 def test_scan_csv_matches_loop_formatter():
     out = run_cli("unbounded-scan", "--kernel-model", "loglog-smooth", "--n", "8,16")
-    rows = bounds.unboundedness_statistic(_KERNEL_MODELS["loglog-smooth"](0.0), 0.1, [8, 16])
+    rows = bounds.unboundedness_statistic(_scan_kernel("loglog-smooth", 0.0), 0.1, [8, 16])
     assert rows[0].error is None and rows[1].psi_star is None  # numbers, empty and text cells
     want = [loop_csv_line([r.delta, r.n, r.psi_star, r.log_n_over_psi_star,
                            r.sigma_star2_log_n, r.error]) for r in rows]
@@ -687,9 +687,9 @@ def loop_scan(kernel_fn, delta, n_grid, p):
 @pytest.mark.parametrize("grid", [[16, 64, 256], [2, 4, 40]], ids=["16-256", "2-40"])
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("model", sorted(_KERNEL_MODELS))
+@pytest.mark.parametrize("model", sorted(_MAX_LAG))
 def test_scan_rows_match_the_scalar_kernel_loop(model, p, shift, grid):
-    kernel, kernel_fn = _KERNEL_MODELS[model](shift), _SCALAR_MODELS[model](shift)
+    kernel, kernel_fn = _scan_kernel(model, shift), _SCALAR_MODELS[model](shift)
     t = np.arange(1, grid[-1] + 1) * 0.1 / grid[-1]
     assert kernel(t).tolist() == [[kernel_fn(s, u) for u in t.tolist()] for s in t.tolist()]
     rows = bounds.unboundedness_statistic(kernel, 0.1, grid, p=p)
@@ -860,8 +860,8 @@ def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 def _list_csv_commands():
     """Every CLI command whose CSV rows are lists of cells, with the rows the
     library gives for it."""
-    for model in sorted(_KERNEL_MODELS):
-        rows = bounds.unboundedness_statistic(_KERNEL_MODELS[model](0.0), 0.1, [16, 64])
+    for model in sorted(_MAX_LAG):
+        rows = bounds.unboundedness_statistic(_scan_kernel(model, 0.0), 0.1, [16, 64])
         yield (["unbounded-scan", "--kernel-model", model, "--n", "16,64"],
                [[r.delta, r.n, r.psi_star, r.log_n_over_psi_star, r.sigma_star2_log_n, r.error]
                 for r in rows])
@@ -1038,6 +1038,11 @@ def modules_executed(*args):
 
 
 def _probe_argv(case, spec_file, kernel_file, tmp_path):
+    return _probe_argvs(spec_file, kernel_file, tmp_path)[case]
+
+
+def _probe_argvs(spec_file, kernel_file, tmp_path):
+    """The command line of each probe case, by name."""
     points = tmp_path / "points.json"
     points.write_text('{"points": [0.0, 0.3]}')
     not_m = tmp_path / "not_m.json"
@@ -1061,7 +1066,35 @@ def _probe_argv(case, spec_file, kernel_file, tmp_path):
         "levy-u": ["levy", "--p", 0.5, "--gamma", 2.0, "--u", 0.05],
         "levy-scan-thm16": ["levy", "--p", 0.5, "--gamma", 1.2, "--delta", -0.5,
                             "--scan-thm16", "100,1e4"],
-    }[case]
+    }
+
+
+def test_one_subcommand_parser_reads_every_probe_as_the_whole_parser(spec_file, kernel_file,
+                                                                     tmp_path):
+    for case, argv in _probe_argvs(spec_file, kernel_file, tmp_path).items():
+        argv = [str(a) for a in argv]
+        one = cli.build_parser(argv[0])
+        sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [argv[0]], case
+        assert one.parse_args(argv) == cli.build_parser().parse_args(argv), case
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["gamma-tail", "--u", "1", "--t", "2", "--bogus"],
+    ["classify", "--gamma", "1", "--p", "0.5", "extra"], ["gamma-tail", "--u", "1"],
+    ["levy", "--help"],
+], ids=["help", "no-arguments", "unknown-command", "bad-option", "extra-argument",
+        "missing-option", "command-help"])
+def test_process_prints_what_the_whole_parser_prints(argv, capsys, monkeypatch):
+    # a process parses with its one subcommand's parser: its usage and help
+    # bytes must be those of the parser of every subcommand
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to this width
+    with pytest.raises(SystemExit) as whole:
+        cli.build_parser().parse_args(argv)
+    want = (whole.value.code, *capsys.readouterr())
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True,
+                          env=dict(_BUFFERED_ENV, COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 @pytest.mark.parametrize("case", ["classify", "gamma-tail", "laplace", "bounds",
@@ -1091,20 +1124,28 @@ def test_sample_imports_orjson_only_to_write_its_csv(spec_file, kernel_file, tmp
 
 
 _LAYERS = {"matio", "markov", "linalg", "model", "sampler", "gamma_tails", "bounds", "levy",
-           "oscillatory"}
+           "oscillatory", "example11"}
 
 
 @pytest.mark.parametrize("case, needed, never", [
     ("sample", {"matio", "model", "sampler"}, {"levy", "bounds", "markov", "oscillatory"}),
-    ("levy-kernel", {"levy", "oscillatory"}, {"model", "sampler", "bounds", "markov"}),
+    ("levy-kernel", {"levy", "oscillatory"},
+     {"model", "sampler", "bounds", "markov", "matio", "linalg"}),
     ("gen-kernel", {"markov", "matio"}, {"levy", "model", "sampler"}),
-], ids=["sample", "levy-kernel", "gen-kernel"])
+    ("classify", {"example11"}, _LAYERS - {"example11"}),
+], ids=["sample", "levy-kernel", "gen-kernel", "classify"])
 def test_commands_execute_only_the_layer_modules_they_use(case, needed, never, spec_file,
                                                           kernel_file, tmp_path):
     argv = _probe_argv(case, spec_file, kernel_file, tmp_path)
     code, after_import, after_run = modules_executed(*argv)
     assert code == 0 and not after_import & _LAYERS
     assert needed <= after_run and not never & after_run
+
+
+@pytest.mark.parametrize("case", ["gamma-tail", "classify"])
+def test_pure_math_commands_never_import_numpy(case, spec_file, kernel_file, tmp_path):
+    argv = _probe_argv(case, spec_file, kernel_file, tmp_path)
+    assert modules_loaded("numpy", *argv) == (0, "", "")
 
 
 def test_package_re_exports_no_names_and_executes_no_module():
@@ -1141,8 +1182,7 @@ _TRACED_SPANS = {
                     "levy.psi_with_error", "levy.potential_bundle", "oscillatory.lobe_boundaries",
                     "levy.psi_with_error", "oscillatory.euler_accelerate",
                     "oscillatory.lobe_boundaries", "levy.psi_with_error",
-                    "oscillatory.euler_accelerate", "matio.matrix_to_json_obj",
-                    "linalg.as_square_matrix"],
+                    "oscillatory.euler_accelerate"],
 }
 
 
@@ -1235,14 +1275,21 @@ def test_closed_pipe_exits_2_with_one_error_line(spec_file):
     assert stderr == b"error: [Errno 32] Broken pipe\n"
 
 
+_LAUNCHER = [sys.executable, str(Path(__file__).resolve().parent.parent / "perfbench"
+                                  / "launcher.py"), "--no-wrap", "--"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("command", ["sample", "gen-kernel"])
-def test_full_device_exits_2_with_one_error_line(command, spec_file, tmp_path):
-    # sample fails in its own flush, gen-kernel's report in the final one
+@pytest.mark.parametrize("command, entry", [
+    ("sample", CLI), ("gen-kernel", CLI), ("sample", _LAUNCHER), ("gen-kernel", _LAUNCHER),
+], ids=["sample", "gen-kernel", "sample-launcher", "gen-kernel-launcher"])
+def test_full_device_exits_2_with_one_error_line(command, entry, spec_file, tmp_path):
+    # each command fails in its own flush: through cli.run, or through the
+    # launcher, whose interpreter then exits normally and flushes stdout again
     argv = {"sample": ["sample", "--spec", spec_file, "--n", "200", "--seed", "1"],
             "gen-kernel": ["gen-kernel", "--n", "3", "--seed", "5",
                            "--out", str(tmp_path / "k.json")]}[command]
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(CLI + argv, stdout=full, stderr=subprocess.PIPE,
+        proc = subprocess.run(entry + argv, stdout=full, stderr=subprocess.PIPE,
                               env=_BUFFERED_ENV, timeout=300)
     assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")

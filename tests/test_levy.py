@@ -9,6 +9,7 @@ import scipy.special
 
 from permanental import levy
 from permanental.errors import NotIntegrable, OutOfRange
+from permanental.example11 import classify_example11
 from permanental.linalg import invert, validate_m_matrix
 from permanental.markov import validate_appendix_lemma
 
@@ -524,18 +525,18 @@ def test_cor14_large_asymmetry_fails():
 
 
 def test_classifier_spec_examples():
-    assert levy.classify_example11(-0.5, 0.0, 0.8, 0.2) == "unbounded-by-Thm1.6"
-    assert levy.classify_example11(1.5, 0.0, 0.5, 0.5) == "unbounded-by-Thm1.6"
-    assert levy.classify_example11(0.0, 3.0, 0.8, 0.2) == "bounded-per-paper-discussion"
+    assert classify_example11(-0.5, 0.0, 0.8, 0.2) == "unbounded-by-Thm1.6"
+    assert classify_example11(1.5, 0.0, 0.5, 0.5) == "unbounded-by-Thm1.6"
+    assert classify_example11(0.0, 3.0, 0.8, 0.2) == "bounded-per-paper-discussion"
 
 
 def test_classifier_out_of_range():
     with pytest.raises(OutOfRange):
-        levy.classify_example11(-1.5, 0.0, 0.8, 0.2)
+        classify_example11(-1.5, 0.0, 0.8, 0.2)
     with pytest.raises(OutOfRange):
-        levy.classify_example11(0.5, 0.0, 0.5, 0.5)
+        classify_example11(0.5, 0.0, 0.5, 0.5)
     with pytest.raises(OutOfRange):
-        levy.classify_example11(1.0, 0.0, 0.7, 0.2)
+        classify_example11(1.0, 0.0, 0.7, 0.2)
 
 
 # ---------------------------------------------------------------- thm 1.6

@@ -239,6 +239,19 @@ def test_moments_of_one_chunk_are_numpy_mean_and_std():
     assert acc.se == np.std(w, ddof=1) / math.sqrt(w.size)
 
 
+def test_moments_of_stacked_streams_are_the_moments_of_each():
+    g = np.random.default_rng(46)
+    chunks = [g.random((3, m)) for m in (16_384, 16_384, 5_001)]
+    chunks[-1][2] = chunks[-1][2] > 0.5
+    acc, each = Moments(), [Moments() for _ in range(3)]
+    for chunk in chunks:
+        acc.add(chunk)
+        for row, one in zip(chunk, each):
+            one.add(row)
+    assert (acc.count, acc.mean.tolist(), acc.se.tolist()) == (
+        each[0].count, [one.mean for one in each], [one.se for one in each])
+
+
 def test_merged_laplace_moments_match_numpy_on_the_oracle_batch(monkeypatch):
     monkeypatch.setattr(sampler, "_CHUNK", 1000)
     spec = make_corpus(1, (4,), kill_min=0.6, seed0=99)[0]
@@ -284,6 +297,27 @@ def test_rearrangement_bound_on_corpus():
                           p_values=(1, 2))
         for row in rep.tails:
             assert row.margin >= -3 * row.se
+
+
+def test_inequality_statistics_are_those_of_the_row_loop(monkeypatch):
+    # the loop the check replaced: maxima along each row, one Moments per statistic
+    monkeypatch.setattr(sampler, "_CHUNK", 1000)
+    spec = make_corpus(1, (4,), kill_min=0.6, seed0=98)[0]
+    chunks = list(sample_chunks(spec, 10_500, RngStream(56)))  # the last chunk short
+    lambdas = (0.5, 1.0, 2.0)
+    g = RngStream(56).generator(sampler._TAG_IID)
+    scaled, iid, hits = Moments(), Moments(), [Moments() for _ in lambdas]
+    for x, _, _ in chunks:
+        scaled.add((x * spec.pair.diag_a).max(axis=1))
+        iid.add(g.standard_gamma(spec.alpha, size=x.shape).max(axis=1))
+        for lam, acc in zip(lambdas, hits):
+            acc.add(x.max(axis=1) >= lam)
+    rep = check_permanental_inequality(spec, chunks, RngStream(56), lambdas=lambdas,
+                                       p_values=(1,))
+    assert (rep.n_draws, rep.diff_mean, rep.diff_se) == (
+        10_500, scaled.mean - iid.mean, math.hypot(scaled.se, iid.se))
+    assert [(row.prob_perm, row.se) for row in rep.tails] == [(acc.mean, acc.se)
+                                                              for acc in hits]
 
 
 def test_minimum_draw_requirement():
