@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     PermanentalError,
 )
-from .linalg import MMatrixPair, as_square_matrix, validate_m_matrix
+from .linalg import SIGN_TOL, MMatrixPair, as_square_matrix, validate_m_matrix
 
 
 def _increments(K: np.ndarray, normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -90,12 +90,13 @@ def sigma_matrix(k) -> SigmaMatrix:
 
 def _column_gaps(K: np.ndarray) -> np.ndarray:
     """K_ii - max_{j != i} K_ji for every column i, all of which must be
-    positive (the columnwise domination hypothesis)."""
+    positive (the columnwise domination hypothesis): above linalg.SIGN_TOL,
+    at or below which a sign is rounding noise."""
     n = K.shape[0]
     if n < 2:
         raise OutOfRange(f"column domination needs at least 2 points, got n = {n}")
     gaps = np.diag(K) - np.where(np.eye(n, dtype=bool), -np.inf, K).max(axis=0)
-    if (gaps <= 0).any():
+    if (gaps <= SIGN_TOL).any():
         row = int(np.argmin(gaps))
         raise HypothesisFailed(f"K[{row},{row}] does not exceed its column maximum")
     return gaps
@@ -105,9 +106,10 @@ def diag_bound_simple(pair: MMatrixPair) -> np.ndarray:
     """Per-row bounds A_ii <= 1 / (K_ii - max_{j != i} K_ji).
 
     Requires positive row sums of A and the columnwise domination
-    K_ii > max_{j != i} K_ji.
+    K_ii > max_{j != i} K_ji, each above linalg.SIGN_TOL, as
+    ``markov.validate_appendix_lemma`` decides its row sums.
     """
-    if (pair.row_sums <= 0).any():
+    if (pair.row_sums <= SIGN_TOL).any():
         row = int(np.argmin(pair.row_sums))
         raise HypothesisFailed(f"row sum of A[{row},:] = {pair.row_sums[row]:.6g} is not positive")
     bounds = 1.0 / _column_gaps(pair.K)

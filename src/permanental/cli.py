@@ -177,7 +177,7 @@ def cmd_z_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    chunks = sampler.sample_chunks(spec, args.n, sampler.RngStream(args.seed, args.stream_id),
+    chunks = sampler.sample_chunks(spec, args.n, sampler.RngStream(args.seed),
                                    with_coupling=args.couple)
     n = spec.n
     header = [f"X_{i+1}" for i in range(n)]
@@ -361,17 +361,16 @@ def cmd_validate_kernel(args) -> int:
 
 def cmd_levy(args) -> int:
     q = args.q if args.q is not None else 1.0 - args.p
+    levy_model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
+                                      cut=args.eps_cut)
     if args.scan_thm16 is not None:
         grid = _parse_floats(args.scan_thm16)
         if not grid:
             raise OutOfRange(f"--scan-thm16 needs at least one n, got {args.scan_thm16!r}")
-        rows = levy.check_thm16_integrals(args.gamma, args.delta, args.p, q, grid,
-                                          cut=args.eps_cut)
+        rows = levy.check_thm16_integrals(levy_model, grid)
         _write_csv(args, ["n", "statistic", "log_n", "ratio"],
                    [[[r.n, r.statistic, r.log_n, r.ratio] for r in rows]])
         return 0
-    levy_model = levy.log_power_model(args.beta, args.p, q, args.gamma, args.delta,
-                                      cut=args.eps_cut)
     if args.u is not None:
         b = levy.potential_bundle(levy_model, args.u)
         _emit(args, {"z": b.z, "u_plus": b.u_plus, "u_minus": b.u_minus,
@@ -433,7 +432,6 @@ def _sample_options(p) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--couple", action="store_true")
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")

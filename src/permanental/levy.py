@@ -518,16 +518,12 @@ class SpectralFns:
     ``resolvent`` takes a number or an array of lam and evaluates psi once
     for all of it.  ``surrogate`` replaces psi by its leading form
     (pi/2) lam g(lam) + i (p-q) lam G(lam), ``far`` adds the fitted drift,
-    and ``l1_tail`` integrates it over (Lam, infinity).  The drift fit, the
-    spectral table, u(0) and G are computed on first use.
+    and ``l1_tail`` integrates it over (Lam, infinity).  The drift fits, the
+    spectral table, u(0) and G are cached properties, computed on first use.
     """
 
     def __init__(self, model: LevyModel):
         self.model = model
-        self.beta = model.beta
-        self._drift: dict[str, tuple[float, float, float]] | None = None
-        self._table: _Panels | None = None
-        self._u0: tuple[float, float] | None = None
         self._certify_integrability()
 
     @functools.cached_property
@@ -541,7 +537,7 @@ class SpectralFns:
         """R and I at lam with the psi error carried through them:
         |d(1/(beta+psi))| <= |d psi| / |beta+psi|^2."""
         value, err = psi_with_error(self.model, lam)
-        inv = 1.0 / (self.beta + value)
+        inv = 1.0 / (self.model.beta + value)
         i = 0.0 * inv.real if self.model.symmetric else inv.imag
         return inv.real, i, err * np.abs(inv) ** 2
 
@@ -551,22 +547,20 @@ class SpectralFns:
         cancels analytically.  R is written as 1/(re + im^2/re), so that
         g = inf far out gives 0."""
         m = self.model
-        re = self.beta * np.exp(-w) + (math.pi / 2.0) * m.g.of_log(w)
+        re = m.beta * np.exp(-w) + (math.pi / 2.0) * m.g.of_log(w)
         im = 0.0 if m.symmetric else (m.p - m.q) * self.G_log(w)
         return 1.0 / (re + im * (im / re)), -im / (re * re + im * im)
 
     # -- drift correction: exact/asym ratio fitted as 1 + a/w + b/w^2 ----
-    def drift(self, which: str) -> tuple[float, float, float]:
-        """Fit coefficients (a, b) and the fit residual for R or I; both
-        fits share one psi batch."""
-        if self._drift is None:
-            ws = np.linspace(math.log(_LAM_EXACT_MAX / 16.0), math.log(_LAM_EXACT_MAX), 5)
-            lams = np.exp(ws)
-            r, i, _ = self.resolvent(lams)
-            r_asym, i_asym = self.surrogate(np.log(lams))
-            self._drift = {"R": self._fit(ws, r, r_asym / lams),
-                           "I": self._fit(ws, i, i_asym / lams)}
-        return self._drift[which]
+    @functools.cached_property
+    def drift(self) -> dict[str, tuple[float, float, float]]:
+        """Fit coefficients (a, b) and the fit residual of R (key "R") and
+        of I ("I"); both fits share one psi batch."""
+        ws = np.linspace(math.log(_LAM_EXACT_MAX / 16.0), math.log(_LAM_EXACT_MAX), 5)
+        lams = np.exp(ws)
+        r, i, _ = self.resolvent(lams)
+        r_asym, i_asym = self.surrogate(np.log(lams))
+        return {"R": self._fit(ws, r, r_asym / lams), "I": self._fit(ws, i, i_asym / lams)}
 
     @staticmethod
     def _fit(ws, exact, asym) -> tuple[float, float, float]:
@@ -580,7 +574,7 @@ class SpectralFns:
 
     def far(self, lam):
         """R and I of the drift-corrected surrogate at lam."""
-        (ar, br, _), (ai, bi, _) = self.drift("R"), self.drift("I")
+        (ar, br, _), (ai, bi, _) = self.drift["R"], self.drift["I"]
         w = np.log(lam)
         r, i = self.surrogate(w)
         return r / lam * (1.0 + ar / w + br / w**2), i / lam * (1.0 + ai / w + bi / w**2)
@@ -595,7 +589,7 @@ class SpectralFns:
         (g overflows near w = e^696 and the drift factor is 1 to rounding);
         the rest is then added to the value.
         """
-        a, b, resid = self.drift("R")
+        a, b, resid = self.drift["R"]
         exact = self.model.symmetric and self.model.g.gamma == 1.0
         val, err = _tail_integral(
             lambda w: self.surrogate(w)[0] * (1.0 + a / w + b / w**2), math.log(lam),
@@ -613,28 +607,26 @@ class SpectralFns:
         m = self.model
         if not m.symmetric:
             big_g = self.G_log(w)
-            return ((math.pi / 2.0) / big_g + self.beta * np.exp(-w) / big_g**2) / (m.p - m.q) ** 2
+            return ((math.pi / 2.0) / big_g + m.beta * np.exp(-w) / big_g**2) / (m.p - m.q) ** 2
         return (2.0 / math.pi) * m.g.inverse_tail_bound(w)
 
+    @functools.cached_property
     def table(self) -> _Panels:
         """R and I on the panels of ``_table_edges`` up to _LAM_EXACT_MAX,
-        one psi batch on first use."""
-        if self._table is None:
-            table = _resolvent_panels(self, _table_edges(self.model.g.cut))
-            if not (np.isfinite(table.coef).all() and np.isfinite(table.err).all()):
-                raise OutOfRange(f"R and I are not finite on the spectral table of {self.model.g}")
-            self._table = table
-        return self._table
+        one psi batch."""
+        table = _resolvent_panels(self, _table_edges(self.model.g.cut))
+        if not (np.isfinite(table.coef).all() and np.isfinite(table.err).all()):
+            raise OutOfRange(f"R and I are not finite on the spectral table of {self.model.g}")
+        return table
 
+    @functools.cached_property
     def u_zero(self) -> tuple[float, float]:
         """u(0) = (1/pi) integral of R over (0, infinity) and its error:
         the table's panel integrals, then ``l1_tail(_LAM_EXACT_MAX)``."""
-        if self._u0 is None:
-            t = self.table()
-            tail, tail_err = self.l1_tail(_LAM_EXACT_MAX)
-            value = (2.0 * t.half * t.coef[0, :, 0]).sum() + tail
-            self._u0 = value / math.pi, (t.err[0].sum() + tail_err) / math.pi
-        return self._u0
+        t = self.table
+        tail, tail_err = self.l1_tail(_LAM_EXACT_MAX)
+        value = (2.0 * t.half * t.coef[0, :, 0]).sum() + tail
+        return value / math.pi, (t.err[0].sum() + tail_err) / math.pi
 
     # -- integrability certificate ---------------------------------------
     def _certify_integrability(self) -> None:
@@ -761,7 +753,7 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
                          f"asymptotic form of R")
     no_bound = OutOfRange(f"lag z = {z:g} has no finite error bound: its exact range "
                           f"reaches lam = {split:.4g}, where psi is not finite")
-    table = sf.table()
+    table = sf.table
     k = int(np.searchsorted(table.edges, split, side="right")) - 1
     lo = table.edges[k]
     if split <= _LAM_EXACT_MAX:
@@ -772,15 +764,15 @@ def _trig_transform(sf: SpectralFns, z: float, kind: str) -> tuple[float, float]
         last_err = _resolvent_panels(sf, edges[-2:]).err[row, 0] / math.pi
         if not math.isfinite(last_err):
             raise no_bound
-        if last_err >= sf.u_zero()[0]:
-            raise _vanishing_lag(z, last_err, sf.u_zero()[0])
+        if last_err >= sf.u_zero[0]:
+            raise _vanishing_lag(z, last_err, sf.u_zero[0])
     new = _resolvent_panels(sf, edges)
     exact = (_filon(table.mid[:k], table.half[:k], table.coef[row, :k], z)
              + _filon(new.mid, new.half, new.coef[row], z))
     _, half, nodes = _legendre_panels(far_edges[:-1], far_edges[1:])
     far_terms, far_err = _legendre_integral(trig(nodes * z) * sf.far(nodes)[row], half)
     lobes, accel_err = euler_accelerate(far_terms)
-    _, _, resid = sf.drift(which)
+    _, _, resid = sf.drift[which]
     err = (table.err[row, :k].sum() + new.err[row].sum() + far_err.sum() + accel_err
            + resid * abs(far_terms[0]) * 4.0)
     value = (exact.real if kind == "cos" else exact.imag) + lobes
@@ -804,7 +796,7 @@ def potential_bundle(model: LevyModel, z: float) -> PotentialValues:
         raise OutOfRange(f"lag z = {z} is not finite")
     sf = spectral(model)
     z = abs(z)
-    u0, u0_err = sf.u_zero()
+    u0, u0_err = sf.u_zero
     if z == 0.0:
         return PotentialValues(z=0.0, u_plus=u0, u_minus=u0, r_part=u0, h_part=0.0,
                                u_zero=u0, sigma2=0.0, abserr=u0_err)
@@ -834,19 +826,18 @@ class Thm16Row:
     err: float
 
 
-def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid, *,
-                          cut: float = DEFAULT_CUT) -> list[Thm16Row]:
+def check_thm16_integrals(model: LevyModel, n_grid) -> list[Thm16Row]:
     """The integral criterion against log n on the grid, with the error of
-    each statistic: the integral of g(s)/s up to n for p != q, or the
-    reciprocal of the integral of 1/g(e^w) over w > log n for p = q; g is
-    supported on (cut, inf)."""
-    example11.classify_example11(gamma, delta, p, q)  # validates the parameter ranges
+    each statistic: G(log n), the integral of g(s)/s up to n (the
+    surrogate's ``SpectralFns.G_log``), for p != q, or the reciprocal of the
+    integral of 1/g(e^w) over w > log n for p = q; g is supported on
+    (cut, inf)."""
+    g = model.g
+    example11.classify_example11(g.gamma, g.delta, model.p, model.q)  # the Example 1.1 range
     for n in n_grid:
         if not 1.0 < n < math.inf:
             raise OutOfRange(f"every n must be finite and above 1, got {n:g}")
-    profile = LogPowerProfile(gamma=gamma, delta=delta, cut=cut)
-    w_cut = math.log(profile.cut)
-    big_g = _Antiderivative(profile.of_log, w_cut) if p != q else None
+    big_g = None if model.symmetric else spectral(model).G_log
     rows = []
     for n in n_grid:
         w_n = math.log(float(n))
@@ -855,13 +846,13 @@ def check_thm16_integrals(gamma: float, delta: float, p: float, q: float, n_grid
             if w_n < big_g.finite_to:
                 stat, err = big_g.with_error(w_n)
         else:
-            inv, inv_err = _tail_integral(lambda w: 1.0 / profile.of_log(w), max(w_n, w_cut),
-                                          profile.inverse_tail_bound)
+            inv, inv_err = _tail_integral(lambda w: 1.0 / g.of_log(w),
+                                          max(w_n, math.log(g.cut)), g.inverse_tail_bound)
             if inv > 0.0:
                 stat, err = 1.0 / inv, inv_err / inv**2
         if not (math.isfinite(stat) and math.isfinite(err)):
             raise OutOfRange(f"the Thm 1.6 statistic at n = {n:g} or its error bound is not "
-                             f"finite for gamma = {gamma:g}, delta = {delta:g}")
+                             f"finite for gamma = {g.gamma:g}, delta = {g.delta:g}")
         rows.append(Thm16Row(n=float(n), statistic=stat, log_n=w_n, ratio=stat / w_n, err=err))
     return rows
 

@@ -3,7 +3,9 @@
 JSON matrices are ``{"n": int, "rows": [[...], ...]}``; the text format is
 whitespace-delimited, one row per line.  A model spec is a JSON object with
 ``alpha`` and either ``kernel`` (K) or ``A`` (its inverse), each a matrix
-object.
+object.  A JSON cell and ``alpha`` are numbers (an int or a float, not a
+bool) that fit in a float, and ``n`` is an int; anything else is refused
+with ValueError.
 """
 
 from __future__ import annotations
@@ -21,12 +23,32 @@ def matrix_to_json_obj(m) -> dict:
     return {"n": int(a.shape[0]), "rows": [[float(x) for x in row] for row in a]}
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float: an int or a float, not a bool, that fits."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must fit in a float, got an integer beyond its range") from None
+
+
+def _numbers(value, what: str):
+    """Nested JSON lists of numbers with every number as a float."""
+    if type(value) is list:
+        return [_numbers(v, what) for v in value]
+    return _number(value, what)
+
+
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
     if not (isinstance(obj, dict) and isinstance(obj.get("rows"), list)):
         raise ValueError('a matrix must be a JSON object with a "rows" list')
-    a = as_square_matrix(obj["rows"])
-    if "n" in obj and int(obj["n"]) != a.shape[0]:
-        raise ValueError(f"declared n = {obj['n']} does not match {a.shape[0]} rows")
+    a = as_square_matrix(_numbers(obj["rows"], "a matrix cell"))
+    if "n" in obj:
+        if type(obj["n"]) is not int:
+            raise ValueError(f"declared n must be an integer, got {obj['n']!r}")
+        if obj["n"] != a.shape[0]:
+            raise ValueError(f"declared n = {obj['n']} does not match {a.shape[0]} rows")
     return a
 
 
@@ -61,10 +83,7 @@ def load_spec_file(path: str) -> tuple[float, np.ndarray | None, np.ndarray | No
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("a spec must be a JSON object")
-    alpha = obj.get("alpha")
-    if type(alpha) not in (int, float):
-        raise ValueError(f"spec alpha must be a number, got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _number(obj.get("alpha"), "spec alpha")
     kernel = obj.get("kernel")
     a_mat = obj.get("A")
     if (kernel is None) == (a_mat is None):

@@ -171,7 +171,7 @@ def check_cor14(model: levy.LevyModel, z: float) -> Cor14:
     _LAM_EXACT_MAX plus ``l1_tail(_LAM_EXACT_MAX)``."""
     sf = levy.spectral(model)
     leg = np.polynomial.legendre
-    edges, mid, half, coef, _ = sf.table()
+    edges, mid, half, coef, _ = sf.table
     r_coef = coef[0]
     lam_i_coef = (mid[:, None] * np.pad(coef[1], ((0, 0), (0, 1)))
                   + half[:, None] * np.apply_along_axis(leg.legmulx, 1, coef[1]))

@@ -65,6 +65,23 @@ def test_validate_kernel_rejects_non_m(tmp_path):
     assert json.loads(out.stdout)["passed"] is False
 
 
+def test_bounds_decides_its_hypotheses_at_the_validation_tolerance(tmp_path):
+    # row 0 of A sums to 5e-11 and column 1 of K clears its maximum by about
+    # 8e-11, both within linalg.SIGN_TOL: validate-kernel reports no positive
+    # row sums, and the bounds that assume them or the column gaps refuse
+    A = np.array([[1.0, -1.0 + 5e-11, 0.0], [-0.25, 1.0, -0.25], [-0.25, -0.25, 1.0]])
+    path = tmp_path / "edge.json"
+    matio.save_matrix(str(path), np.linalg.inv(A))
+    out = run_cli("validate-kernel", path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["positive_row_sums"] is False
+    for which, message in (("simple", "row sum of A[0,:] = 5e-11 is not positive"),
+                           ("scaled", "K[1,1] does not exceed its column maximum")):
+        out = run_cli("bounds", "--which", which, "--kernel", path)
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr == f"error: {message}\n"
+
+
 def test_corrupted_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
     save_spec_file(str(spec), 1.0, a_matrix=[[1.0, 0.5], [0.0, 1.0]])
@@ -76,6 +93,30 @@ def test_corrupted_spec_exits_2(tmp_path):
 _SPEC_1X1 = '{"alpha": 1, "kernel": {"n": 1, "rows": [[1]]}}'
 _BOUNDS_WHICH = ("simple", "sigma", "scaled", "psi-star", "sudakov")
 _KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
+_BEYOND_FLOAT = "1" + "0" * 400  # a JSON integer that no float holds
+# JSON matrices whose n or cells are not numbers: (id, file text, message)
+_BAD_JSON_MATRICES = [
+    ("n-list", '{"n": [3], "rows": [[1]]}', "declared n must be an integer, got [3]"),
+    ("n-null", '{"n": null, "rows": [[1]]}', "declared n must be an integer, got None"),
+    ("cell-object", '{"n": 1, "rows": [[{}]]}', "a matrix cell must be a number, got {}"),
+    ("cell-beyond-float", '{"n": 1, "rows": [[%s]]}' % _BEYOND_FLOAT,
+     "a matrix cell must fit in a float"),
+    ("cell-true", '{"n": 1, "rows": [[true]]}', "a matrix cell must be a number, got True"),
+    ("cell-string", '{"n": 1, "rows": [["1.5"]]}', "a matrix cell must be a number, got '1.5'"),
+]
+# model parameters that every levy mode refuses: (id, arguments, message)
+_BAD_LEVY_MODELS = [
+    ("p-nan", ["--p", "nan", "--gamma", -0.5], "need p, q >= 0 with p + q = 1"),
+    ("beta-nan", ["--p", 0.8, "--gamma", -0.5, "--beta", "nan"],
+     "beta must be positive and finite"),
+    ("beta-0", ["--p", 0.8, "--gamma", -0.5, "--beta", 0], "beta must be positive and finite"),
+    ("delta-inf", ["--p", 0.8, "--gamma", -0.5, "--delta", "inf"], "delta must be finite"),
+    ("gamma-nan", ["--p", 0.8, "--gamma", "nan"], "gamma must be finite"),
+    ("eps-cut-nan", ["--p", 0.8, "--gamma", -0.5, "--eps-cut", "nan"], "cut must be finite"),
+]
+# the levy modes besides --u, each with its input file text
+_LEVY_MODES = [("scan-thm16", ["--scan-thm16", 100], None),
+               ("kernel", ["--kernel"], '{"points": [0, 0.1]}')]
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -125,6 +166,11 @@ _KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
      "cut must be finite"),
     *[(["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", n], None,
        "every n must be finite and above 1") for n in ("nan", "1")],
+    *[(["validate-kernel"], text, message) for _, text, message in _BAD_JSON_MATRICES],
+    (["laplace", "--s", 1, "--spec"], '{"alpha": %s, "kernel": {"n": 1, "rows": [[1]]}}'
+     % _BEYOND_FLOAT, "spec alpha must fit in a float"),
+    *[(["levy", *model, *mode], text, message)
+      for _, model, message in _BAD_LEVY_MODELS for _, mode, text in _LEVY_MODES],
 ], ids=["permanent-list", "laplace-bare-kernel", "levy-points-number",
         "levy-points-int-beyond-float", "spec-alpha-inf",
         "mc-validate-s-points", "mc-validate-n-1", "gamma-tail-t-nan", "levy-u-inf",
@@ -134,7 +180,10 @@ _KERNEL_2X2 = '{"n": 2, "rows": [[1, 0.5], [0.2, 1]]}'
         "unbounded-scan-p-0", "unbounded-scan-p-negative", "unbounded-scan-p-above-n",
         "permanent-alpha-nan", "permanent-alpha-inf", "classify-gamma-nan", "classify-p-nan",
         "levy-p-nan", "levy-beta-nan", "levy-delta-inf", "levy-gamma-nan", "levy-eps-cut-nan",
-        "levy-scan-thm16-nan", "levy-scan-thm16-1"])
+        "levy-scan-thm16-nan", "levy-scan-thm16-1",
+        *[f"validate-kernel-{case}" for case, _, _ in _BAD_JSON_MATRICES],
+        "spec-alpha-beyond-float",
+        *[f"levy-{mode}-{case}" for case, _, _ in _BAD_LEVY_MODELS for mode, _, _ in _LEVY_MODES]])
 def test_bad_input_exits_2_with_its_own_message(tmp_path, argv, text, message):
     # the input file, if any, is the last argument
     if text is not None:
@@ -228,7 +277,7 @@ _SUBCOMMAND_OPTIONS = {
     "permanent": ["--alpha", "--matrix", "--out"],
     "laplace": ["--method", "--out", "--rel-tol", "--s", "--spec"],
     "z-dist": ["--out", "--spec", "--target-mass"],
-    "sample": ["--couple", "--n", "--out", "--seed", "--spec", "--stream-id", "--workers"],
+    "sample": ["--couple", "--n", "--out", "--seed", "--spec", "--workers"],
     "mc-validate": ["--n", "--out", "--s-points", "--seed", "--spec", "--workers"],
     "gamma-tail": ["--bounds", "--out", "--t", "--u", "--v"],
     "bounds": ["--kernel", "--out", "--p", "--which"],
@@ -865,7 +914,7 @@ def _list_csv_commands():
         yield (["unbounded-scan", "--kernel-model", model, "--n", "16,64"],
                [[r.delta, r.n, r.psi_star, r.log_n_over_psi_star, r.sigma_star2_log_n, r.error]
                 for r in rows])
-    rows = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [1e2, 1e4])
+    rows = levy.check_thm16_integrals(levy.log_power_model(1.0, 0.8, 0.2, -0.5, 0.0), [1e2, 1e4])
     yield (["levy", "--p", 0.8, "--gamma", -0.5, "--scan-thm16", "1e2,1e4"],
            [[r.n, r.statistic, r.log_n, r.ratio] for r in rows])
 
@@ -934,7 +983,8 @@ def test_levy_scan_thm16_honours_eps_cut():
     # for gamma = -0.5 the statistic is G = 2 (sqrt(log n) - sqrt(log cut))
     out = run_cli("levy", "--p", 0.8, "--gamma", -0.5, "--eps-cut", 30, "--scan-thm16", 100)
     statistic = float(out.stdout.splitlines()[1].split(",")[1])
-    err = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [100], cut=30.0)[0].err
+    err = levy.check_thm16_integrals(
+        levy.log_power_model(1.0, 0.8, 0.2, -0.5, 0.0, cut=30.0), [100])[0].err
     assert abs(statistic - 2 * (math.sqrt(math.log(100)) - math.sqrt(math.log(30)))) <= err
 
 
@@ -1205,7 +1255,8 @@ def test_scan_thm16_slowly_decaying_symmetric_tail_matches_mpmath():
                   "--scan-thm16", "100,1e4")
     assert out.returncode == 0, out.stderr
     rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
-    errs = [r.err for r in levy.check_thm16_integrals(1.2, -0.5, 0.5, 0.5, [100, 1e4])]
+    model = levy.log_power_model(1.0, 0.5, 0.5, 1.2, -0.5)
+    errs = [r.err for r in levy.check_thm16_integrals(model, [100, 1e4])]
     with mp.workdps(30):
         for (n, stat, _, _), err in zip(rows, errs):
             # integral of 1/g(e^w) over w > log n, in t = log w

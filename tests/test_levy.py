@@ -101,7 +101,7 @@ def oracle_l1_tail(sf, lam, dps=20):
     tanh-sinh in t = log log lam, G in closed form (an integer delta when
     p != q): with s = log u and c = gamma + 1, the integral of
     e^{c s} s^delta is e^{c s} sum_k (-1)^k delta!/(delta-k)! s^(delta-k) / c^(k+1)."""
-    m, (a, b, _) = sf.model, sf.drift("R")
+    m, (a, b, _) = sf.model, sf.drift["R"]
     gam, dl = m.g.gamma, m.g.delta
     with mp.workdps(dps):
         w_cut = mp.log(m.g.cut)
@@ -325,7 +325,7 @@ def test_l1_tail_matches_mpmath(model):
 @pytest.mark.parametrize("model", [ASYM, LOGLOG, SYM15], ids=["asym", "loglog", "sym-g1.5"])
 def test_u_zero_matches_oracle_within_abserr(model):
     sf = levy.spectral(model)
-    u0, err = sf.u_zero()
+    u0, err = sf.u_zero
     assert abs(u0 - oracle_u_zero(sf)) <= err
 
 
@@ -471,7 +471,7 @@ def test_vanishing_lags_are_refused_on_one_panel(monkeypatch, z):
     # lam_split lies far past the table: the last of its panels (20 psi
     # nodes) already carries an error bound above u(0), so none of the other
     # panels (about 625 at 1e-100) is built
-    levy.spectral(ASYM).table()
+    levy.spectral(ASYM).table
     built = []
     real = levy._resolvent_panels
     monkeypatch.setattr(levy, "_resolvent_panels",
@@ -543,19 +543,26 @@ def test_classifier_out_of_range():
 
 
 def test_thm16_asymmetric_sqrt_log_growth():
-    rows = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [1e2, 1e4, 1e8, 1e16])
+    rows = levy.check_thm16_integrals(ASYM, [1e2, 1e4, 1e8, 1e16])
     for row in rows:
         # closed form: 2 (sqrt(log n) - sqrt(2)) with the e^2 cut
         expected = 2 * (math.sqrt(row.log_n) - math.sqrt(2.0))
         assert row.statistic == pytest.approx(expected, rel=1e-8)
     # the cut offset makes the ratio hump at small n; it vanishes beyond
-    deep = levy.check_thm16_integrals(-0.5, 0.0, 0.8, 0.2, [1e4, 1e8, 1e16, 1e32])
+    deep = levy.check_thm16_integrals(ASYM, [1e4, 1e8, 1e16, 1e32])
     ratios = [r.ratio for r in deep]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_thm16_asymmetric_statistic_is_the_surrogates_g():
+    # for p != q the statistic is G(log n) of the model's spectral evaluators
+    sf = levy.spectral(ASYM)
+    for row in levy.check_thm16_integrals(ASYM, [1e2, 1e8]):
+        assert (row.statistic, row.err) == sf.G_log.with_error(row.log_n)
+
+
 def test_thm16_symmetric_three_halves_vanishing_ratio():
-    rows = levy.check_thm16_integrals(1.5, 0.0, 0.5, 0.5, [1e2, 1e4, 1e8, 1e16])
+    rows = levy.check_thm16_integrals(SYM15, [1e2, 1e4, 1e8, 1e16])
     ratios = [row.ratio for row in rows]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     # statistic ~ C sqrt(log n): the normalized values stabilize
@@ -569,7 +576,8 @@ def test_thm16_symmetric_statistic_within_error_of_closed_form():
     # overflows before w = e^700; the panels stop there, and the error holds
     # the closed-form bound on the rest.
     for gam in (1.03, 1.5):
-        for row in levy.check_thm16_integrals(gam, 0.0, 0.5, 0.5, [1e2, 1e8, 1e300]):
+        model = levy.log_power_model(1.0, 0.5, 0.5, gam, 0.0)
+        for row in levy.check_thm16_integrals(model, [1e2, 1e8, 1e300]):
             exact = (gam - 1.0) * row.log_n ** (gam - 1.0)
             assert abs(row.statistic - exact) <= row.err + 1e-15 * exact
             assert row.err <= 2e-9 * exact
@@ -579,11 +587,12 @@ def test_thm16_symmetric_refuses_without_tail_bound():
     # gamma - 1 + delta / log w stays negative up to w = e^700: no closed-form
     # bound on the rest of the integral of 1/g, so no error and no statistic
     with pytest.raises(OutOfRange):
-        levy.check_thm16_integrals(1.001, -2.0, 0.5, 0.5, [1e2])
+        levy.check_thm16_integrals(levy.log_power_model(1.0, 0.5, 0.5, 1.001, -2.0), [1e2])
 
 
 def test_thm16_symmetric_log_squared_ratio_grows():
-    rows = levy.check_thm16_integrals(2.0, 1.0, 0.5, 0.5, [1e2, 1e4, 1e8, 1e16])
+    model = levy.log_power_model(1.0, 0.5, 0.5, 2.0, 1.0)
+    rows = levy.check_thm16_integrals(model, [1e2, 1e4, 1e8, 1e16])
     ratios = [row.ratio for row in rows]
     assert ratios[-1] > ratios[0]
 
@@ -633,7 +642,7 @@ def test_kernel_matrix_costs_the_table_and_one_panel_per_lag(monkeypatch):
     monkeypatch.setattr(levy, "psi_with_error", counted)
     levy.spectral.cache_clear()  # the table is built inside the count
     levy.kernel_matrix(ASYM, [j * 0.05 for j in range(16)])
-    table_nodes = levy.spectral(ASYM).table().half.size * levy._N_LEG
+    table_nodes = levy.spectral(ASYM).table.half.size * levy._N_LEG
     # the table, the 5-point drift fit, one cos and one sin panel per lag
     assert sum(nodes) <= table_nodes + 5 + 15 * 2 * levy._N_LEG
 
@@ -667,7 +676,7 @@ def test_non_finite_spectral_values_are_refused_by_input():
         levy.potential_bundle(ASYM, 1e-300)
     for p in (0.5, 0.8):
         with pytest.raises(OutOfRange, match="gamma = 1e\\+300"):
-            levy.check_thm16_integrals(1e300, 0.0, p, 1.0 - p, [1e2])
+            levy.check_thm16_integrals(levy.log_power_model(1.0, p, 1.0 - p, 1e300, 0.0), [1e2])
 
 
 def test_spectral_parity_even_odd():
